@@ -6,10 +6,8 @@ variables), the idealized forward-stagewise limit (direction projected
 into the active sign cone), and the nonnegative-coefficient restriction.
 Ships risk estimation on top of the fitted paths (Cp with the df = k rule,
 bootstrap degrees of freedom), slow independent oracles for verification,
-and a small CLI.
-
-Hot kernels run through a compiled extension when it is available; the
-package falls back to pure-Python implementations with identical results.
+and a small CLI.  Everything is NumPy and SciPy: LAPACK for the Cholesky
+factors and Lawson-Hanson for the stagewise cone projection.
 """
 
 from .core import (
@@ -45,7 +43,6 @@ from .errors import (
     VariantMismatch,
     WrongColumnCount,
 )
-from .kernels import HAVE_EXTENSION, backend_name
 from .linalg import (
     CholeskyFactor,
     cholesky_append,
@@ -96,8 +93,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "HAVE_EXTENSION",
-    "backend_name",
     # designs
     "StandardizedDesign",
     "standardize",

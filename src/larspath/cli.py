@@ -291,3 +291,7 @@ def cli_main(argv=None):
 
 def main():
     raise SystemExit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

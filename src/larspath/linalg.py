@@ -1,9 +1,11 @@
-"""Dense linear-algebra kernel for active-set Gram matrices.
+"""Dense linear algebra for active-set Gram matrices.
 
 Maintains an upper-triangular Cholesky factor of the current active-set Gram
-matrix under column append/remove, provides the associated triangular solves,
-and runs the nonnegative least squares inner loop used to project the
-equiangular direction into the positive cone of the active columns.
+matrix: a column append is an O(k^2) bordered update, a column drop
+refactorizes the reduced Gram matrix with LAPACK.  Also provides the
+associated triangular solves and the Lawson-Hanson nonnegative least squares
+projection of the equiangular direction into the positive cone of the
+active columns.
 """
 
 import math
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.optimize import nnls
 
-from . import kernels
 from .errors import (
     DegenerateColumn,
     DimensionMismatch,
@@ -33,17 +35,14 @@ __all__ = [
 # squared norm marks the column as linearly dependent on the active set.
 DEGENERACY_RTOL = 1e-12
 
-# Relative residual in R'R - G beyond which a drop triggers refactorization.
-REFACTOR_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Upper-triangular factor R with R'R equal to the tracked Gram matrix.
 
-    The Gram matrix itself is carried alongside the factor: the downdate
-    residual check and the nonnegative least squares loop both need it, and
-    at active-set sizes it is small.  Instances are immutable; the
+    The Gram matrix itself is carried alongside the factor: a column drop
+    refactorizes it and the cone projection reads its faces, and at
+    active-set sizes it is small.  Instances are immutable; the
     append/drop operations return new factors.
     """
 
@@ -115,31 +114,15 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
 def cholesky_drop(factor, position):
     """Remove one row/column of the tracked Gram matrix from the factor.
 
-    Deleting column ``position`` of R leaves an upper-Hessenberg matrix;
-    Givens rotations restore the triangle in O(k^2).  If the re-triangularized
-    factor no longer reproduces the reduced Gram matrix to ``REFACTOR_RTOL``
-    (relative Frobenius), a fresh factorization replaces it.
+    The reduced Gram matrix, which the factor carries, is refactorized in
+    LAPACK.  That is O(k^3), cheap at active-set sizes, and the factor never
+    drifts from its Gram matrix over long append/drop sequences.
     """
     k = factor.active_dim
     if not 0 <= position < k:
         raise IndexOutOfRange(f"position {position} out of range for k={k}")
-
-    gram = np.delete(np.delete(factor.gram, position, axis=0), position, axis=1)
-    if k == 1:
-        return CholeskyFactor.empty()
-
-    work = np.ascontiguousarray(np.delete(factor.R, position, axis=1))
-    kernels.givens_downdate(work, position)
-    R = np.ascontiguousarray(work[: k - 1])
-    diag = np.diagonal(R).copy()
-    flip = diag < 0
-    if flip.any():
-        R[flip] *= -1.0
-
-    resid = np.linalg.norm(R.T @ R - gram) / max(1.0, np.linalg.norm(gram))
-    if resid > REFACTOR_RTOL:
-        return CholeskyFactor.from_gram(gram)
-    return CholeskyFactor(R=R, gram=gram)
+    keep = np.delete(np.arange(k), position)
+    return CholeskyFactor.from_gram(factor.gram[np.ix_(keep, keep)])
 
 
 def solve_gram(factor, rhs):
@@ -156,17 +139,16 @@ def solve_gram(factor, rhs):
 def nnls_inner_loop(gram_factor, target_weights):
     """Project the equiangular direction into the cone of active columns.
 
-    Starting from the unconstrained weight vector, repeatedly removes every
-    variable with nonpositive weight and re-solves on the remaining face.
-    Once all weights are positive, verifies that each removed variable's
-    column makes an angle with the face direction no smaller than the face's
-    equal angle (the cone-face optimality condition); the worst violator, if
-    any, is re-admitted and the loop continues.
+    With ``u = X w`` the unconstrained direction and ``R'R = X'X``, the
+    nearest cone point ``X p`` (``p >= 0``) solves the nonnegative least
+    squares problem ``min |R p - R w|``, done here by Lawson-Hanson.  The
+    face is the support of ``p``; on it the projection is parallel to the
+    face's own equiangular direction.
 
     Returns ``(feasible_weights, retained)``: a full-length weight vector
-    that is zero off the face, and the sorted positions of the face within
-    the active set.  The weight vector is normalized so the implied
-    direction has unit length.
+    that is zero off the face and holds the face's equiangular weights,
+    normalized so the implied direction has unit length, and the sorted
+    positions of the face within the active set.
     """
     w = np.asarray(target_weights, dtype=float).reshape(-1)
     k = gram_factor.active_dim
@@ -177,38 +159,15 @@ def nnls_inner_loop(gram_factor, target_weights):
     if np.all(w > 0):
         return w.copy(), np.arange(k)
 
-    G = gram_factor.gram
-    S = [i for i in range(k) if w[i] > 0]
-    dropped = [i for i in range(k) if w[i] <= 0]
-    cap = 4 * k * k + 10
-    it = 0
-    while True:
-        it += 1
-        if it > cap:
-            raise MaxIterations(f"face search did not settle in {cap} rounds")
-        if not S:
-            raise EmptyFace("all variables eliminated")
-        g1 = np.linalg.solve(G[np.ix_(S, S)], np.ones(len(S)))
-        if g1.min() <= 0:
-            bad = [S[i] for i in range(len(S)) if g1[i] <= 0]
-            for b in bad:
-                S.remove(b)
-                dropped.append(b)
-            continue
-        A = 1.0 / math.sqrt(g1.sum())
-        wf = A * g1
-        worst, worst_i = 0.0, None
-        for i in dropped:
-            v = float(G[i, S] @ wf) - A
-            if v < worst - 1e-10:
-                worst, worst_i = v, i
-        if worst_i is None:
-            S_sorted = sorted(S)
-            g1 = np.linalg.solve(G[np.ix_(S_sorted, S_sorted)], np.ones(len(S_sorted)))
-            A = 1.0 / math.sqrt(g1.sum())
-            out = np.zeros(k)
-            out[S_sorted] = A * g1
-            return out, np.array(S_sorted)
-        dropped.remove(worst_i)
-        S.append(worst_i)
-        S.sort()
+    R = gram_factor.R
+    try:
+        p, _ = nnls(R, R @ w)
+    except RuntimeError as exc:
+        raise MaxIterations(f"cone projection: {exc}") from None
+    face = np.flatnonzero(p > 0)
+    if face.size == 0:
+        raise EmptyFace("all variables eliminated")
+    g1 = np.linalg.solve(gram_factor.gram[np.ix_(face, face)], np.ones(face.size))
+    out = np.zeros(k)
+    out[face] = g1 / math.sqrt(g1.sum())
+    return out, face

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .core import Path, PathStep, _GramCache
 from .errors import DimensionMismatch, MaxIterations
 from .linalg import CholeskyFactor, cholesky_append, solve_gram
@@ -24,8 +23,9 @@ __all__ = [
     "forward_selection",
 ]
 
-# Correlation refresh interval for the tiny-step stagewise iteration: the
-# compiled kernel runs this many steps between exact recomputations.
+# Correlation refresh interval for the tiny-step stagewise iteration: this
+# many steps update the correlations incrementally between exact
+# recomputations.
 _CHUNK = 1024
 
 
@@ -89,7 +89,7 @@ def epsilon_stagewise(design, epsilon, n_steps):
     done = 0
     while done < n_steps:
         chunk = min(_CHUNK, n_steps - done)
-        kernels.stagewise_chunk(beta, c, G, float(epsilon), chunk, traj, done)
+        _stagewise_chunk(beta, c, G, float(epsilon), chunk, traj, done)
         done += chunk
         # periodic exact refresh keeps the incrementally updated
         # correlations from drifting over long runs
@@ -123,7 +123,7 @@ def lasso_at_t(design, t, tol=1e-8):
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
         c = c0 - G @ beta
-        sweeps = kernels.cd_sweeps(beta, c, G, lam, 1e-10, 100000)
+        sweeps = _cd_sweeps(beta, c, G, lam, 1e-10, 100000)
         if sweeps < 0:
             raise MaxIterations("coordinate descent did not converge")
         total = float(np.abs(beta).sum())
@@ -135,6 +135,72 @@ def lasso_at_t(design, t, tol=1e-8):
         else:
             lam_hi = lam
     raise MaxIterations("penalty bisection did not bracket the budget")
+
+
+def _cd_sweeps(beta, c, G, lam, tol, max_sweeps):
+    """Cyclic coordinate-descent sweeps for the L1-penalized problem.
+
+    Arguments ``beta`` (coefficients) and ``c`` (residual correlations,
+    maintained as c = X'y - G·beta) are updated in place.  Returns the number
+    of sweeps used, or -1 if ``max_sweeps`` was reached before the largest
+    coordinate change in a sweep fell below ``tol``.  Assumes a unit-diagonal
+    Gram matrix.  The loops run on plain Python floats, which at these
+    dimensions is several times faster than on NumPy scalars.
+    """
+    m = beta.shape[0]
+    bl = beta.tolist()
+    cl = c.tolist()
+    Gl = G.tolist()
+    sweeps = 0
+    converged = False
+    while sweeps < max_sweeps:
+        delta = 0.0
+        for j in range(m):
+            bj = bl[j]
+            z = bj + cl[j]
+            if z > lam:
+                nb = z - lam
+            elif z < -lam:
+                nb = z + lam
+            else:
+                nb = 0.0
+            d = nb - bj
+            if d != 0.0:
+                bl[j] = nb
+                Gj = Gl[j]
+                for i in range(m):
+                    cl[i] -= d * Gj[i]
+                ad = -d if d < 0.0 else d
+                if ad > delta:
+                    delta = ad
+        sweeps += 1
+        if delta < tol:
+            converged = True
+            break
+    beta[:] = bl
+    c[:] = cl
+    return sweeps if converged else -1
+
+
+def _stagewise_chunk(beta, c, G, eps, n_steps, traj, t0):
+    """Run ``n_steps`` fixed-size stagewise updates, recording each vertex.
+
+    ``beta`` and ``c`` are updated in place; row ``t0 + t`` of ``traj``
+    receives the coefficient vector after update ``t``.  Ties in the
+    most-correlated variable go to the lowest index.
+    """
+    for t in range(n_steps):
+        j = int(np.argmax(np.abs(c)))
+        cj = c[j]
+        if cj > 0.0:
+            es = eps
+        elif cj < 0.0:
+            es = -eps
+        else:
+            es = 0.0
+        beta[j] += es
+        c -= es * G[j]
+        traj[t0 + t] = beta
 
 
 def _certify_stationary(beta, grad, lam, slack=1e-6):

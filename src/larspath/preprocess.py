@@ -9,7 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstantColumn, DimensionMismatch, WrongColumnCount
+from .errors import (
+    ConstantColumn,
+    DimensionMismatch,
+    NonNumericCell,
+    WrongColumnCount,
+)
 
 __all__ = [
     "StandardizedDesign",
@@ -64,12 +69,28 @@ def _default_names(m):
     return tuple(f"x{j + 1}" for j in range(m))
 
 
+def _require_finite(X, names, y=None):
+    """Raise :class:`NonNumericCell` at the first NaN or infinite cell.
+
+    Rows are numbered from 1, as in the CSV reader; a bad response cell is
+    reported in column ``"response"``.
+    """
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        raise NonNumericCell(int(bad[0, 0]) + 1, names[bad[0, 1]])
+    if y is not None:
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise NonNumericCell(int(bad[0]) + 1, "response")
+
+
 def standardize(raw_columns, raw_response, names=None):
     """Center and rescale a raw design to mean-0, unit-length columns.
 
     Returns a :class:`StandardizedDesign`.  Raises :class:`ConstantColumn`
-    for any zero-variance predictor and :class:`DimensionMismatch` when the
-    response length does not match the matrix.
+    for any zero-variance predictor, :class:`NonNumericCell` for a NaN or
+    infinite cell and :class:`DimensionMismatch` when the response length
+    does not match the matrix.
     """
     X = np.asarray(raw_columns, dtype=float)
     y = np.asarray(raw_response, dtype=float)
@@ -85,6 +106,7 @@ def standardize(raw_columns, raw_response, names=None):
     names = _default_names(m) if names is None else tuple(names)
     if len(names) != m:
         raise DimensionMismatch(f"{len(names)} names for {m} columns")
+    _require_finite(X, names, y)
 
     means = X.mean(axis=0)
     centered = X - means
@@ -112,8 +134,8 @@ def from_unit_columns(columns, response, names=None):
     Intended for synthetic designs (identity matrices, pre-built orthonormal
     frames) where the closed-form theory applies to the raw coordinates.
     The response is taken as-is.  Columns must have unit squared norm within
-    1e-9; means and scales are recorded as 0 and 1 so the original-units
-    back-transform is the identity.
+    1e-9 and every cell must be finite; means and scales are recorded as 0
+    and 1 so the original-units back-transform is the identity.
     """
     X = np.asarray(columns, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -124,10 +146,13 @@ def from_unit_columns(columns, response, names=None):
         raise DimensionMismatch(
             f"response has shape {y.shape}, expected ({n},)"
         )
+    names = _default_names(m) if names is None else tuple(names)
+    if len(names) != m:
+        raise DimensionMismatch(f"{len(names)} names for {m} columns")
+    _require_finite(X, names, y)
     norms = (X**2).sum(axis=0)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise DimensionMismatch("columns must have unit squared norm")
-    names = _default_names(m) if names is None else tuple(names)
     return StandardizedDesign(
         columns=X.copy(),
         response=y.copy(),
@@ -185,6 +210,9 @@ def quadratic_expand(raw_columns, binary_column, names=None):
             f"binary_column {binary_column} out of range for {m} columns"
         )
     names = _default_names(m) if names is None else tuple(names)
+    if len(names) != m:
+        raise WrongColumnCount(f"{len(names)} names for {m} columns")
+    _require_finite(X, names)
     centered = X - X.mean(axis=0)
 
     cols = [X[:, j] for j in range(m)]

@@ -1,7 +1,11 @@
 """End-to-end command-line runs against the bundled data file."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,33 @@ def test_unreadable_input_file(capsys, tmp_path):
 def test_wrong_response_name(capsys):
     rc, _, err = run(capsys, "fit", "--input", DATA, "--response", "OUTCOME")
     assert rc == 2
+
+
+def test_non_finite_cell_is_a_data_error(capsys, tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        f = tmp_path / "t.csv"
+        f.write_text(f"a,b,y\n1,2,3\n4,{bad},6\n7,5,9\n2,8,1\n")
+        for extra in ((), ("--quadratic", "--binary-col", "a")):
+            rc, out, err = run(capsys, "fit", "--input", str(f),
+                               "--response", "y", *extra)
+            assert rc == 2 and out == ""
+            assert err.startswith("error:")
+            assert "row 2" in err and "'b'" in err
+
+
+def test_module_entry_point_runs_fit():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "larspath.cli", "fit", "--input", DATA,
+         "--response", "Y", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    s = json.loads(out.stdout)
+    assert (s["variant"], s["steps"]) == ("lars", 10)
 
 
 def test_help_exits_cleanly(capsys):

@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import larspath.linalg
 from larspath.errors import (
     DegenerateColumn,
     DimensionMismatch,
     EmptyFace,
     IndexOutOfRange,
+    MaxIterations,
 )
 from larspath.linalg import (
     CholeskyFactor,
@@ -204,6 +207,64 @@ def test_nnls_unequal_norms_keeps_nearest_face():
         # face weight gives a unit-length direction
         v = X @ out
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def _brute_force_face(X, u):
+    """The face of the cone of X's columns nearest u, over all 2^k faces
+    on which the projection of u has positive weights."""
+    best, best_dist = None, np.inf
+    k = X.shape[1]
+    for size in range(1, k + 1):
+        for face in itertools.combinations(range(k), size):
+            q, *_ = np.linalg.lstsq(X[:, face], u, rcond=None)
+            if q.min() <= 0:
+                continue
+            dist = np.linalg.norm(u - X[:, face] @ q)
+            if dist < best_dist:
+                best, best_dist = face, dist
+    return best
+
+
+def test_nnls_face_matches_brute_force_on_random_cones():
+    """On random signed designs with one strongly correlated pair, the face
+    chosen by the projection is the nearest face found by enumeration, and
+    its weights are the face's unit-length equiangular weights."""
+    trng = np.random.default_rng(11)
+    cones = 0
+    for trial in range(1000):
+        k = 2 + trial % 5
+        X = trng.normal(size=(3 * k + 5, k))
+        X[:, 1] = X[:, 0] + 0.2 * trng.normal(size=X.shape[0])
+        X /= np.linalg.norm(X, axis=0)
+        X *= trng.choice([-1.0, 1.0], size=k)
+        G = X.T @ X
+        g1 = np.linalg.solve(G, np.ones(k))
+        if g1.min() > 0:
+            continue
+        w = g1 / math.sqrt(g1.sum())
+        out, retained = nnls_inner_loop(CholeskyFactor.from_gram(G), w)
+        face = _brute_force_face(X, X @ w)
+        assert tuple(int(p) for p in retained) == face
+        wf = out[list(face)]
+        assert wf.min() > 0
+        assert np.count_nonzero(out) == len(face)
+        inner = G[np.ix_(face, face)] @ wf
+        assert np.allclose(inner, inner[0], atol=1e-10)
+        assert abs(np.linalg.norm(X @ out) - 1.0) < 1e-12
+        cones += 1
+        if cones == 200:
+            break
+    assert cones == 200
+
+
+def test_nnls_iteration_limit_raises_max_iterations(monkeypatch):
+    def exhausted(A, b, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(larspath.linalg, "nnls", exhausted)
+    G = np.array([[1.0, 0.9], [0.9, 1.0]])
+    with pytest.raises(MaxIterations):
+        nnls_inner_loop(CholeskyFactor.from_gram(G), np.array([1.0, -0.5]))
 
 
 def test_nnls_diabetes_projection_event(design, diabetes_paths):

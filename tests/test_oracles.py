@@ -11,6 +11,8 @@ from larspath.core import fit_path, interpolate
 from larspath.errors import DimensionMismatch
 from larspath.oracles import (
     OrderStatistics,
+    _cd_sweeps,
+    _stagewise_chunk,
     epsilon_stagewise,
     forward_selection,
     lasso_at_t,
@@ -97,6 +99,46 @@ def test_epsilon_stagewise_crosses_chunk_refresh_boundary():
     assert np.isfinite(traj).all()
     ols, *_ = np.linalg.lstsq(d.columns, d.response, rcond=None)
     assert np.abs(traj[-1] - ols).max() < 5e-3
+
+
+def _gram_problem(seed, n=30, m=6):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    y = X @ rng.normal(size=m) + 0.5 * rng.normal(size=n)
+    d = standardize(X, y)
+    G = np.ascontiguousarray(d.gram())
+    c0 = d.columns.T @ d.response
+    return G, c0
+
+
+def test_cd_sweeps_reaches_a_soft_threshold_fixed_point():
+    G, c0 = _gram_problem(0)
+    lam = 0.3 * float(np.abs(c0).max())
+    beta = np.zeros(6)
+    c = c0.copy()
+    sweeps = _cd_sweeps(beta, c, G, lam, 1e-12, 100000)
+    assert sweeps > 0
+    for j in range(6):
+        if beta[j] == 0.0:
+            assert abs(c[j]) <= lam + 1e-8
+        else:
+            assert abs(c[j] - lam * np.sign(beta[j])) < 1e-8
+
+
+def test_cd_sweeps_reports_nonconvergence():
+    G, c0 = _gram_problem(1)
+    beta = np.zeros(6)
+    c = c0.copy()
+    assert _cd_sweeps(beta, c, G, 0.01, 1e-14, 1) == -1
+
+
+def test_stagewise_chunk_sits_still_without_correlation():
+    G, _ = _gram_problem(2)
+    beta = np.full(6, 0.5)
+    c = np.zeros(6)
+    traj = np.empty((4, 6))
+    _stagewise_chunk(beta, c, G, 0.01, 4, traj, 0)
+    assert np.all(traj == 0.5)
 
 
 def test_lasso_at_t_boundary_budgets(design):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from larspath.errors import ConstantColumn, DimensionMismatch, WrongColumnCount
+from larspath.errors import (
+    ConstantColumn,
+    DimensionMismatch,
+    NonNumericCell,
+    WrongColumnCount,
+)
 from larspath.preprocess import (
     from_unit_columns,
     quadratic_expand,
@@ -42,6 +47,41 @@ def test_standardize_reports_constant_column_by_name():
     X[:, 1] = 4.2
     with pytest.raises(ConstantColumn, match="mid"):
         standardize(X, rng.normal(size=20), names=("lo", "mid", "hi"))
+
+
+def test_non_finite_cells_are_rejected_by_row_and_column():
+    local = np.random.default_rng(8)
+    X = local.normal(size=(6, 3))
+    y = local.normal(size=6)
+    unit = np.eye(6)[:, :3]
+    for bad in (np.nan, np.inf, -np.inf):
+        Xb = X.copy()
+        Xb[4, 2] = bad
+        with pytest.raises(NonNumericCell) as exc:
+            standardize(Xb, y, names=("a", "b", "c"))
+        assert (exc.value.row, exc.value.column_name) == (5, "c")
+        yb = y.copy()
+        yb[1] = bad
+        with pytest.raises(NonNumericCell) as exc:
+            standardize(X, yb)
+        assert (exc.value.row, exc.value.column_name) == (2, "response")
+
+        Ub = unit.copy()
+        Ub[0, 1] = bad
+        with pytest.raises(NonNumericCell) as exc:
+            from_unit_columns(Ub, y)
+        assert (exc.value.row, exc.value.column_name) == (1, "x2")
+        with pytest.raises(NonNumericCell) as exc:
+            from_unit_columns(unit, yb)
+        assert (exc.value.row, exc.value.column_name) == (2, "response")
+
+        with pytest.raises(NonNumericCell) as exc:
+            quadratic_expand(Xb, 0, names=("a", "b", "c"))
+        assert (exc.value.row, exc.value.column_name) == (5, "c")
+    with pytest.raises(DimensionMismatch):
+        from_unit_columns(unit, y, names=("a",))
+    with pytest.raises(WrongColumnCount):
+        quadratic_expand(X, 0, names=("a",))
 
 
 def test_standardize_shape_errors():
