@@ -17,11 +17,13 @@ runs to the least squares point counts one move, not two.
 
 Numerical conventions that the step counts depend on:
 
-* Correlations are recomputed exactly from cached Gram columns after every
-  move.  Incremental correlation updates drift at the 1e-2 level on
+* Correlations are recomputed exactly, c = X'y - G beta, after every move.
+  Incremental correlation updates drift at the 1e-2 level on
   ill-conditioned quadratic designs and were observed to derail drop/join
-  ordering; exact recomputation costs O(m * k) per move and removes the
-  drift entirely.
+  ordering; exact recomputation removes the drift entirely.  It costs
+  O(m * k) per move from the materialized Gram matrix of a tall design and
+  O(n * m) through X on a wide one, the same order as the equiangular
+  products a = G[:, A] (s * w).
 * A variable that leaves the active set at the current vertex (coefficient
   sign crossing, or cone projection under the stagewise variant) sits
   exactly on the correlation envelope.  Its same-sign join ratio is 0/0 and
@@ -35,6 +37,7 @@ Numerical conventions that the step counts depend on:
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -143,6 +146,13 @@ class Path:
     def t_max(self):
         return self.steps[-1].T
 
+    @cached_property
+    def _budgets(self):
+        """Vertex budgets T and whether they never decrease, built once."""
+        Ts = np.array([s.T for s in self.steps])
+        Ts.flags.writeable = False
+        return Ts, bool(np.all(np.diff(Ts) >= 0))
+
     def interpolate(self, t):
         return interpolate(self, t)
 
@@ -165,30 +175,30 @@ def _normalize_variant(variant):
 
 
 class _GramCache:
-    """Columns of X'X, materialized eagerly when n >= m, lazily otherwise."""
+    """Products with G = X'X: materialized when n >= m, through X otherwise.
+
+    A tall design (n >= m) keeps the m x m Gram matrix and reads its columns.
+    A wide design neither forms it nor caches its columns: every product is
+    two matrix-vector products with X, O(n m) per move as in the paper's cost
+    argument.
+    """
 
     def __init__(self, X):
         self.X = X
         n, m = X.shape
-        self.m = m
         self._full = X.T @ X if n >= m else None
-        self._cols = None if self._full is not None else {}
 
     def column(self, j):
+        """Column j of G: the Gram row of an entering variable."""
         if self._full is not None:
             return self._full[:, j]
-        col = self._cols.get(j)
-        if col is None:
-            col = self.X.T @ self.X[:, j]
-            self._cols[j] = col
-        return col
+        return self.X.T @ self.X[:, j]
 
-    def stack(self, indices):
-        if len(indices) == 0:
-            return np.zeros((self.m, 0))
+    def stack(self, indices, weights):
+        """``G[:, indices] @ weights``."""
         if self._full is not None:
-            return self._full[:, indices]
-        return np.column_stack([self.column(j) for j in indices])
+            return self._full[:, indices] @ weights
+        return self.X.T @ (self.X[:, indices] @ weights)
 
 
 def _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol):
@@ -417,14 +427,15 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
         if stagewise and g1.min() <= 0.0:
             w_target = (1.0 / math.sqrt(g1.sum())) * g1
             _, retained = nnls_inner_loop(factor, w_target)
-            gone = sorted(set(range(k)) - set(int(p) for p in retained), reverse=True)
-            proj_vars = []
-            for pos in gone:
-                v = active.pop(pos)
-                proj_vars.append(v)
+            kept = np.zeros(k, dtype=bool)
+            kept[retained] = True
+            gone = np.flatnonzero(~kept)
+            factor = cholesky_drop(factor, gone)
+            proj_vars = [active[p] for p in gone]
+            for v in proj_vars:
                 left_signs[v] = signs.pop(v)
                 active_mask[v] = False
-                factor = cholesky_drop(factor, pos)
+            active = [active[p] for p in retained]
             proj = tuple(sorted(proj_vars))
             k = len(active)
             g1 = solve_gram(factor, np.ones(k))
@@ -437,7 +448,7 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
         gamma_bar = C_hat / A
         floor = 1e-12 * gamma_bar
         tie_tol = TIE_RTOL * max(1.0, C_hat)
-        a = (gram.stack(act_idx) * s_vec) @ w
+        a = gram.stack(act_idx, s_vec * w)
 
         if k >= max_active:
             found = None
@@ -481,7 +492,7 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
             beta[j_drop] = 0.0
         nz = np.flatnonzero(beta)
         if nz.size:
-            c = c0 - gram.stack(nz) @ beta[nz]
+            c = c0 - gram.stack(nz, beta[nz])
             rss = y_sq - float((c0[nz] + c[nz]) @ beta[nz])
         else:
             c = c0.copy()
@@ -552,14 +563,13 @@ def interpolate(path, t):
     small slack, otherwise :class:`TOutOfRange` is raised.
     """
     steps = path.steps
-    Ts = np.array([s.T for s in steps])
+    Ts, monotone = path._budgets
     t_end = float(Ts[-1])
     slack = 1e-12 * max(1.0, t_end)
     if t < -slack or t > t_end + slack:
         raise TOutOfRange(f"t={t!r} outside [0, {t_end!r}]")
     t = min(max(float(t), 0.0), t_end)
-    diffs = np.diff(Ts)
-    if np.all(diffs >= 0):
+    if monotone:
         hi = int(np.searchsorted(Ts, t, side="left"))
         if hi == 0:
             return steps[0].beta.copy()

@@ -112,16 +112,22 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
 
 
 def cholesky_drop(factor, position):
-    """Remove one row/column of the tracked Gram matrix from the factor.
+    """Remove rows/columns of the tracked Gram matrix from the factor.
 
-    The reduced Gram matrix, which the factor carries, is refactorized in
+    ``position`` is one position or a sequence of them; all are dropped
+    together, and an empty sequence returns the factor unchanged.  The
+    reduced Gram matrix, which the factor carries, is refactorized once in
     LAPACK.  That is O(k^3), cheap at active-set sizes, and the factor never
     drifts from its Gram matrix over long append/drop sequences.
     """
     k = factor.active_dim
-    if not 0 <= position < k:
-        raise IndexOutOfRange(f"position {position} out of range for k={k}")
-    keep = np.delete(np.arange(k), position)
+    gone = np.atleast_1d(position)
+    for p in gone:
+        if not 0 <= p < k:
+            raise IndexOutOfRange(f"position {p} out of range for k={k}")
+    if gone.size == 0:
+        return factor
+    keep = np.delete(np.arange(k), gone)
     return CholeskyFactor.from_gram(factor.gram[np.ix_(keep, keep)])
 
 

@@ -250,7 +250,7 @@ def forward_selection(design, k_max):
     ]
     for step in range(1, k_max + 1):
         sel = np.array(selected, dtype=int)
-        c = c0 - gram.stack(sel) @ beta[sel] if sel.size else c0.copy()
+        c = c0 - gram.stack(sel, beta[sel]) if sel.size else c0.copy()
         c_abs = np.abs(c)
         c_abs[sel] = -np.inf
         j = int(np.argmax(c_abs))

@@ -81,13 +81,12 @@ def stagewise_direction(design, basis, factor):
     if basis.w.size and basis.w.min() > 0:
         return basis, ()
     _, retained = nnls_inner_loop(factor, basis.w)
-    keep = set(int(p) for p in retained)
-    gone = sorted(set(range(len(basis.active))) - keep, reverse=True)
-    face_factor = factor
-    for pos in gone:
-        face_factor = cholesky_drop(face_factor, pos)
-    face_active = [basis.active[p] for p in sorted(keep)]
-    face_signs = [basis.signs[p] for p in sorted(keep)]
+    kept = np.zeros(len(basis.active), dtype=bool)
+    kept[retained] = True
+    gone = np.flatnonzero(~kept)
+    face_factor = cholesky_drop(factor, gone)
+    face_active = [basis.active[p] for p in retained]
+    face_signs = [basis.signs[p] for p in retained]
     face_basis = compute_equiangular(design, face_active, face_signs, face_factor)
     projected = tuple(sorted(basis.active[p] for p in gone))
     return face_basis, projected

@@ -6,6 +6,7 @@ import pytest
 
 from larspath.core import (
     Path,
+    _GramCache,
     compute_equiangular,
     final_gamma,
     fit_path,
@@ -13,6 +14,7 @@ from larspath.core import (
     next_join,
 )
 from larspath.errors import (
+    LarsError,
     MaxStepsExceeded,
     NoPositiveCandidate,
     StalledPath,
@@ -259,6 +261,55 @@ def test_wide_design_saturates():
     rss_end = path.steps[-1].rss
     assert rss_end < 1e-8 * path.steps[0].rss
     assert rss_end > -1e-9 * path.steps[0].rss
+
+
+@pytest.mark.parametrize("shape", [(20, 50), (50, 20)])
+def test_gram_products_match_dense(shape):
+    """Through X (n < m) or from the materialized Gram (n >= m), the Gram
+    products equal the dense X'X ones."""
+    r = np.random.default_rng(shape[1])
+    X = r.normal(size=shape)
+    G = X.T @ X
+    gram = _GramCache(X)
+    for j in (0, 7, shape[1] - 1):
+        assert np.allclose(gram.column(j), G[:, j], rtol=1e-12, atol=1e-12)
+    for idx in ([], [3], [0, 7, 2], list(range(shape[1]))):
+        idx = np.array(idx, dtype=int)
+        v = r.normal(size=idx.size)
+        got = gram.stack(idx, v)
+        assert got.shape == (shape[1],)
+        assert np.allclose(got, G[:, idx] @ v, rtol=1e-12, atol=1e-12)
+
+
+def _events_and_vertices(design, variant):
+    try:
+        path = fit_path(design, variant)
+    except LarsError as exc:
+        return type(exc), None
+    events = [(s.action, s.variable, s.sign, s.projection_dropped) for s in path.steps]
+    return events, np.array([s.beta for s in path.steps])
+
+
+def test_lazy_gram_path_matches_materialized_gram(monkeypatch):
+    """A wide design's Gram products go through X; materializing X'X instead
+    gives the same events and, to rounding, the same vertices."""
+    designs = [random_design(30, 80, 500 + i) for i in range(30)]
+    variants = ("lars", "lasso", "stagewise", "positive-lasso")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TieWarning)
+        lazy = [_events_and_vertices(d, v) for d in designs for v in variants]
+
+        def materialized(self, X):
+            self.X = X
+            self._full = X.T @ X
+
+        monkeypatch.setattr(_GramCache, "__init__", materialized)
+        dense = [_events_and_vertices(d, v) for d in designs for v in variants]
+    for (ev_lazy, b_lazy), (ev_dense, b_dense) in zip(lazy, dense):
+        assert ev_lazy == ev_dense
+        if b_lazy is not None:
+            scale = np.abs(b_dense).max()
+            assert np.abs(b_lazy - b_dense).max() <= 1e-9 * scale
 
 
 def test_max_steps_budget(design):

@@ -111,6 +111,23 @@ def test_drop_position_out_of_range():
         cholesky_drop(f, -1)
 
 
+def test_drop_several_positions_equals_single_drops():
+    f = CholeskyFactor.from_gram(random_gram(6))
+    both = cholesky_drop(f, [1, 4])
+    one_by_one = cholesky_drop(cholesky_drop(f, 4), 1)
+    assert np.array_equal(both.R, one_by_one.R)
+    assert np.array_equal(both.gram, one_by_one.gram)
+    assert cholesky_drop(f, []) is f
+
+
+def test_drop_several_positions_out_of_range():
+    f = CholeskyFactor.from_gram(random_gram(4))
+    with pytest.raises(IndexOutOfRange):
+        cholesky_drop(f, [0, 4])
+    with pytest.raises(IndexOutOfRange):
+        cholesky_drop(f, [-1, 2])
+
+
 def test_random_append_drop_sequences():
     """Maintained factor stays close to a from-scratch factorization."""
     for trial in range(20):
