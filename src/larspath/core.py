@@ -177,10 +177,11 @@ def _normalize_variant(variant):
 class _GramCache:
     """Products with G = X'X: materialized when n >= m, through X otherwise.
 
-    A tall design (n >= m) keeps the m x m Gram matrix and reads its columns.
-    A wide design neither forms it nor caches its columns: every product is
-    two matrix-vector products with X, O(n m) per move as in the paper's cost
-    argument.
+    A tall design (n >= m) keeps the m x m Gram matrix and reads its rows,
+    which equal its columns (G is symmetric): a row gather is contiguous
+    where a column gather is strided.  A wide design neither forms G nor
+    caches its columns: every product is two matrix-vector products with X,
+    O(n m) per move as in the paper's cost argument.
     """
 
     def __init__(self, X):
@@ -191,13 +192,13 @@ class _GramCache:
     def column(self, j):
         """Column j of G: the Gram row of an entering variable."""
         if self._full is not None:
-            return self._full[:, j]
+            return self._full[j]
         return self.X.T @ self.X[:, j]
 
     def stack(self, indices, weights):
         """``G[:, indices] @ weights``."""
         if self._full is not None:
-            return self._full[:, indices] @ weights
+            return weights @ self._full[indices]
         return self.X.T @ (self.X[:, indices] @ weights)
 
 
@@ -209,50 +210,37 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol):
     (distance 0); this includes the exactly-parallel 0/0 case.  Returns
     ``(gamma, variable, sign, n_tied)`` or None when nothing can tie.
     """
-    if cand_idx.size == 0:
+    n = cand_idx.size
+    if n == 0:
         return None
     cc = c[cand_idx]
     aa = a[cand_idx]
-
-    def branch(num, den):
-        r = np.full(cc.shape, np.inf)
-        ahead = den > PARALLEL_TOL
-        normal = ahead & (num > tie_tol)
-        r[normal] = num[normal] / den[normal]
-        tied_now = (np.abs(num) <= tie_tol) & (ahead | (np.abs(den) <= PARALLEL_TOL))
-        r[tied_now] = 0.0
-        return r
-
-    def disable(r, var):
-        p = np.searchsorted(cand_idx, var)
-        if p < cand_idx.size and cand_idx[p] == var:
-            r[p] = np.inf
-
-    r1 = branch(C_hat - cc, A - aa)
+    if not positive:
+        # Both branches in one pass: the negative branch sees -c and -a.
+        cc = np.concatenate((cc, -cc))
+        aa = np.concatenate((aa, -aa))
+    num = C_hat - cc
+    den = A - aa
+    ahead = den > PARALLEL_TOL
+    r = np.where(ahead & (num > tie_tol), num, np.inf) / np.where(ahead, den, 1.0)
+    # Tied now: no gap, and the candidate is not falling behind.
+    r[(np.abs(num) <= tie_tol) & (den >= -PARALLEL_TOL)] = 0.0
     for var, s in left_signs.items():
-        if s == 1:
-            disable(r1, var)
-    if positive:
-        best = r1
-        r2 = None
-    else:
-        r2 = branch(C_hat + cc, A + aa)
-        for var, s in left_signs.items():
-            if s == -1:
-                disable(r2, var)
-        best = np.minimum(r1, r2)
+        p = int(np.searchsorted(cand_idx, var))
+        if p < n and cand_idx[p] == var:
+            if s == 1:
+                r[p] = np.inf
+            elif not positive:
+                r[n + p] = np.inf
+    best = r if positive else np.minimum(r[:n], r[n:])
 
     gmin = best.min()
     if not np.isfinite(gmin):
         return None
     tied = np.flatnonzero((best - gmin) * A <= tie_tol)
     p = int(tied[0])
-    var = int(cand_idx[p])
-    if r2 is None or r1[p] <= r2[p]:
-        sign = 1
-    else:
-        sign = -1
-    return float(best[p]), var, sign, int(tied.size)
+    sign = 1 if positive or r[p] <= r[n + p] else -1
+    return float(best[p]), int(cand_idx[p]), sign, int(tied.size)
 
 
 def _scan_drop(beta_active, direction, floor):
@@ -335,8 +323,10 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
     c = c0.copy()
     beta = np.zeros(m)
     y_sq = float(y @ y)
-    active = []
-    signs = {}
+    # The active variables in factor order and their signs (as floats, ready
+    # to scale weights), updated in place of a list and a sign dict.
+    act_idx = np.zeros(0, dtype=int)
+    s_vec = np.zeros(0)
     active_mask = np.zeros(m, dtype=bool)
     factor = CholeskyFactor.empty()
 
@@ -383,12 +373,17 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
     zero_run = 0
 
     while True:
-        if active:
-            act_idx = np.array(active, dtype=int)
-            envelope = float(np.mean(np.abs(c[act_idx])))
+        # The envelope is the mean |c| over the active set after the pending
+        # event; it is computed once per move (again only after a cone
+        # projection) and ends the walk when the correlations have vanished.
+        action, event_var, event_sign = pending
+        if action == "add":
+            new_idx = np.append(act_idx, event_var)
         else:
-            envelope = float(np.abs(c).max())
-        if envelope < ENVELOPE_FLOOR:
+            pos = int(np.flatnonzero(act_idx == event_var)[0])
+            new_idx = np.delete(act_idx, pos)
+        C_hat = float(np.abs(c[new_idx]).sum()) / new_idx.size
+        if C_hat < ENVELOPE_FLOOR:
             break
         n_moves = len(steps) - 1
         if stop_after is not None and n_moves >= stop_after:
@@ -398,31 +393,20 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
 
         left_signs = {}
         proj = ()
-        if pending[0] == "add":
-            _, j, sj = pending
-            col = gram.column(j)
-            if active:
-                s_vec = np.array([signs[i] for i in active], dtype=float)
-                cross = sj * s_vec * col[np.array(active, dtype=int)]
-            else:
-                cross = np.zeros(0)
-            factor = cholesky_append(factor, cross, float(col[j]))
-            active.append(j)
-            signs[j] = sj
-            active_mask[j] = True
-            action, event_var, event_sign = "add", j, sj
+        if action == "add":
+            col = gram.column(event_var)
+            cross = event_sign * s_vec * col[act_idx]
+            factor = cholesky_append(factor, cross, float(col[event_var]))
+            s_vec = np.append(s_vec, event_sign)
+            active_mask[event_var] = True
         else:
-            _, j, s_prev = pending
-            pos = active.index(j)
             factor = cholesky_drop(factor, pos)
-            active.pop(pos)
-            del signs[j]
-            active_mask[j] = False
-            left_signs[j] = s_prev
-            action, event_var, event_sign = "drop", j, s_prev
-        pending = None
+            s_vec = np.delete(s_vec, pos)
+            active_mask[event_var] = False
+            left_signs[event_var] = event_sign
+        act_idx = new_idx
 
-        k = len(active)
+        k = act_idx.size
         g1 = solve_gram(factor, np.ones(k))
         if stagewise and g1.min() <= 0.0:
             w_target = (1.0 / math.sqrt(g1.sum())) * g1
@@ -431,24 +415,22 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
             kept[retained] = True
             gone = np.flatnonzero(~kept)
             factor = cholesky_drop(factor, gone)
-            proj_vars = [active[p] for p in gone]
-            for v in proj_vars:
-                left_signs[v] = signs.pop(v)
-                active_mask[v] = False
-            active = [active[p] for p in retained]
-            proj = tuple(sorted(proj_vars))
-            k = len(active)
+            proj_vars = act_idx[gone]
+            left_signs.update(zip(proj_vars.tolist(), s_vec[gone].astype(int).tolist()))
+            active_mask[proj_vars] = False
+            proj = tuple(sorted(proj_vars.tolist()))
+            act_idx = act_idx[retained]
+            s_vec = s_vec[retained]
+            k = act_idx.size
+            C_hat = float(np.abs(c[act_idx]).sum()) / k
             g1 = solve_gram(factor, np.ones(k))
 
         A = 1.0 / math.sqrt(g1.sum())
-        w = A * g1
-        act_idx = np.array(active, dtype=int)
-        s_vec = np.array([signs[i] for i in active], dtype=float)
-        C_hat = float(np.mean(np.abs(c[act_idx])))
+        sw = s_vec * (A * g1)
         gamma_bar = C_hat / A
         floor = 1e-12 * gamma_bar
         tie_tol = TIE_RTOL * max(1.0, C_hat)
-        a = gram.stack(act_idx, s_vec * w)
+        a = gram.stack(act_idx, sw)
 
         if k >= max_active:
             found = None
@@ -468,7 +450,7 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
 
         g_drop, p_drop = np.inf, None
         if lasso_rule:
-            g_drop, p_drop = _scan_drop(beta[act_idx], s_vec * w, floor)
+            g_drop, p_drop = _scan_drop(beta[act_idx], sw, floor)
 
         if g_join < gamma_bar:
             gamma, event = g_join, "join"
@@ -476,7 +458,7 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
             gamma, event = gamma_bar, "final"
         if g_drop <= gamma * (1 + 1e-12):
             gamma, event = g_drop, "drop"
-            j_drop = active[p_drop]
+            j_drop = int(act_idx[p_drop])
 
         if gamma <= floor:
             zero_run += 1
@@ -487,7 +469,7 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
         else:
             zero_run = 0
 
-        beta[act_idx] += gamma * s_vec * w
+        beta[act_idx] += gamma * sw
         if event == "drop":
             beta[j_drop] = 0.0
         nz = np.flatnonzero(beta)
@@ -503,8 +485,8 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
                 action=action,
                 variable=event_var,
                 sign=event_sign,
-                active_after=tuple(active),
-                signs_after=tuple(int(signs[i]) for i in active),
+                active_after=tuple(act_idx.tolist()),
+                signs_after=tuple(s_vec.astype(int).tolist()),
                 gamma=float(gamma),
                 C_max=C_hat,
                 A=float(A),
@@ -515,7 +497,7 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
             )
         )
         if event == "drop":
-            pending = ("drop", j_drop, signs[j_drop])
+            pending = ("drop", j_drop, int(s_vec[p_drop]))
         elif event == "join":
             pending = ("add", j_next, s_next)
         else:
@@ -560,15 +542,16 @@ def interpolate(path, t):
 
     Linear interpolation in T = sum |beta_j| between the two bracketing
     vertices; exact at vertices.  ``t`` must lie in [0, path.t_max] up to a
-    small slack, otherwise :class:`TOutOfRange` is raised.
+    small slack, otherwise (NaN included) :class:`TOutOfRange` is raised.
     """
     steps = path.steps
     Ts, monotone = path._budgets
     t_end = float(Ts[-1])
     slack = 1e-12 * max(1.0, t_end)
-    if t < -slack or t > t_end + slack:
+    t = float(t)
+    if not -slack <= t <= t_end + slack:
         raise TOutOfRange(f"t={t!r} outside [0, {t_end!r}]")
-    t = min(max(float(t), 0.0), t_end)
+    t = min(max(t, 0.0), t_end)
     if monotone:
         hi = int(np.searchsorted(Ts, t, side="left"))
         if hi == 0:

@@ -6,13 +6,18 @@ refactorizes the reduced Gram matrix with LAPACK.  Also provides the
 associated triangular solves and the Lawson-Hanson nonnegative least squares
 projection of the equiangular direction into the positive cone of the
 active columns.
+
+The factor is kept in Fortran order and handed to the LAPACK routines
+directly: at active-set sizes, scipy's argument-checking wrappers and a
+copy of the factor into Fortran order on every call would cost more than
+the solves themselves.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import nnls
 
 from .errors import (
@@ -36,14 +41,25 @@ __all__ = [
 DEGENERACY_RTOL = 1e-12
 
 
+def _lapack_ok(routine, out, info):
+    """``out`` of a LAPACK call, or :class:`DegenerateColumn` on nonzero info.
+
+    A positive info is a zero pivot (``dtrtrs``) or a leading minor that is
+    not positive definite (``dpotrf``): the tracked columns are dependent.
+    """
+    if info != 0:
+        raise DegenerateColumn(f"LAPACK {routine} returned info={info}")
+    return out
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Upper-triangular factor R with R'R equal to the tracked Gram matrix.
 
-    The Gram matrix itself is carried alongside the factor: a column drop
-    refactorizes it and the cone projection reads its faces, and at
-    active-set sizes it is small.  Instances are immutable; the
-    append/drop operations return new factors.
+    ``R`` is Fortran-ordered, as LAPACK takes it.  The Gram matrix itself is
+    carried alongside the factor: a column drop refactorizes it and the cone
+    projection reads its faces, and at active-set sizes it is small.
+    Instances are immutable; the append/drop operations return new factors.
     """
 
     R: np.ndarray
@@ -59,13 +75,17 @@ class CholeskyFactor:
 
     @classmethod
     def from_gram(cls, gram):
-        """Fresh factorization of a symmetric positive-definite matrix."""
+        """Fresh factorization of a symmetric positive-definite matrix.
+
+        Raises :class:`DegenerateColumn` when the matrix is not numerically
+        positive definite.
+        """
         G = np.ascontiguousarray(gram, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise DimensionMismatch("gram must be square")
         if G.shape[0] == 0:
             return cls.empty()
-        R = np.linalg.cholesky(G).T.copy()
+        R = _lapack_ok("dpotrf", *dpotrf(G))
         return cls(R=R, gram=G.copy())
 
 
@@ -89,16 +109,14 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
         r12 = v
         pivot_sq = norm_sq
     else:
-        r12 = solve_triangular(
-            factor.R, v, trans="T", lower=False, check_finite=False
-        )
+        r12 = _lapack_ok("dtrtrs", *dtrtrs(factor.R, v, trans=1))
         pivot_sq = norm_sq - float(r12 @ r12)
     if pivot_sq < DEGENERACY_RTOL * norm_sq:
         raise DegenerateColumn(
             f"pivot^2 = {pivot_sq:.3e} below tolerance for norm^2 = {norm_sq:.3e}"
         )
 
-    R = np.zeros((k + 1, k + 1))
+    R = np.zeros((k + 1, k + 1), order="F")
     R[:k, :k] = factor.R
     R[:k, k] = r12
     R[k, k] = math.sqrt(pivot_sq)
@@ -139,7 +157,8 @@ def solve_gram(factor, rhs):
         raise DimensionMismatch(f"rhs length {b.shape[0]}, expected {k}")
     if k == 0:
         return np.zeros(0)
-    return cho_solve((factor.R, False), b, check_finite=False)
+    z = _lapack_ok("dtrtrs", *dtrtrs(factor.R, b, trans=1))
+    return _lapack_ok("dtrtrs", *dtrtrs(factor.R, z))
 
 
 def nnls_inner_loop(gram_factor, target_weights):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .core import fit_path
 from .errors import DimensionMismatch, Underdetermined, VariantMismatch
@@ -189,7 +189,7 @@ def bootstrap_df(design, estimator, B=100, groups=10, seed=0, *,
     df_groups = cov.sum(axis=2) / sigma2
     df_hat = df_groups.mean(axis=0)
     spread = df_groups.std(axis=0, ddof=1) / math.sqrt(groups)
-    crit = float(student_t.ppf(0.975, groups - 1))
+    crit = float(stdtrit(groups - 1, 0.975))
     return [
         DfEstimate(
             k=r,
@@ -245,7 +245,7 @@ def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
             count[g, k] += 1
 
     out = []
-    crit = float(student_t.ppf(0.975, groups - 1))
+    crit = float(stdtrit(groups - 1, 0.975))
     for k in range(R):
         cnt = count[:, k]
         ok = cnt >= 2

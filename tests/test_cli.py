@@ -173,6 +173,13 @@ def test_interpolate_budget_out_of_range(capsys):
     assert rc == 2
 
 
+def test_interpolate_nan_budget_is_a_data_error(capsys):
+    rc, out, err = run(capsys, "interpolate", "--input", DATA, "--response",
+                       "Y", "--t", "nan")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: t=nan outside [0, ")
+
+
 def test_bootstrap_df_small_run(capsys):
     rc, out, _ = run(capsys, "bootstrap-df", "--input", DATA, "--response",
                      "Y", "--B", "20", "--groups", "5", "--json")

@@ -290,26 +290,44 @@ def _events_and_vertices(design, variant):
     return events, np.array([s.beta for s in path.steps])
 
 
-def test_lazy_gram_path_matches_materialized_gram(monkeypatch):
-    """A wide design's Gram products go through X; materializing X'X instead
-    gives the same events and, to rounding, the same vertices."""
-    designs = [random_design(30, 80, 500 + i) for i in range(30)]
+def _assert_same_paths_under(monkeypatch, designs, gram_init):
+    """Fit every variant on each design, then again with ``_GramCache``
+    built by ``gram_init``: the same events (or error type) and, to
+    rounding, the same vertices."""
     variants = ("lars", "lasso", "stagewise", "positive-lasso")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TieWarning)
-        lazy = [_events_and_vertices(d, v) for d in designs for v in variants]
+        default = [_events_and_vertices(d, v) for d in designs for v in variants]
+        monkeypatch.setattr(_GramCache, "__init__", gram_init)
+        forced = [_events_and_vertices(d, v) for d in designs for v in variants]
+    for (ev_default, b_default), (ev_forced, b_forced) in zip(default, forced):
+        assert ev_default == ev_forced
+        if b_default is not None:
+            scale = np.abs(b_forced).max()
+            assert np.abs(b_default - b_forced).max() <= 1e-9 * scale
 
-        def materialized(self, X):
-            self.X = X
-            self._full = X.T @ X
 
-        monkeypatch.setattr(_GramCache, "__init__", materialized)
-        dense = [_events_and_vertices(d, v) for d in designs for v in variants]
-    for (ev_lazy, b_lazy), (ev_dense, b_dense) in zip(lazy, dense):
-        assert ev_lazy == ev_dense
-        if b_lazy is not None:
-            scale = np.abs(b_dense).max()
-            assert np.abs(b_lazy - b_dense).max() <= 1e-9 * scale
+def test_lazy_gram_path_matches_materialized_gram(monkeypatch):
+    """A wide design's Gram products go through X; materializing X'X instead
+    gives the same events and, to rounding, the same vertices."""
+    def materialized(self, X):
+        self.X = X
+        self._full = X.T @ X
+
+    designs = [random_design(30, 80, 500 + i) for i in range(30)]
+    _assert_same_paths_under(monkeypatch, designs, materialized)
+
+
+def test_materialized_gram_path_matches_products_through_x(monkeypatch):
+    """A tall design's Gram products gather rows of the materialized X'X;
+    taking them through X instead gives the same events and, to rounding,
+    the same vertices."""
+    def through_x(self, X):
+        self.X = X
+        self._full = None
+
+    designs = [random_design(120, 40, 700 + i) for i in range(30)]
+    _assert_same_paths_under(monkeypatch, designs, through_x)
 
 
 def test_max_steps_budget(design):
@@ -352,6 +370,9 @@ def test_interpolate_rejects_out_of_range(diabetes_paths):
         interpolate(path, -1.0)
     with pytest.raises(TOutOfRange):
         interpolate(path, path.t_max * 1.01)
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(TOutOfRange):
+            interpolate(path, t)
 
 
 def test_coefficients_at_original_units(design, diabetes_paths):

@@ -10,6 +10,7 @@ from larspath.errors import (
     DimensionMismatch,
     EmptyFace,
     IndexOutOfRange,
+    LarsError,
     MaxIterations,
 )
 from larspath.linalg import (
@@ -156,6 +157,46 @@ def test_random_append_drop_sequences():
                 ref = G[idx]
                 err = np.linalg.norm(f.R.T @ f.R - ref) / np.linalg.norm(ref)
                 assert err < 1e-9
+
+
+def test_factor_matches_dense_references_through_appends_and_drops():
+    """Appends, single drops and multi-position drops give the factor and
+    the solves of a dense Cholesky and a dense solve, and R stays in the
+    Fortran order LAPACK takes."""
+    trng = np.random.default_rng(2024)
+    X = trng.normal(size=(200, 60))
+    X /= np.linalg.norm(X, axis=0)
+    G = X.T @ X
+
+    def check(f, idx):
+        sub = G[np.ix_(idx, idx)]
+        assert f.R.flags.f_contiguous
+        assert np.allclose(f.R, np.linalg.cholesky(sub).T, rtol=0, atol=1e-12)
+        b = trng.normal(size=len(idx))
+        assert np.allclose(solve_gram(f, b), np.linalg.solve(sub, b),
+                           rtol=1e-11, atol=1e-12)
+
+    f = CholeskyFactor.empty()
+    for k in range(1, 61):
+        f = cholesky_append(f, G[: k - 1, k - 1], G[k - 1, k - 1])
+        check(f, list(range(k)))
+    assert CholeskyFactor.from_gram(G).R.flags.f_contiguous
+    for gone in (0, 59, 31, [2, 3, 40], [0, 17, 58, 59], list(range(1, 60, 2))):
+        idx = [p for p in range(60) if p not in np.atleast_1d(gone)]
+        check(cholesky_drop(f, gone), idx)
+
+
+def test_nonzero_lapack_info_is_a_lars_error():
+    """A zero pivot in the factor (dtrtrs) or a Gram matrix that is not
+    positive definite (dpotrf) raises a LarsError, not a raw LAPACK one."""
+    singular = CholeskyFactor(R=np.asfortranarray([[1.0, 0.5], [0.0, 0.0]]),
+                              gram=np.array([[1.0, 0.5], [0.5, 0.25]]))
+    with pytest.raises(LarsError, match="info=2"):
+        solve_gram(singular, np.ones(2))
+    with pytest.raises(LarsError, match="info=2"):
+        cholesky_append(singular, np.array([0.1, 0.2]), 1.0)
+    with pytest.raises(LarsError, match="info=2"):
+        CholeskyFactor.from_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_solve_gram_identity():

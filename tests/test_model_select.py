@@ -1,5 +1,10 @@
 """Risk-estimation layer: Cp, bootstrap df, hybrid refits, simulation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,3 +179,19 @@ def test_simulation_study_structure(diabetes):
         assert res.nonzero_axis[name][0] == 0.0
         assert np.all(res.pe_sd[name] >= 0.0)
     assert res.replications == 4 and res.n_steps == 6
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """The df intervals take the Student t quantile from scipy.special;
+    importing scipy.stats would add about half a second to every start."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, larspath; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
