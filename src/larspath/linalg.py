@@ -1,23 +1,34 @@
 """Dense linear algebra for active-set Gram matrices.
 
-Maintains an upper-triangular Cholesky factor of the current active-set Gram
-matrix: a column append is an O(k^2) bordered update, a column drop
-refactorizes the reduced Gram matrix with LAPACK.  Also provides the
-associated triangular solves and the Lawson-Hanson nonnegative least squares
+Maintains an upper-triangular Cholesky factor R of the active-set Gram
+matrix G (R'R = G), the update behind the paper's cost claim: a column
+append is an O(k^2) bordered solve that writes O(k) numbers, a column drop
+refactorizes the kept block of G with LAPACK.  Also provides the triangular
+solves with the factor and the Lawson-Hanson nonnegative least squares
 projection of the equiangular direction into the positive cone of the
 active columns.
 
-The factor is kept in Fortran order and handed to the LAPACK routines
-directly: at active-set sizes, scipy's argument-checking wrappers and a
-copy of the factor into Fortran order on every call would cost more than
-the solves themselves.
+R is stored packed, column by column (LAPACK "UP" storage), in a buffer
+with room to grow: the k x k factor is the prefix ``ap[:k(k+1)/2]``, and
+appending column k writes its k + 1 entries at the end.  Both triangular
+solves are BLAS ``dtpsv`` on the whole buffer with an explicit order, so no
+call slices the factor or makes the wrapper copy it.  G is carried in a
+square Fortran-ordered buffer of the same capacity, upper triangle only
+(all that ``dpotrf`` reads); an append writes its new column there.
+
+Factors grown from one another share these buffers.  The buffers record
+the order of the largest factor written to them: a factor of that order
+appends in place, any other one (a factor that has already been appended
+to) first copies its prefix into buffers of its own.  So a factor never
+sees its R or G change, however many factors are grown from it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.blas import dtpsv
+from scipy.linalg.lapack import dposv, dpotrf, dtpttr, dtrttp
 from scipy.optimize import nnls
 
 from .errors import (
@@ -40,53 +51,152 @@ __all__ = [
 # squared norm marks the column as linearly dependent on the active set.
 DEGENERACY_RTOL = 1e-12
 
+# Columns of room a new buffer gets at least; a full one doubles.
+MIN_CAPACITY = 16
+
+
+def _packed_len(k):
+    return k * (k + 1) // 2
+
 
 def _lapack_ok(routine, out, info):
     """``out`` of a LAPACK call, or :class:`DegenerateColumn` on nonzero info.
 
-    A positive info is a zero pivot (``dtrtrs``) or a leading minor that is
-    not positive definite (``dpotrf``): the tracked columns are dependent.
+    A positive info from ``dpotrf`` or ``dposv`` is a leading minor that is
+    not positive definite: the tracked columns are dependent.
     """
     if info != 0:
         raise DegenerateColumn(f"LAPACK {routine} returned info={info}")
     return out
 
 
-@dataclass(frozen=True)
+class _Storage:
+    """Buffers shared by the factors grown from one another.
+
+    ``ap`` holds R packed by columns and ``gram`` the upper triangle of G,
+    both with room for ``capacity`` columns; ``fill`` is the order of the
+    largest factor written to them, the only factor that may append in
+    place.
+    """
+
+    __slots__ = ("ap", "gram", "fill")
+
+    def __init__(self, capacity):
+        self.ap = np.empty(_packed_len(capacity))
+        self.gram = np.empty((capacity, capacity), order="F")
+        self.fill = 0
+
+    @property
+    def capacity(self):
+        return self.gram.shape[0]
+
+    def branch(self, k, capacity):
+        """New buffers holding a copy of the first ``k`` columns."""
+        out = _Storage(capacity)
+        n = _packed_len(k)
+        out.ap[:n] = self.ap[:n]
+        out.gram[:k, :k] = self.gram[:k, :k]
+        out.fill = k
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     """Upper-triangular factor R with R'R equal to the tracked Gram matrix.
 
-    ``R`` is Fortran-ordered, as LAPACK takes it.  The Gram matrix itself is
-    carried alongside the factor: a column drop refactorizes it and the cone
-    projection reads its faces, and at active-set sizes it is small.
-    Instances are immutable; the append/drop operations return new factors.
+    R is held packed by columns in a buffer shared with the factors it was
+    grown from and those grown from it; G is carried beside it, upper
+    triangle only, for the drops and cone projections that need its blocks.
+    ``R`` and ``gram`` build dense copies on demand.  Factors come from
+    :meth:`empty`, :meth:`from_gram`, :meth:`from_factor` and the
+    append/drop operations; the fields past ``active_dim`` are internal.
+    Instances are immutable: the append/drop operations return new factors,
+    and an append to a factor whose buffer has grown past it copies before
+    it writes.
     """
 
-    R: np.ndarray
-    gram: np.ndarray
+    active_dim: int
+    _storage: _Storage = field(repr=False)
+    # 1-based position of the first zero on R's diagonal, 0 if none.
+    _zero_pivot: int = 0
 
     @property
-    def active_dim(self):
-        return self.R.shape[0]
+    def packed(self):
+        """R packed by columns (read-only view of the shared buffer)."""
+        view = self._storage.ap[: _packed_len(self.active_dim)]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def R(self):
+        """R as a dense Fortran-ordered matrix, unpacked from the buffer."""
+        k = self.active_dim
+        return dtpttr(k, self._storage.ap[: _packed_len(k)])[0]
+
+    @property
+    def gram(self):
+        """G as a dense symmetric matrix, built from its upper triangle."""
+        upper = self._storage.gram[: self.active_dim, : self.active_dim]
+        out = np.triu(upper)
+        out += np.triu(upper, 1).T
+        return out
 
     @classmethod
     def empty(cls):
-        return cls(R=np.zeros((0, 0)), gram=np.zeros((0, 0)))
+        return cls(0, _Storage(MIN_CAPACITY))
 
     @classmethod
     def from_gram(cls, gram):
         """Fresh factorization of a symmetric positive-definite matrix.
 
-        Raises :class:`DegenerateColumn` when the matrix is not numerically
+        Only the upper triangle is read, as LAPACK does.  Raises
+        :class:`DegenerateColumn` when the matrix is not numerically
         positive definite.
         """
-        G = np.ascontiguousarray(gram, dtype=float)
+        G = np.asarray(gram, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise DimensionMismatch("gram must be square")
-        if G.shape[0] == 0:
+        k = G.shape[0]
+        if k == 0:
             return cls.empty()
-        R = _lapack_ok("dpotrf", *dpotrf(G))
-        return cls(R=R, gram=G.copy())
+        R = _lapack_ok("dpotrf", *dpotrf(G, clean=0))
+        return cls._packing(R, G)
+
+    @classmethod
+    def from_factor(cls, R, gram):
+        """A factor from a given upper-triangular R and the G it factors.
+
+        R is not checked against G.  A zero on R's diagonal is recorded
+        once, here, and makes every solve and append with the factor raise
+        :class:`DegenerateColumn`.
+        """
+        R = np.asarray(R, dtype=float)
+        G = np.asarray(gram, dtype=float)
+        if R.ndim != 2 or R.shape[0] != R.shape[1] or G.shape != R.shape:
+            raise DimensionMismatch("R and gram must be square and of one size")
+        if R.shape[0] == 0:
+            return cls.empty()
+        zeros = np.flatnonzero(np.diagonal(R) == 0.0)
+        return cls._packing(R, G, int(zeros[0]) + 1 if zeros.size else 0)
+
+    @classmethod
+    def _packing(cls, R, G, zero_pivot=0):
+        k = R.shape[0]
+        storage = _Storage(max(MIN_CAPACITY, 2 * k))
+        storage.ap[: _packed_len(k)] = dtrttp(R)[0]
+        storage.gram[:k, :k] = G
+        storage.fill = k
+        return cls(k, storage, zero_pivot)
+
+
+def _check_pivots(factor):
+    """Raise :class:`DegenerateColumn` for a factor with a zero pivot.
+
+    ``info`` is the pivot's 1-based position, as LAPACK's triangular solver
+    would report it.
+    """
+    if factor._zero_pivot:
+        raise DegenerateColumn(f"factor has a zero pivot: info={factor._zero_pivot}")
 
 
 def cholesky_append(factor, new_cross_products, new_norm_sq):
@@ -94,8 +204,9 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
 
     ``new_cross_products`` holds the inner products of the entering column
     with the current active columns; ``new_norm_sq`` its squared norm.
-    Cost O(k^2).  Raises :class:`DegenerateColumn` when the entering column
-    is numerically dependent on the active set.
+    Cost O(k^2) for the solve, O(k) written.  Raises
+    :class:`DegenerateColumn` when the entering column is numerically
+    dependent on the active set.
     """
     v = np.asarray(new_cross_products, dtype=float).reshape(-1)
     k = factor.active_dim
@@ -104,37 +215,37 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
     norm_sq = float(new_norm_sq)
     if norm_sq <= 0.0:
         raise DegenerateColumn("entering column has nonpositive squared norm")
+    _check_pivots(factor)
 
+    storage = factor._storage
     if k == 0:
         r12 = v
         pivot_sq = norm_sq
     else:
-        r12 = _lapack_ok("dtrtrs", *dtrtrs(factor.R, v, trans=1))
+        r12 = dtpsv(k, storage.ap, v, trans=1)
         pivot_sq = norm_sq - float(r12 @ r12)
     if pivot_sq < DEGENERACY_RTOL * norm_sq:
         raise DegenerateColumn(
             f"pivot^2 = {pivot_sq:.3e} below tolerance for norm^2 = {norm_sq:.3e}"
         )
 
-    R = np.zeros((k + 1, k + 1), order="F")
-    R[:k, :k] = factor.R
-    R[:k, k] = r12
-    R[k, k] = math.sqrt(pivot_sq)
-
-    gram = np.zeros((k + 1, k + 1))
-    gram[:k, :k] = factor.gram
-    gram[:k, k] = v
-    gram[k, :k] = v
-    gram[k, k] = norm_sq
-    return CholeskyFactor(R=R, gram=gram)
+    if storage.fill != k or storage.capacity == k:
+        storage = storage.branch(k, max(MIN_CAPACITY, 2 * (k + 1)))
+    start = _packed_len(k)
+    storage.ap[start : start + k] = r12
+    storage.ap[start + k] = math.sqrt(pivot_sq)
+    storage.gram[:k, k] = v
+    storage.gram[k, k] = norm_sq
+    storage.fill = k + 1
+    return CholeskyFactor(k + 1, storage)
 
 
 def cholesky_drop(factor, position):
     """Remove rows/columns of the tracked Gram matrix from the factor.
 
     ``position`` is one position or a sequence of them; all are dropped
-    together, and an empty sequence returns the factor unchanged.  The
-    reduced Gram matrix, which the factor carries, is refactorized once in
+    together, and an empty sequence returns the factor unchanged.  The kept
+    block of the carried Gram matrix is gathered and refactorized once in
     LAPACK.  That is O(k^3), cheap at active-set sizes, and the factor never
     drifts from its Gram matrix over long append/drop sequences.
     """
@@ -146,7 +257,9 @@ def cholesky_drop(factor, position):
     if gone.size == 0:
         return factor
     keep = np.delete(np.arange(k), gone)
-    return CholeskyFactor.from_gram(factor.gram[np.ix_(keep, keep)])
+    # Kept positions stay in increasing order, so the block's upper triangle
+    # comes from G's.  Whole columns first: they are contiguous.
+    return CholeskyFactor.from_gram(factor._storage.gram[:k, keep][keep])
 
 
 def solve_gram(factor, rhs):
@@ -157,8 +270,10 @@ def solve_gram(factor, rhs):
         raise DimensionMismatch(f"rhs length {b.shape[0]}, expected {k}")
     if k == 0:
         return np.zeros(0)
-    z = _lapack_ok("dtrtrs", *dtrtrs(factor.R, b, trans=1))
-    return _lapack_ok("dtrtrs", *dtrtrs(factor.R, z))
+    _check_pivots(factor)
+    ap = factor._storage.ap
+    z = dtpsv(k, ap, b, trans=1)
+    return dtpsv(k, ap, z, overwrite_x=1)
 
 
 def nnls_inner_loop(gram_factor, target_weights):
@@ -192,7 +307,11 @@ def nnls_inner_loop(gram_factor, target_weights):
     face = np.flatnonzero(p > 0)
     if face.size == 0:
         raise EmptyFace("all variables eliminated")
-    g1 = np.linalg.solve(gram_factor.gram[np.ix_(face, face)], np.ones(face.size))
+    # face is increasing, so its block's upper triangle, all that the
+    # Cholesky solve reads, is G's.
+    face_gram = gram_factor._storage.gram[:k, face][face]
+    _, g1, info = dposv(face_gram, np.ones(face.size))
+    g1 = _lapack_ok("dposv", g1, info)
     out = np.zeros(k)
     out[face] = g1 / math.sqrt(g1.sum())
     return out, face

@@ -238,7 +238,7 @@ def forward_selection(design, k_max):
     c0 = X.T @ y
     y_sq = float(y @ y)
     beta = np.zeros(m)
-    selected = []
+    sel = np.zeros(0, dtype=int)
     factor = CholeskyFactor.empty()
     steps = [
         PathStep(
@@ -249,7 +249,6 @@ def forward_selection(design, k_max):
         )
     ]
     for step in range(1, k_max + 1):
-        sel = np.array(selected, dtype=int)
         c = c0 - gram.stack(sel, beta[sel]) if sel.size else c0.copy()
         c_abs = np.abs(c)
         c_abs[sel] = -np.inf
@@ -258,18 +257,19 @@ def forward_selection(design, k_max):
             break
         col = gram.column(j)
         factor = cholesky_append(factor, col[sel], float(col[j]))
-        selected.append(j)
-        sel = np.array(selected, dtype=int)
+        sel = np.append(sel, j)
         coef = solve_gram(factor, c0[sel])
+        # Zero (of either sign) counts as positive.
+        signs = np.where(coef < 0, -1, 1)
         beta = np.zeros(m)
         beta[sel] = coef
         rss = y_sq - float(coef @ c0[sel])
         steps.append(
             PathStep(
                 step_index=step, action="add", variable=j,
-                sign=int(np.sign(coef[-1])) or 1,
-                active_after=tuple(selected),
-                signs_after=tuple(int(np.sign(v)) or 1 for v in coef),
+                sign=int(signs[-1]),
+                active_after=tuple(sel.tolist()),
+                signs_after=tuple(signs.tolist()),
                 gamma=0.0, C_max=float(c_abs[j]), A=0.0,
                 beta=beta.copy(), rss=float(rss), T=float(np.abs(beta).sum()),
             )

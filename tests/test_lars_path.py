@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
+from larspath import core
 from larspath.core import (
     Path,
     _GramCache,
@@ -14,6 +16,7 @@ from larspath.core import (
     next_join,
 )
 from larspath.errors import (
+    DegenerateColumn,
     LarsError,
     MaxStepsExceeded,
     NoPositiveCandidate,
@@ -290,15 +293,16 @@ def _events_and_vertices(design, variant):
     return events, np.array([s.beta for s in path.steps])
 
 
-def _assert_same_paths_under(monkeypatch, designs, gram_init):
-    """Fit every variant on each design, then again with ``_GramCache``
-    built by ``gram_init``: the same events (or error type) and, to
-    rounding, the same vertices."""
+def _assert_same_paths_under(monkeypatch, designs, patches):
+    """Fit every variant on each design, then again with each
+    ``(owner, name, value)`` of ``patches`` set: the same events (or error
+    type) and, to rounding, the same vertices."""
     variants = ("lars", "lasso", "stagewise", "positive-lasso")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TieWarning)
         default = [_events_and_vertices(d, v) for d in designs for v in variants]
-        monkeypatch.setattr(_GramCache, "__init__", gram_init)
+        for owner, name, value in patches:
+            monkeypatch.setattr(owner, name, value)
         forced = [_events_and_vertices(d, v) for d in designs for v in variants]
     for (ev_default, b_default), (ev_forced, b_forced) in zip(default, forced):
         assert ev_default == ev_forced
@@ -315,7 +319,7 @@ def test_lazy_gram_path_matches_materialized_gram(monkeypatch):
         self._full = X.T @ X
 
     designs = [random_design(30, 80, 500 + i) for i in range(30)]
-    _assert_same_paths_under(monkeypatch, designs, materialized)
+    _assert_same_paths_under(monkeypatch, designs, [(_GramCache, "__init__", materialized)])
 
 
 def test_materialized_gram_path_matches_products_through_x(monkeypatch):
@@ -327,7 +331,68 @@ def test_materialized_gram_path_matches_products_through_x(monkeypatch):
         self._full = None
 
     designs = [random_design(120, 40, 700 + i) for i in range(30)]
-    _assert_same_paths_under(monkeypatch, designs, through_x)
+    _assert_same_paths_under(monkeypatch, designs, [(_GramCache, "__init__", through_x)])
+
+
+class _DenseFactor:
+    """Reference factor: the active Gram matrix itself, solved densely."""
+
+    def __init__(self, gram):
+        self.gram = gram
+        self.active_dim = gram.shape[0]
+
+    @classmethod
+    def empty(cls):
+        return cls(np.zeros((0, 0)))
+
+
+def _dense_append(factor, cross, norm_sq):
+    k = factor.active_dim
+    pivot_sq = norm_sq - cross @ np.linalg.solve(factor.gram, cross) if k else norm_sq
+    if pivot_sq < 1e-12 * norm_sq:
+        raise DegenerateColumn("entering column depends on the active set")
+    G = np.empty((k + 1, k + 1))
+    G[:k, :k] = factor.gram
+    G[:k, k] = G[k, :k] = cross
+    G[k, k] = norm_sq
+    return _DenseFactor(G)
+
+
+def _dense_drop(factor, position):
+    keep = np.delete(np.arange(factor.active_dim), position)
+    return _DenseFactor(factor.gram[np.ix_(keep, keep)])
+
+
+def _dense_solve(factor, rhs):
+    return np.linalg.solve(factor.gram, rhs)
+
+
+def _dense_cone(factor, w):
+    k = factor.active_dim
+    if np.all(w > 0):
+        return w.copy(), np.arange(k)
+    R = np.linalg.cholesky(factor.gram).T
+    p, _ = nnls(R, R @ w)
+    face = np.flatnonzero(p > 0)
+    g1 = np.linalg.solve(factor.gram[np.ix_(face, face)], np.ones(face.size))
+    out = np.zeros(k)
+    out[face] = g1 / math.sqrt(g1.sum())
+    return out, face
+
+
+@pytest.mark.parametrize("shape, seed", [((120, 40), 900), ((30, 80), 950)])
+def test_path_matches_dense_reference_factor(monkeypatch, shape, seed):
+    """The packed, shared-buffer factor gives the walk the same events and,
+    to rounding, the same vertices as a dense reference that keeps the
+    active Gram matrix and solves it with numpy (30 tall, 30 wide designs)."""
+    designs = [random_design(*shape, seed + i) for i in range(30)]
+    _assert_same_paths_under(monkeypatch, designs, [
+        (core, "CholeskyFactor", _DenseFactor),
+        (core, "cholesky_append", _dense_append),
+        (core, "cholesky_drop", _dense_drop),
+        (core, "solve_gram", _dense_solve),
+        (core, "nnls_inner_loop", _dense_cone),
+    ])
 
 
 def test_max_steps_budget(design):

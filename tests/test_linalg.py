@@ -186,11 +186,91 @@ def test_factor_matches_dense_references_through_appends_and_drops():
         check(cholesky_drop(f, gone), idx)
 
 
+def _unit_gram(seed, n, m):
+    X = np.random.default_rng(seed).normal(size=(n, m))
+    X /= np.linalg.norm(X, axis=0)
+    return X.T @ X
+
+
+def _grown(G, order):
+    """The factor of G's ``order`` block, grown one append at a time."""
+    f = CholeskyFactor.empty()
+    for i, j in enumerate(order):
+        f = cholesky_append(f, G[order[:i], j], G[j, j])
+    return f
+
+
+def _assert_factors(f, G, idx):
+    sub = G[np.ix_(idx, idx)]
+    assert f.active_dim == len(idx)
+    assert np.allclose(f.R, np.linalg.cholesky(sub).T, rtol=0, atol=1e-12)
+    assert np.array_equal(f.gram, sub)
+    b = np.linspace(-1.0, 2.0, len(idx))
+    assert np.allclose(solve_gram(f, b), np.linalg.solve(sub, b), rtol=1e-11, atol=1e-12)
+
+
+def test_two_appends_to_one_factor_are_independent():
+    """Two different columns appended to one factor give two factors that
+    each match a dense Cholesky and a dense solve of their own Gram matrix,
+    whichever is appended first, and keep doing so as both grow further."""
+    G = _unit_gram(3, 60, 14)
+    base = list(range(10))
+    for first, second in ((10, 11), (11, 10)):
+        f = _grown(G, base)
+        g1 = cholesky_append(f, G[base, first], G[first, first])
+        g2 = cholesky_append(f, G[base, second], G[second, second])
+        idx1, idx2 = base + [first], base + [second]
+        h1 = cholesky_append(g1, G[idx1, 12], G[12, 12])
+        h2 = cholesky_append(g2, G[idx2, 13], G[13, 13])
+        _assert_factors(f, G, base)
+        _assert_factors(g1, G, idx1)
+        _assert_factors(g2, G, idx2)
+        _assert_factors(h1, G, idx1 + [12])
+        _assert_factors(h2, G, idx2 + [13])
+
+
+def test_refused_append_leaves_the_factor_unchanged():
+    """An append refused as dependent writes nothing: the parent keeps its
+    R, Gram and solves, and a later append to it is exact."""
+    G = _unit_gram(4, 40, 8)
+    base = list(range(5))
+    f = _grown(G, base)
+    packed, R, gram = f.packed.copy(), f.R, f.gram
+    coef = np.array([1.0, -2.0, 0.5, 1.5, 0.25])
+    cross = G[np.ix_(base, base)] @ coef
+    with pytest.raises(DegenerateColumn):
+        cholesky_append(f, cross, float(coef @ cross))
+    with pytest.raises(DegenerateColumn):
+        cholesky_append(f, G[base, 5], 0.0)
+    assert np.array_equal(f.packed, packed)
+    assert np.array_equal(f.R, R)
+    assert np.array_equal(f.gram, gram)
+    _assert_factors(f, G, base)
+    _assert_factors(cholesky_append(f, G[base, 5], G[5, 5]), G, base + [5])
+
+
+def test_append_chain_writes_in_place():
+    """Along a chain of 200 appends the factors share one packed buffer
+    (no append copied the factor), and an early factor still matches its
+    dense reference after the later appends."""
+    G = _unit_gram(5, 400, 200)
+    f = CholeskyFactor.empty()
+    kept = {}
+    for j in range(200):
+        f = cholesky_append(f, G[:j, j], G[j, j])
+        if j + 1 in (100, 120):
+            kept[j + 1] = f
+    assert np.shares_memory(kept[100].packed, kept[120].packed)
+    assert np.array_equal(kept[120].packed[: kept[100].packed.size], kept[100].packed)
+    _assert_factors(kept[100], G, list(range(100)))
+    _assert_factors(f, G, list(range(200)))
+
+
 def test_nonzero_lapack_info_is_a_lars_error():
-    """A zero pivot in the factor (dtrtrs) or a Gram matrix that is not
-    positive definite (dpotrf) raises a LarsError, not a raw LAPACK one."""
-    singular = CholeskyFactor(R=np.asfortranarray([[1.0, 0.5], [0.0, 0.0]]),
-                              gram=np.array([[1.0, 0.5], [0.5, 0.25]]))
+    """A zero pivot in a given factor or a Gram matrix that is not positive
+    definite (dpotrf) raises a LarsError, not a raw LAPACK one."""
+    singular = CholeskyFactor.from_factor(np.array([[1.0, 0.5], [0.0, 0.0]]),
+                                          np.array([[1.0, 0.5], [0.5, 0.25]]))
     with pytest.raises(LarsError, match="info=2"):
         solve_gram(singular, np.ones(2))
     with pytest.raises(LarsError, match="info=2"):
