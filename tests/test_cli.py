@@ -98,6 +98,23 @@ def test_wrong_response_name(capsys):
     assert rc == 2
 
 
+def test_repeated_column_name_is_a_data_error(capsys, tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("a,y,y\n1,2,3\n4,5,7\n2,1,1\n")
+    rc, out, err = run(capsys, "fit", "--input", str(f), "--response", "y")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "'y'" in err
+
+
+def test_fit_reads_a_file_with_a_byte_order_mark(capsys, tmp_path):
+    f = tmp_path / "bom.csv"
+    text = Path(DATA).read_text()
+    f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    first = run(capsys, "fit", "--input", DATA, "--response", "Y")
+    second = run(capsys, "fit", "--input", str(f), "--response", "Y")
+    assert first[0] == 0 and second == first
+
+
 def test_non_finite_cell_is_a_data_error(capsys, tmp_path):
     for bad in ("nan", "inf", "-inf"):
         f = tmp_path / "t.csv"

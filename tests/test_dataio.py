@@ -1,5 +1,7 @@
 """CSV ingestion, deterministic path serialization, JSON summaries."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from larspath.errors import (
     NonNumericCell,
     ParseError,
 )
-from larspath.preprocess import from_unit_columns, to_original_units
+from larspath.preprocess import from_unit_columns, standardize, to_original_units
 
 LABELS = ["AGE", "SEX", "BMI", "BP", "S1", "S2", "S3", "S4", "S5", "S6"]
 
@@ -85,6 +87,103 @@ def test_read_csv_ragged_row(tmp_path):
     assert exc.value.column == 2
 
 
+def test_read_csv_ignores_a_byte_order_mark(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_bytes(b"\xef\xbb\xbfy,a\r\n10,1\r\n20,2\r\n")
+    matrix, response, labels = read_csv(f, "y")
+    assert labels == ["a"]
+    assert response.tolist() == [10.0, 20.0]
+    assert matrix.tolist() == [[1.0], [2.0]]
+
+
+def test_read_csv_refuses_repeated_column_names(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("a,y,y\n1,2,3\n4,5,7\n")
+    with pytest.raises(ParseError, match="'y'") as exc:
+        read_csv(f, "y")
+    assert exc.value.line == 1 and exc.value.column == 3
+    f.write_text("\nb,a,y, b\n1,2,3,4\n")
+    with pytest.raises(ParseError, match="'b'") as exc:
+        read_csv(f, "y")
+    assert exc.value.line == 2 and exc.value.column == 4
+
+
+def test_read_csv_refuses_a_cell_that_is_not_utf8(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_bytes(b"\xef\xbb\xbfa,y\n1,2\n3,\xff4\n")
+    with pytest.raises(NonNumericCell) as exc:
+        read_csv(f, "y")
+    assert exc.value.row == 2 and exc.value.column_name == "y"
+
+
+def test_read_csv_refuses_a_field_over_the_csv_size_limit(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("a," + "y" * (csv.field_size_limit() + 1) + "\n1,2\n")
+    with pytest.raises(ParseError) as exc:
+        read_csv(f, "y")
+    assert exc.value.line == 1
+
+
+def _float_table(path):
+    """Reference reader: csv tokens, blank rows skipped, ``float`` per cell."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if any(tok.strip() for tok in r)]
+    return np.array([[float(tok) for tok in r] for r in rows[1:]])
+
+
+def test_read_csv_is_bit_equal_to_float_per_cell(tmp_path):
+    rng = np.random.default_rng(20)
+    values = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-300, 300, (40, 5))
+    values[0] = [-0.0, 5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 0.0]
+    values[1, :3] = [2.2250738585072014e-308, -5e-324, 0.1]
+    cells = [[format(v, ".17g") for v in row] for row in values]
+    cells[2][0] = '"%s"' % cells[2][0]
+    cells[3][1] = "  %s " % cells[3][1]
+    cells[4][2] = '" %s"' % cells[4][2]
+    cells[5][3] = "1E+02"
+    cells[6][4] = "-.5"
+    lines = ["a,b,c,y,d"]
+    for i, row in enumerate(cells):
+        lines.append(",".join(row))
+        if i % 7 == 3:
+            lines.append("")
+        if i % 11 == 5:
+            lines.append(" \t, ,  ,,")
+    f = tmp_path / "t.csv"
+    f.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    matrix, response, labels = read_csv(f, "y")
+    assert labels == ["a", "b", "c", "d"]
+    expected = _float_table(f)
+    assert np.array_equal(expected[0], values[0])
+    table = np.column_stack([matrix[:, :3], response, matrix[:, 3]])
+    assert table.tobytes() == expected.tobytes()  # the sign of zero too
+
+
+def test_read_csv_errors_count_past_blank_rows(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("a,b,y\n1,2,3\n\n  ,\n4,5,6\n7,oops,9\n")
+    with pytest.raises(NonNumericCell) as exc:
+        read_csv(f, "y")
+    assert exc.value.row == 3 and exc.value.column_name == "b"
+    f.write_text("a,b,y\n1,2,3\n\n  ,\n4,5\n")
+    with pytest.raises(ParseError) as exc:
+        read_csv(f, "y")
+    assert exc.value.line == 5 and exc.value.column == 2
+
+
+def test_read_csv_applies_numpys_cell_rule(tmp_path):
+    """``float`` takes digit-group underscores and non-ASCII digits; the
+    bulk parser does not, and the refusal names the cell."""
+    f = tmp_path / "t.csv"
+    for bad in ("1_000", "\u0661"):
+        assert float(bad) > 0
+        f.write_text(f"a,b,y\n1,2,3\n4,{bad},6\n", encoding="utf-8")
+        with pytest.raises(NonNumericCell) as exc:
+            read_csv(f, "y")
+        assert exc.value.row == 2 and exc.value.column_name == "b"
+
+
 def test_path_csv_layout(diabetes_paths):
     text = write_path_csv(diabetes_paths["lars"])
     lines = text.splitlines()
@@ -144,6 +243,14 @@ def test_read_path_records_rejects_foreign_header():
         read_path_records("")
 
 
+def test_read_path_records_rejects_a_ragged_row(diabetes_paths):
+    lines = write_path_csv(diabetes_paths["lars"]).splitlines()
+    lines[3] += ",1.5"
+    with pytest.raises(ParseError) as exc:
+        read_path_records("\n".join(lines))
+    assert exc.value.line == 4 and exc.value.column == len(FIXED_COLUMNS) + 11
+
+
 def test_json_summary_contents(diabetes_paths):
     s = json_summary(diabetes_paths["lasso"])
     assert s["variant"] == "lasso"
@@ -154,3 +261,40 @@ def test_json_summary_contents(diabetes_paths):
     assert "cp_argmin" not in s
     s2 = json_summary(diabetes_paths["lars"], cp_argmin=7)
     assert s2["cp_argmin"] == 7
+
+
+def _reference_path_csv(path, standardized):
+    """The report built cell by cell: ``to_original_units`` per vertex and
+    ``format(x, ".17g")`` per float."""
+    design = path.design
+    names = list(design.column_names) or [f"x{j + 1}" for j in range(design.m)]
+    token = {None: "", "add": "ADD", "drop": "DROP", "final": "FINAL"}
+    lines = [",".join(FIXED_COLUMNS + tuple(names))]
+    for s in path.steps:
+        coef = s.beta if standardized else to_original_units(design, s.beta)[0]
+        cells = [
+            str(s.step_index),
+            token[s.action],
+            "" if s.variable is None else names[s.variable],
+            "" if s.sign is None else str(int(s.sign)),
+        ]
+        cells += [format(float(x), ".17g")
+                  for x in (s.gamma, s.C_max, s.T, s.rss, *coef)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_path_csv_matches_a_per_cell_reference(quad_paths, quad_design):
+    rng = np.random.default_rng(30)
+    X = rng.normal(size=(30, 80)) * rng.uniform(0.01, 100.0, 80)
+    wide = standardize(X, X[:, :5].sum(axis=1) + rng.normal(size=30))
+    paths = list(quad_paths.values()) + [
+        fit_path(quad_design, "positive-lasso"),
+        fit_path(wide, "lasso"),
+    ]
+    assert {p.variant for p in paths[:4]} == {
+        "lars", "lasso", "stagewise", "positive-lasso"}
+    for path in paths:
+        for standardized in (False, True):
+            assert write_path_csv(path, standardized=standardized) == (
+                _reference_path_csv(path, standardized))
