@@ -11,14 +11,15 @@ factors and Lawson-Hanson for the stagewise cone projection.
 """
 
 from .core import (
-    EquiangularBasis,
+    LARS,
+    LASSO,
+    POSITIVE_LASSO,
+    STAGEWISE,
     Path,
     PathStep,
-    compute_equiangular,
-    final_gamma,
+    VariantPolicy,
     fit_path,
     interpolate,
-    next_join,
 )
 from .datasets import diabetes_design, load_diabetes
 from .dataio import read_csv, write_path_csv
@@ -33,7 +34,6 @@ from .errors import (
     MaxIterations,
     MaxStepsExceeded,
     MissingResponse,
-    NoPositiveCandidate,
     NonNumericCell,
     ParseError,
     StalledPath,
@@ -42,13 +42,6 @@ from .errors import (
     Underdetermined,
     VariantMismatch,
     WrongColumnCount,
-)
-from .linalg import (
-    CholeskyFactor,
-    cholesky_append,
-    cholesky_drop,
-    nnls_inner_loop,
-    solve_gram,
 )
 from .model_select import (
     CpReport,
@@ -59,6 +52,7 @@ from .model_select import (
     hybrid_r2,
     lars_fitted_values,
     lasso_df_by_support,
+    main_effects_first,
     run_simulation_study,
     sigma2_full_ols,
 )
@@ -76,18 +70,6 @@ from .preprocess import (
     standardize,
     to_original_units,
 )
-from .variants import (
-    LARS,
-    LASSO,
-    POSITIVE_LASSO,
-    STAGEWISE,
-    VariantPolicy,
-    apply_lasso_modification,
-    lasso_drop_candidate,
-    main_effects_first,
-    positive_lasso_step,
-    stagewise_direction,
-)
 
 __version__ = "0.1.0"
 
@@ -100,12 +82,8 @@ __all__ = [
     "to_original_units",
     "quadratic_expand",
     # paths
-    "EquiangularBasis",
     "PathStep",
     "Path",
-    "compute_equiangular",
-    "next_join",
-    "final_gamma",
     "fit_path",
     "interpolate",
     # variants
@@ -114,17 +92,6 @@ __all__ = [
     "LASSO",
     "STAGEWISE",
     "POSITIVE_LASSO",
-    "lasso_drop_candidate",
-    "apply_lasso_modification",
-    "stagewise_direction",
-    "positive_lasso_step",
-    "main_effects_first",
-    # factors
-    "CholeskyFactor",
-    "cholesky_append",
-    "cholesky_drop",
-    "solve_gram",
-    "nnls_inner_loop",
     # oracles
     "OrderStatistics",
     "soft_threshold_path",
@@ -141,6 +108,7 @@ __all__ = [
     "bootstrap_df",
     "lasso_df_by_support",
     "hybrid_r2",
+    "main_effects_first",
     "run_simulation_study",
     # data plumbing
     "read_csv",
@@ -155,7 +123,6 @@ __all__ = [
     "ConstantColumn",
     "DimensionMismatch",
     "WrongColumnCount",
-    "NoPositiveCandidate",
     "MaxStepsExceeded",
     "StalledPath",
     "TOutOfRange",

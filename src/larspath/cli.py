@@ -10,18 +10,18 @@ import sys
 
 import numpy as np
 
-from .core import fit_path, interpolate
+from .core import POLICIES, fit_path, interpolate
 from .dataio import json_summary, read_csv, write_path_csv
 from .errors import DimensionMismatch, LarsError
 from .model_select import (
     bootstrap_df,
     cp_curve,
     lars_fitted_values,
+    main_effects_first,
     run_simulation_study,
     sigma2_full_ols,
 )
 from .preprocess import quadratic_expand, standardize, to_original_units
-from .variants import main_effects_first
 
 __all__ = ["cli_main", "main"]
 
@@ -221,7 +221,7 @@ def _build_parser():
     sp = sub.add_parser("fit", help="fit a coefficient path")
     _add_data_options(sp)
     sp.add_argument("--variant", default="lars",
-                    choices=["lars", "lasso", "stagewise", "positive-lasso"])
+                    choices=list(POLICIES))
     sp.add_argument("--max-steps", type=int, default=None)
     sp.add_argument("--jitter-seed", type=int, default=None)
     _add_output_options(sp)
@@ -255,7 +255,7 @@ def _build_parser():
                         help="coefficients at a magnitude budget t")
     _add_data_options(sp)
     sp.add_argument("--variant", default="lasso",
-                    choices=["lars", "lasso", "stagewise", "positive-lasso"])
+                    choices=list(POLICIES))
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--max-steps", type=int, default=None)
     sp.add_argument("--jitter-seed", type=int, default=None)
@@ -267,7 +267,7 @@ def _build_parser():
     _add_data_options(sp, quadratic=False)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--variant", default="lars",
-                    choices=["lars", "lasso", "stagewise", "positive-lasso"])
+                    choices=list(POLICIES))
     _add_output_options(sp)
     sp.set_defaults(handler=_cmd_main_effects_first)
     return parser

@@ -15,6 +15,19 @@ Moves are labeled by the event applied at their start; the final move keeps
 the label of its starting event, so a path that adds a variable and then
 runs to the least squares point counts one move, not two.
 
+One walk serves all four variants.  ``POLICIES`` maps each variant name to
+its :class:`VariantPolicy`, whose three rules the walk reads: ``positive``
+(join on the positive sign branch only), ``drops`` (sign-crossing drops)
+and ``cone`` (stagewise projection of the direction).  Each move calls the
+same step primitives, which the tests exercise directly:
+
+* ``_direction``: equiangular weights of the signed active columns, and
+  under ``cone`` the Lawson-Hanson face of the active sign cone;
+* ``_scan_join``: the smallest distance at which a candidate ties the
+  envelope;
+* ``_scan_drop``: the first active coefficient to cross zero;
+* ``_next_event``: arbitration between join, drop and the final move.
+
 Numerical conventions that the step counts depend on:
 
 * Correlations are recomputed exactly, c = X'y - G beta, after every move.
@@ -43,7 +56,6 @@ import numpy as np
 
 from .errors import (
     MaxStepsExceeded,
-    NoPositiveCandidate,
     StalledPath,
     TieWarning,
     TOutOfRange,
@@ -59,17 +71,51 @@ from .linalg import (
 from .preprocess import StandardizedDesign, to_original_units
 
 __all__ = [
-    "EquiangularBasis",
+    "VariantPolicy",
+    "LARS",
+    "LASSO",
+    "STAGEWISE",
+    "POSITIVE_LASSO",
+    "POLICIES",
     "PathStep",
     "Path",
-    "compute_equiangular",
-    "next_join",
-    "final_gamma",
     "fit_path",
     "interpolate",
 ]
 
-VARIANTS = ("lars", "lasso", "stagewise", "positive-lasso")
+
+@dataclass(frozen=True)
+class VariantPolicy:
+    """The event rules of one variant, derived from its name ``kind``.
+
+    Accepted anywhere a variant string is.  The rules are read-only
+    properties rather than fields, so only the four variants of
+    ``POLICIES`` can be expressed.
+    """
+
+    kind: str
+
+    @property
+    def positive(self):
+        """Candidates join on the positive sign branch only."""
+        return self.kind == "positive-lasso"
+
+    @property
+    def drops(self):
+        """An active coefficient that crosses zero leaves the active set."""
+        return self.kind in ("lasso", "positive-lasso")
+
+    @property
+    def cone(self):
+        """The direction is projected into the cone of the active signs."""
+        return self.kind == "stagewise"
+
+
+LARS = VariantPolicy("lars")
+LASSO = VariantPolicy("lasso")
+STAGEWISE = VariantPolicy("stagewise")
+POSITIVE_LASSO = VariantPolicy("positive-lasso")
+POLICIES = {p.kind: p for p in (LARS, LASSO, STAGEWISE, POSITIVE_LASSO)}
 
 # Correlations this small (in response units) terminate the walk.
 ENVELOPE_FLOOR = 1e-10
@@ -79,24 +125,6 @@ TIE_RTOL = 1e-12
 
 # Denominators below this are treated as exactly parallel to the envelope.
 PARALLEL_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class EquiangularBasis:
-    """Direction data for one active set.
-
-    ``w`` holds the positive weights on the signed active columns, ``u`` the
-    unit-norm direction they span, and ``a`` the inner products of every
-    column with ``u``.  ``A`` is the common correlation of the active
-    columns with ``u``.
-    """
-
-    active: tuple
-    signs: tuple
-    A: float
-    w: np.ndarray
-    u: np.ndarray
-    a: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,13 +193,6 @@ class Path:
 
 class _TieRestart(Exception):
     """Internal: a tie was hit while a jitter restart is available."""
-
-
-def _normalize_variant(variant):
-    kind = getattr(variant, "kind", variant)
-    if kind not in VARIANTS:
-        raise VariantMismatch(f"unknown variant {kind!r}")
-    return kind
 
 
 class _GramCache:
@@ -254,52 +275,40 @@ def _scan_drop(beta_active, direction, floor):
     return float(r[p]), p
 
 
-def compute_equiangular(design, active, signs, factor):
-    """Equiangular direction of the signed active columns.
+def _direction(factor, s_vec, cone):
+    """Equiangular weights of the signed active columns.
 
-    ``factor`` must hold the signed Gram matrix of the active set in the
-    same order as ``active``.
+    ``factor`` holds the signed Gram matrix of the active set, whose signs
+    are ``s_vec``.  Returns ``(factor, retained, A, sw)``: with ``sw`` the
+    signed weights, ``u = X_A sw`` is the unit direction along which every
+    active column's signed correlation falls at rate ``A``.  Under ``cone``
+    a direction outside the active sign cone is replaced by the equiangular
+    direction of its Lawson-Hanson face: ``retained`` holds the positions
+    kept, and the factor and ``sw`` cover those positions only.  ``retained``
+    is None when no projection was needed.
     """
-    active = tuple(int(j) for j in active)
-    signs = tuple(int(s) for s in signs)
-    k = len(active)
-    g1 = solve_gram(factor, np.ones(k))
+    g1 = solve_gram(factor, np.ones(s_vec.size))
+    retained = None
+    if cone and g1.min() <= 0.0:
+        w_target = (1.0 / math.sqrt(g1.sum())) * g1
+        _, retained = nnls_inner_loop(factor, w_target)
+        factor = cholesky_drop(factor, np.delete(np.arange(g1.size), retained))
+        s_vec = s_vec[retained]
+        g1 = solve_gram(factor, np.ones(retained.size))
     A = 1.0 / math.sqrt(g1.sum())
-    w = A * g1
-    u = design.columns[:, list(active)] @ (np.array(signs, dtype=float) * w)
-    a = design.columns.T @ u
-    return EquiangularBasis(active=active, signs=signs, A=A, w=w, u=u, a=a)
+    return factor, retained, A, s_vec * (A * g1)
 
 
-def next_join(correlations, C_max, basis, candidates):
-    """Join distance and entrant among the given candidate variables.
+def _next_event(g_join, gamma_bar, g_drop):
+    """Length and kind ("join", "final" or "drop") of the next move.
 
-    Returns ``(gamma_hat, joining, joining_sign)``.  Ties within tolerance
-    resolve to the lowest variable index and emit a :class:`TieWarning`.
-    Raises :class:`NoPositiveCandidate` when no candidate can tie the
-    envelope before it reaches zero.
+    The join wins only when it comes before the full travel ``gamma_bar``;
+    a drop wins when it comes no later than either, ties included.
     """
-    c = np.asarray(correlations, dtype=float)
-    cand_idx = np.asarray(sorted(int(j) for j in candidates), dtype=int)
-    tie_tol = TIE_RTOL * max(1.0, C_max)
-    found = _scan_join(c, C_max, basis.A, basis.a, cand_idx, {}, False, tie_tol)
-    if found is None:
-        raise NoPositiveCandidate("no candidate ties the envelope")
-    gamma, var, sign, n_tied = found
-    if n_tied > 1:
-        warnings.warn(
-            f"{n_tied} candidates tie at gamma={gamma:.6g}; taking variable {var}",
-            TieWarning,
-            stacklevel=2,
-        )
-    return gamma, var, sign
-
-
-def final_gamma(C_max, A):
-    """Travel distance to the restricted least squares point."""
-    if A <= 0.0:
-        raise ValueError("A must be positive")
-    return C_max / A
+    gamma, event = (g_join, "join") if g_join < gamma_bar else (gamma_bar, "final")
+    if g_drop <= gamma * (1 + 1e-12):
+        return g_drop, "drop"
+    return gamma, event
 
 
 def _tie(tie_mode, message):
@@ -308,15 +317,13 @@ def _tie(tie_mode, message):
     warnings.warn(message, TieWarning, stacklevel=3)
 
 
-def _fit_once(design, kind, max_steps, stop_after, tie_mode):
+def _fit_once(design, policy, max_steps, stop_after, tie_mode):
     X = design.columns
     y = design.response
     n, m = X.shape
     budget = 8 * m if max_steps is None else int(max_steps)
     max_active = min(m, n - 1) if design.centered else min(m, n)
-    positive = kind == "positive-lasso"
-    lasso_rule = kind in ("lasso", "positive-lasso")
-    stagewise = kind == "stagewise"
+    positive, drops, cone = policy.positive, policy.drops, policy.cone
 
     gram = _GramCache(X)
     c0 = X.T @ y
@@ -349,7 +356,7 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
     ]
 
     def make_path():
-        return Path(variant=kind, steps=tuple(steps), design=design)
+        return Path(variant=policy.kind, steps=tuple(steps), design=design)
 
     # Cold start: highest absolute correlation (highest positive correlation
     # for the positive variant), ties to the lowest index.
@@ -406,58 +413,38 @@ def _fit_once(design, kind, max_steps, stop_after, tie_mode):
             left_signs[event_var] = event_sign
         act_idx = new_idx
 
-        k = act_idx.size
-        g1 = solve_gram(factor, np.ones(k))
-        if stagewise and g1.min() <= 0.0:
-            w_target = (1.0 / math.sqrt(g1.sum())) * g1
-            _, retained = nnls_inner_loop(factor, w_target)
-            kept = np.zeros(k, dtype=bool)
-            kept[retained] = True
-            gone = np.flatnonzero(~kept)
-            factor = cholesky_drop(factor, gone)
+        factor, retained, A, sw = _direction(factor, s_vec, cone)
+        if retained is not None:
+            gone = np.ones(act_idx.size, dtype=bool)
+            gone[retained] = False
             proj_vars = act_idx[gone]
             left_signs.update(zip(proj_vars.tolist(), s_vec[gone].astype(int).tolist()))
             active_mask[proj_vars] = False
             proj = tuple(sorted(proj_vars.tolist()))
             act_idx = act_idx[retained]
             s_vec = s_vec[retained]
-            k = act_idx.size
-            C_hat = float(np.abs(c[act_idx]).sum()) / k
-            g1 = solve_gram(factor, np.ones(k))
+            C_hat = float(np.abs(c[act_idx]).sum()) / act_idx.size
 
-        A = 1.0 / math.sqrt(g1.sum())
-        sw = s_vec * (A * g1)
         gamma_bar = C_hat / A
         floor = 1e-12 * gamma_bar
         tie_tol = TIE_RTOL * max(1.0, C_hat)
         a = gram.stack(act_idx, sw)
 
-        if k >= max_active:
-            found = None
-        else:
+        g_join = np.inf
+        if act_idx.size < max_active:
             cand_idx = np.flatnonzero(~active_mask)
             found = _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol)
-        if found is not None:
-            g_join, j_next, s_next, n_tied = found
-            if n_tied > 1:
-                _tie(
-                    tie_mode,
-                    f"{n_tied} candidates tie at gamma={g_join:.6g}; "
-                    f"taking variable {j_next}",
-                )
-        else:
-            g_join = np.inf
-
-        g_drop, p_drop = np.inf, None
-        if lasso_rule:
-            g_drop, p_drop = _scan_drop(beta[act_idx], sw, floor)
-
-        if g_join < gamma_bar:
-            gamma, event = g_join, "join"
-        else:
-            gamma, event = gamma_bar, "final"
-        if g_drop <= gamma * (1 + 1e-12):
-            gamma, event = g_drop, "drop"
+            if found is not None:
+                g_join, j_next, s_next, n_tied = found
+                if n_tied > 1:
+                    _tie(
+                        tie_mode,
+                        f"{n_tied} candidates tie at gamma={g_join:.6g}; "
+                        f"taking variable {j_next}",
+                    )
+        g_drop, p_drop = _scan_drop(beta[act_idx], sw, floor) if drops else (np.inf, None)
+        gamma, event = _next_event(g_join, gamma_bar, g_drop)
+        if event == "drop":
             j_drop = int(act_idx[p_drop])
 
         if gamma <= floor:
@@ -520,21 +507,24 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None,
     fit restarts (up to three times) with a centered uniform perturbation of
     the response at relative scale 1e-9.
     """
-    kind = _normalize_variant(variant)
+    kind = getattr(variant, "kind", variant)
+    policy = POLICIES.get(kind) if isinstance(kind, str) else None
+    if policy is None:
+        raise VariantMismatch(f"unknown variant {kind!r}")
     if jitter_seed is None:
-        return _fit_once(design, kind, max_steps, stop_after, tie_mode="warn")
+        return _fit_once(design, policy, max_steps, stop_after, tie_mode="warn")
     rng = np.random.default_rng(jitter_seed)
     scale = 1e-9 * float(np.linalg.norm(design.response))
     work = design
     for _ in range(3):
         try:
-            return _fit_once(work, kind, max_steps, stop_after, tie_mode="raise")
+            return _fit_once(work, policy, max_steps, stop_after, tie_mode="raise")
         except _TieRestart:
             noise = rng.uniform(-1.0, 1.0, design.n) * scale
             if design.centered:
                 noise -= noise.mean()
             work = replace(design, response=design.response + noise)
-    return _fit_once(work, kind, max_steps, stop_after, tie_mode="warn")
+    return _fit_once(work, policy, max_steps, stop_after, tie_mode="warn")
 
 
 def interpolate(path, t):

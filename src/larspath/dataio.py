@@ -240,21 +240,33 @@ def read_path_records(text):
                 column=len(row),
                 message=f"expected {len(header)} fields, found {len(row)}",
             )
-        fixed, coefs = row[: len(FIXED_COLUMNS)], row[len(FIXED_COLUMNS):]
-        records.append(
-            PathRecord(
-                step=int(fixed[0]),
-                action=fixed[1],
-                variable=fixed[2],
-                sign=None if fixed[3] == "" else int(fixed[3]),
-                gamma=float(fixed[4]),
-                C_max=float(fixed[5]),
-                T_original_units=float(fixed[6]),
-                rss=float(fixed[7]),
-                coefficients=np.array([float(v) for v in coefs]),
-            )
-        )
+        cells = [_path_cell(convert, row, j, header, line)
+                 for j, convert in enumerate(_CELL_TYPES)]
+        coefs = [_path_cell(float, row, j, header, line)
+                 for j in range(len(FIXED_COLUMNS), len(row))]
+        records.append(PathRecord(*cells, coefficients=np.array(coefs)))
     return names, records
+
+
+def _optional_int(text):
+    return None if text == "" else int(text)
+
+
+# Converters of the FIXED_COLUMNS cells; "action" and "variable" stay text.
+_CELL_TYPES = (int, str, str, _optional_int, float, float, float, float)
+
+
+def _path_cell(convert, row, j, header, line):
+    """``convert(row[j])``, or a :class:`ParseError` naming the cell."""
+    try:
+        return convert(row[j])
+    except ValueError:
+        raise ParseError(
+            line=line,
+            column=j + 1,
+            message=f"bad {header[j]!r} value {row[j]!r} at line {line}, "
+                    f"column {j + 1}",
+        ) from None
 
 
 def json_summary(path, design=None, cp_argmin=None):

@@ -45,10 +45,6 @@ class WrongColumnCount(LarsError, ValueError):
 # path engine
 
 
-class NoPositiveCandidate(LarsError):
-    """No candidate variable yields a positive step length (final step)."""
-
-
 class MaxStepsExceeded(LarsError):
     """The path did not terminate within the configured step budget."""
 

@@ -15,7 +15,12 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .core import fit_path
-from .errors import DimensionMismatch, Underdetermined, VariantMismatch
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    Underdetermined,
+    VariantMismatch,
+)
 from .oracles import forward_selection
 from .preprocess import standardize, quadratic_expand
 
@@ -29,6 +34,7 @@ __all__ = [
     "bootstrap_df",
     "lasso_df_by_support",
     "hybrid_r2",
+    "main_effects_first",
     "run_simulation_study",
 ]
 
@@ -112,6 +118,16 @@ def cp_curve(path, sigma2, df_rule="simple-k", *, allow_variant=False):
     )
 
 
+def _vertex_betas(path, k_max):
+    """The ``(k_max + 1, m)`` vertex coefficients of ``path``, padded with
+    its final vertex when the walk ended early."""
+    betas = np.array([s.beta for s in path.steps])
+    if betas.shape[0] < k_max + 1:
+        pad = np.repeat(betas[-1:], k_max + 1 - betas.shape[0], axis=0)
+        betas = np.vstack([betas, pad])
+    return betas
+
+
 def lars_fitted_values(design, k_max, variant="lars"):
     """Estimator factory for :func:`bootstrap_df`.
 
@@ -126,11 +142,7 @@ def lars_fitted_values(design, k_max, variant="lars"):
             replace(design, response=y_star), variant,
             stop_after=k_max, max_steps=8 * design.m + k_max,
         )
-        betas = np.array([s.beta for s in p.steps])
-        if betas.shape[0] < k_max + 1:
-            pad = np.repeat(betas[-1:], k_max + 1 - betas.shape[0], axis=0)
-            betas = np.vstack([betas, pad])
-        return betas @ X.T
+        return _vertex_betas(p, k_max) @ X.T
 
     return estimator
 
@@ -291,6 +303,23 @@ def hybrid_r2(path, k):
     return r2_path, r2_refit, float(rho)
 
 
+def main_effects_first(design_main, path, k, interaction_columns, names=None,
+                       variant="lars"):
+    """Fit interactions against the residual of a k-step main-effects fit.
+
+    ``interaction_columns`` holds the raw (unstandardized) interaction
+    candidates; they are standardized against the residual
+    ``y - X beta_k`` and a fresh path is fitted on them.  Returns the new
+    path.  The residual of a saturating fit gives an empty path.
+    """
+    if not 0 <= k < len(path.steps):
+        raise IndexOutOfRange(f"k={k} outside the fitted path (0..{len(path.steps) - 1})")
+    beta_k = path.steps[k].beta
+    residual = design_main.response - design_main.columns @ beta_k
+    inner = standardize(interaction_columns, residual, names)
+    return fit_path(inner, variant)
+
+
 def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
                          n_steps=40, *, binary_column=1):
     """Resampled comparison of the variants on the quadratic design.
@@ -325,10 +354,7 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
             else:
                 p = fit_path(d_star, name, stop_after=n_steps,
                              max_steps=8 * design.m + n_steps)
-            betas = np.array([s.beta for s in p.steps])
-            if betas.shape[0] < n_steps + 1:
-                pad = np.repeat(betas[-1:], n_steps + 1 - betas.shape[0], axis=0)
-                betas = np.vstack([betas, pad])
+            betas = _vertex_betas(p, n_steps)
             fitted = betas @ design.columns.T
             pe[name][b] = 1.0 - np.sum((fitted - mu) ** 2, axis=1) / mu_sq
             nnz[name][b] = np.count_nonzero(betas, axis=1)

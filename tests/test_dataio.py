@@ -251,6 +251,23 @@ def test_read_path_records_rejects_a_ragged_row(diabetes_paths):
     assert exc.value.line == 4 and exc.value.column == len(FIXED_COLUMNS) + 11
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step", "zero"),
+    ("sign", "+"),
+    ("gamma", "1.2.3"),
+    ("x2", "nan?"),
+])
+def test_read_path_records_names_an_unreadable_cell(field, value):
+    header = list(FIXED_COLUMNS) + ["x1", "x2"]
+    row = ["1", "ADD", "x1", "1", "0.5", "2", "0.5", "3", "0.5", "0"]
+    column = header.index(field)
+    row[column] = value
+    with pytest.raises(ParseError, match=f"'{field}'") as exc:
+        read_path_records(",".join(header) + "\n" + ",".join(row) + "\n")
+    assert exc.value.line == 2 and exc.value.column == column + 1
+    assert repr(value) in str(exc.value)
+
+
 def test_json_summary_contents(diabetes_paths):
     s = json_summary(diabetes_paths["lasso"])
     assert s["variant"] == "lasso"

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import warnings
 
@@ -5,21 +6,22 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+import larspath
 from larspath import core
 from larspath.core import (
+    TIE_RTOL,
     Path,
+    VariantPolicy,
+    _direction,
     _GramCache,
-    compute_equiangular,
-    final_gamma,
+    _scan_join,
     fit_path,
     interpolate,
-    next_join,
 )
 from larspath.errors import (
     DegenerateColumn,
     LarsError,
     MaxStepsExceeded,
-    NoPositiveCandidate,
     StalledPath,
     TieWarning,
     TOutOfRange,
@@ -37,6 +39,24 @@ def signed_factor(design, active, signs):
     return CholeskyFactor.from_gram(np.outer(s, s) * (cols.T @ cols))
 
 
+def equiangular(design, active, signs):
+    """``A`` and the signed weights ``sw`` from ``_direction`` on the signed
+    Gram factor of ``active``, with ``u = X_A sw`` and ``a = X'u``."""
+    s = np.asarray(signs, dtype=float)
+    _, retained, A, sw = _direction(signed_factor(design, active, signs), s, False)
+    assert retained is None
+    u = design.columns[:, list(active)] @ sw
+    return A, sw, u, design.columns.T @ u
+
+
+def scan_join(c, C_hat, A, a, candidates):
+    """``_scan_join`` on both sign branches, nothing leaving, with the
+    walk's tie tolerance."""
+    cand_idx = np.asarray(candidates, dtype=int)
+    return _scan_join(np.asarray(c, dtype=float), C_hat, A, a, cand_idx, {},
+                      False, TIE_RTOL * max(1.0, C_hat))
+
+
 def random_design(n, m, seed):
     r = np.random.default_rng(seed)
     X = r.normal(size=(n, m))
@@ -51,10 +71,10 @@ def test_equiangular_singleton():
     d = random_design(30, 4, 0)
     for j in range(4):
         for s in (1, -1):
-            b = compute_equiangular(d, (j,), (s,), signed_factor(d, (j,), (s,)))
-            assert abs(b.A - 1.0) < 1e-12
-            assert np.allclose(b.u, s * d.columns[:, j])
-            assert np.allclose(b.w, [1.0])
+            A, sw, u, _ = equiangular(d, (j,), (s,))
+            assert abs(A - 1.0) < 1e-12
+            assert np.allclose(u, s * d.columns[:, j])
+            assert np.allclose(s * sw, [1.0])
 
 
 def test_equiangular_orthogonal_active_set():
@@ -62,18 +82,18 @@ def test_equiangular_orthogonal_active_set():
         d = from_unit_columns(np.eye(8), rng.normal(size=8))
         active = tuple(range(k))
         signs = tuple(1 for _ in range(k))
-        b = compute_equiangular(d, active, signs, signed_factor(d, active, signs))
-        assert abs(b.A - k**-0.5) < 1e-12
-        assert np.allclose(b.w, k**-0.5)
-        assert abs(np.linalg.norm(b.u) - 1.0) < 1e-12
+        A, sw, u, _ = equiangular(d, active, signs)
+        assert abs(A - k**-0.5) < 1e-12
+        assert np.allclose(sw, k**-0.5)
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 
 
 def test_equiangular_correlated_pair():
     # two unit columns with inner product 0.5
     X = np.array([[1.0, 0.5], [0.0, math.sqrt(0.75)], [0.0, 0.0]])
     d = from_unit_columns(X, np.zeros(3))
-    b = compute_equiangular(d, (0, 1), (1, 1), signed_factor(d, (0, 1), (1, 1)))
-    assert abs(b.A - math.sqrt(0.75)) < 1e-12
+    A, *_ = equiangular(d, (0, 1), (1, 1))
+    assert abs(A - math.sqrt(0.75)) < 1e-12
 
 
 def test_equiangular_invariants_random():
@@ -84,21 +104,23 @@ def test_equiangular_invariants_random():
         k = int(r.integers(1, 7))
         active = tuple(r.choice(8, size=k, replace=False))
         signs = tuple(int(s) for s in r.choice([-1, 1], size=k))
-        b = compute_equiangular(d, active, signs, signed_factor(d, active, signs))
-        assert abs(np.linalg.norm(b.u) - 1.0) < 1e-10
+        A, sw, u, a = equiangular(d, active, signs)
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-10
         for j, s in zip(active, signs):
-            assert abs(s * d.columns[:, j] @ b.u - b.A) < 1e-10
+            assert abs(s * d.columns[:, j] @ u - A) < 1e-10
         G = d.columns[:, list(active)].T @ d.columns[:, list(active)]
         Gs = np.outer(signs, signs) * G
-        assert abs(b.A - np.linalg.solve(Gs, np.ones(k)).sum() ** -0.5) < 1e-10
-        assert np.allclose(b.a, d.columns.T @ b.u)
+        assert abs(A - np.linalg.solve(Gs, np.ones(k)).sum() ** -0.5) < 1e-10
+        # the walk's Gram product G[:, A] sw is the same a = X'u
+        assert np.allclose(_GramCache(d.columns).stack(np.array(active), sw), a)
 
 
 def test_next_join_orthogonal_gap():
     y = np.array([5.0, -3.0, 2.0, 1.0, -0.5])
     d = from_unit_columns(np.eye(5), y)
-    b = compute_equiangular(d, (0,), (1,), signed_factor(d, (0,), (1,)))
-    gamma, joining, sign = next_join(y, 5.0, b, [1, 2, 3, 4])
+    A, _, _, a = equiangular(d, (0,), (1,))
+    gamma, joining, sign, n_tied = scan_join(y, 5.0, A, a, [1, 2, 3, 4])
+    assert n_tied == 1
     assert abs(gamma - 2.0) < 1e-12  # 5 - |-3|
     assert joining == 1
     assert sign == -1
@@ -107,26 +129,23 @@ def test_next_join_orthogonal_gap():
 def test_next_join_tie_warns_and_takes_lowest_index():
     y = np.array([5.0, 3.0, 3.0])
     d = from_unit_columns(np.eye(3), y)
-    b = compute_equiangular(d, (0,), (1,), signed_factor(d, (0,), (1,)))
-    with pytest.warns(TieWarning):
-        gamma, joining, sign = next_join(y, 5.0, b, [1, 2])
+    A, _, _, a = equiangular(d, (0,), (1,))
+    gamma, joining, sign, n_tied = scan_join(y, 5.0, A, a, [1, 2])
+    assert n_tied == 2
     assert abs(gamma - 2.0) < 1e-12
     assert joining == 1
     assert sign == 1
+    # the walk warns about the tie and takes the lower index
+    with pytest.warns(TieWarning, match="2 candidates tie"):
+        path = fit_path(d)
+    assert path.steps[2].variable == 1
+    assert abs(path.steps[1].gamma - 2.0) < 1e-12
 
 
 def test_next_join_no_candidates():
     d = from_unit_columns(np.eye(2), np.ones(2))
-    b = compute_equiangular(d, (0,), (1,), signed_factor(d, (0,), (1,)))
-    with pytest.raises(NoPositiveCandidate):
-        next_join(np.ones(2), 1.0, b, [])
-
-
-def test_final_gamma():
-    assert final_gamma(0.0, 0.5) == 0.0
-    assert abs(final_gamma(3.0, 1.5) - 2.0) < 1e-15
-    with pytest.raises(ValueError):
-        final_gamma(1.0, 0.0)
+    A, _, _, a = equiangular(d, (0,), (1,))
+    assert scan_join(np.ones(2), 1.0, A, a, []) is None
 
 
 # ---------------------------------------------------------------- full walks
@@ -293,17 +312,36 @@ def _events_and_vertices(design, variant):
     return events, np.array([s.beta for s in path.steps])
 
 
+def _counted(value, calls, key):
+    """``value`` with each call (each construction, for a class) counted."""
+    if isinstance(value, type):
+        class Counted(value):
+            def __init__(self, *args, **kwargs):
+                calls[key] += 1
+                super().__init__(*args, **kwargs)
+        return Counted
+
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return value(*args, **kwargs)
+    return counted
+
+
 def _assert_same_paths_under(monkeypatch, designs, patches):
     """Fit every variant on each design, then again with each
     ``(owner, name, value)`` of ``patches`` set: the same events (or error
-    type) and, to rounding, the same vertices."""
+    type) and, to rounding, the same vertices.  Every patched value must be
+    called during the second round, so a walk that no longer resolves a
+    helper where it is patched fails instead of comparing with itself."""
     variants = ("lars", "lasso", "stagewise", "positive-lasso")
+    calls = {name: 0 for _, name, _ in patches}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TieWarning)
         default = [_events_and_vertices(d, v) for d in designs for v in variants]
         for owner, name, value in patches:
-            monkeypatch.setattr(owner, name, value)
+            monkeypatch.setattr(owner, name, _counted(value, calls, name))
         forced = [_events_and_vertices(d, v) for d in designs for v in variants]
+    assert all(calls.values()), calls
     for (ev_default, b_default), (ev_forced, b_forced) in zip(default, forced):
         assert ev_default == ev_forced
         if b_default is not None:
@@ -411,6 +449,26 @@ def test_stop_after_truncates(design, diabetes_paths):
 def test_unknown_variant(design):
     with pytest.raises(VariantMismatch):
         fit_path(design, "newton")
+    with pytest.raises(VariantMismatch):
+        fit_path(design, VariantPolicy("newton"))
+
+
+def test_export_surface():
+    """Every exported name resolves, once; the step primitives, the factor
+    layer and the retired variant helpers stay out of the surface."""
+    names = larspath.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(larspath, name) is not None
+    retired = {
+        "EquiangularBasis", "compute_equiangular", "next_join", "final_gamma",
+        "lasso_drop_candidate", "apply_lasso_modification",
+        "stagewise_direction", "positive_lasso_step", "NoPositiveCandidate",
+        "CholeskyFactor", "cholesky_append", "cholesky_drop", "solve_gram",
+        "nnls_inner_loop",
+    }
+    assert not retired & set(names)
+    assert importlib.util.find_spec("larspath.variants") is None
 
 
 # ----------------------------------------------------------- interpolation

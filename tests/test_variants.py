@@ -1,19 +1,23 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from larspath.core import compute_equiangular, fit_path
-from larspath.errors import IndexOutOfRange, NoPositiveCandidate
-from larspath.linalg import CholeskyFactor
-from larspath.preprocess import StandardizedDesign, from_unit_columns, standardize
-from larspath.variants import (
+from larspath.core import (
     LASSO,
-    apply_lasso_modification,
-    lasso_drop_candidate,
-    main_effects_first,
-    positive_lasso_step,
-    stagewise_direction,
+    TIE_RTOL,
+    VariantPolicy,
+    _direction,
+    _next_event,
+    _scan_drop,
+    _scan_join,
+    fit_path,
 )
+from larspath.errors import IndexOutOfRange
+from larspath.linalg import CholeskyFactor
+from larspath.model_select import main_effects_first
+from larspath.preprocess import StandardizedDesign, from_unit_columns, standardize
 
 
 def plain_factor(design, active, signs=None):
@@ -24,24 +28,47 @@ def plain_factor(design, active, signs=None):
     return CholeskyFactor.from_gram(np.outer(s, s) * (cols.T @ cols))
 
 
+def direction(design, active, signs, factor, cone):
+    """What ``_direction`` returns on ``factor``, plus the kept variables
+    and signs, ``u = X_kept sw`` and ``a = X'u``."""
+    active, signs = np.asarray(active), np.asarray(signs, dtype=float)
+    factor, retained, A, sw = _direction(factor, signs, cone)
+    if retained is not None:
+        active, signs = active[retained], signs[retained]
+    u = design.columns[:, active] @ sw
+    return SimpleNamespace(factor=factor, retained=retained, A=A, sw=sw,
+                           active=tuple(active.tolist()), signs=signs, u=u,
+                           a=design.columns.T @ u)
+
+
+def positive_scan(c, C_hat, A, a, candidates):
+    """``_scan_join`` on the positive branch, nothing leaving."""
+    return _scan_join(np.asarray(c, dtype=float), C_hat, A, a,
+                      np.asarray(candidates, dtype=int), {}, True,
+                      TIE_RTOL * max(1.0, C_hat))
+
+
 def test_drop_candidate_none_when_moving_away():
-    gamma, pos = lasso_drop_candidate([1.0, -2.0], [0.5, -0.25])
+    gamma, pos = _scan_drop(np.array([1.0, -2.0]), np.array([0.5, -0.25]), 0.0)
     assert gamma == np.inf and pos is None
 
 
 def test_drop_candidate_first_crossing():
-    gamma, pos = lasso_drop_candidate([1.0], [-0.5])
+    gamma, pos = _scan_drop(np.array([1.0]), np.array([-0.5]), 0.0)
     assert gamma == 2.0 and pos == 0
-    gamma, pos = lasso_drop_candidate([1.0, 0.3, -4.0], [-0.5, -0.3, 1.0])
+    gamma, pos = _scan_drop(np.array([1.0, 0.3, -4.0]), np.array([-0.5, -0.3, 1.0]), 0.0)
     assert gamma == 1.0 and pos == 1
 
 
 def test_arbitration():
-    assert apply_lasso_modification(2.0, np.inf, joining=5) == ("add", 5, 2.0)
-    assert apply_lasso_modification(2.0, 1.5, joining=5, drop_position=1) == \
-        ("drop", 1, 1.5)
+    assert _next_event(2.0, 3.0, np.inf) == (2.0, "join")
+    assert _next_event(2.0, 3.0, 1.5) == (1.5, "drop")
     # exact tie goes to the drop
-    assert apply_lasso_modification(2.0, 2.0, joining=5, drop_position=0)[0] == "drop"
+    assert _next_event(2.0, 3.0, 2.0) == (2.0, "drop")
+    # a join no sooner than the full travel gives way to the final move,
+    # and a drop at the final move still wins
+    assert _next_event(3.0, 3.0, np.inf) == (3.0, "final")
+    assert _next_event(np.inf, 3.0, 3.0) == (3.0, "drop")
 
 
 def test_diabetes_drop_zeroes_the_coefficient(diabetes_paths):
@@ -56,9 +83,10 @@ def test_diabetes_drop_zeroes_the_coefficient(diabetes_paths):
 
 
 def test_variant_policy_objects_work_like_strings(design, diabetes_paths):
-    path = fit_path(design, LASSO)
-    assert path.variant == "lasso"
-    assert path.n_steps == diabetes_paths["lasso"].n_steps
+    for policy in (LASSO, VariantPolicy("lasso")):
+        path = fit_path(design, policy)
+        assert path.variant == "lasso"
+        assert path.n_steps == diabetes_paths["lasso"].n_steps
 
 
 # ------------------------------------------------------------- stagewise
@@ -68,11 +96,12 @@ def test_stagewise_direction_interior_is_identity():
     d = standardize(np.random.default_rng(0).normal(size=(30, 4)),
                     np.random.default_rng(1).normal(size=30))
     f = plain_factor(d, (0, 1))
-    basis = compute_equiangular(d, (0, 1), (1, 1), f)
-    assert basis.w.min() > 0
-    out, dropped = stagewise_direction(d, basis, f)
-    assert out is basis
-    assert dropped == ()
+    plain = direction(d, (0, 1), (1, 1), f, False)
+    assert plain.sw.min() > 0
+    face = direction(d, (0, 1), (1, 1), f, True)
+    assert face.factor is f
+    assert face.retained is None  # nothing projected out
+    assert face.A == plain.A and np.array_equal(face.sw, plain.sw)
 
 
 def test_stagewise_direction_two_variable_cone():
@@ -85,10 +114,9 @@ def test_stagewise_direction_two_variable_cone():
         column_names=("a", "b"), centered=False,
     )
     f = CholeskyFactor.from_gram(G)
-    basis = compute_equiangular(d, (0, 1), (1, 1), f)
-    assert basis.w.min() < 0
-    face, dropped = stagewise_direction(d, basis, f)
-    assert dropped == (0,)
+    assert direction(d, (0, 1), (1, 1), f, False).sw.min() < 0
+    face = direction(d, (0, 1), (1, 1), f, True)
+    assert tuple(np.delete([0, 1], face.retained)) == (0,)
     assert face.active == (1,)
     assert np.allclose(face.u, X[:, 1] / np.linalg.norm(X[:, 1]))
 
@@ -100,11 +128,11 @@ def test_stagewise_diabetes_event(design, diabetes_paths):
     active = tuple(before.active_after) + (event.variable,)
     signs = tuple(before.signs_after) + (event.sign,)
     f = plain_factor(design, active, signs)
-    basis = compute_equiangular(design, active, signs, f)
-    face, dropped = stagewise_direction(design, basis, f)
+    face = direction(design, active, signs, f, True)
+    dropped = tuple(sorted(np.delete(active, face.retained).tolist()))
     assert dropped == (2, 6)
     assert set(face.active) == set(active) - {2, 6}
-    assert face.w.min() > 0
+    assert (face.signs * face.sw).min() > 0
     # the face keeps the equal-angle property
     for j, s in zip(face.active, face.signs):
         assert abs(s * design.columns[:, j] @ face.u - face.A) < 1e-10
@@ -126,8 +154,9 @@ def test_stagewise_never_moves_a_coefficient_against_its_sign(quad_paths):
 def test_positive_step_scans_one_branch():
     y = np.array([5.0, -4.0, 3.0])
     d = from_unit_columns(np.eye(3), y)
-    b = compute_equiangular(d, (0,), (1,), plain_factor(d, (0,)))
-    gamma, joining = positive_lasso_step(y, 5.0, b, [1, 2])
+    b = direction(d, (0,), (1,), plain_factor(d, (0,)), False)
+    gamma, joining, sign, _ = positive_scan(y, 5.0, b.A, b.a, [1, 2])
+    assert sign == 1
     # variable 1 is more correlated in absolute value but on the wrong side
     assert joining == 2
     assert abs(gamma - 2.0) < 1e-12
@@ -138,8 +167,8 @@ def test_positive_step_formal_ratio_beyond_full_travel():
     # zero; the walk then prefers its final move and stops early
     y = np.array([5.0, -4.0])
     d = from_unit_columns(np.eye(2), y)
-    b = compute_equiangular(d, (0,), (1,), plain_factor(d, (0,)))
-    gamma, joining = positive_lasso_step(y, 5.0, b, [1])
+    b = direction(d, (0,), (1,), plain_factor(d, (0,)), False)
+    gamma, joining, _, _ = positive_scan(y, 5.0, b.A, b.a, [1])
     assert abs(gamma - 9.0) < 1e-12 and joining == 1
     path = fit_path(d, "positive-lasso")
     assert path.n_steps == 1
@@ -152,12 +181,11 @@ def test_positive_step_no_candidate():
     X = np.column_stack([np.eye(4)[:, 0], np.eye(4)[:, 1], x2])
     y = np.array([5.0, 5.0, -1.0, 0.0])
     d = from_unit_columns(X, y)
-    b = compute_equiangular(d, (0, 1), (1, 1), plain_factor(d, (0, 1)))
+    b = direction(d, (0, 1), (1, 1), plain_factor(d, (0, 1)), False)
     c = X.T @ y
     assert abs(b.a[2] - b.A) < 1e-15
     assert c[2] < 5.0
-    with pytest.raises(NoPositiveCandidate):
-        positive_lasso_step(c, 5.0, b, [2])
+    assert positive_scan(c, 5.0, b.A, b.a, [2]) is None
 
 
 def test_positive_path_stays_nonnegative(diabetes_paths):
