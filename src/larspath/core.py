@@ -291,8 +291,7 @@ def _direction(factor, s_vec, cone):
     retained = None
     if cone and g1.min() <= 0.0:
         w_target = (1.0 / math.sqrt(g1.sum())) * g1
-        _, retained = nnls_inner_loop(factor, w_target)
-        factor = cholesky_drop(factor, np.delete(np.arange(g1.size), retained))
+        factor, retained = nnls_inner_loop(factor, w_target)
         s_vec = s_vec[retained]
         g1 = solve_gram(factor, np.ones(retained.size))
     A = 1.0 / math.sqrt(g1.sum())

@@ -4,9 +4,16 @@ Maintains an upper-triangular Cholesky factor R of the active-set Gram
 matrix G (R'R = G), the update behind the paper's cost claim: a column
 append is an O(k^2) bordered solve that writes O(k) numbers, a column drop
 refactorizes the kept block of G with LAPACK.  Also provides the triangular
-solves with the factor and the Lawson-Hanson nonnegative least squares
-projection of the equiangular direction into the positive cone of the
-active columns.
+solves with the factor and the projection of the equiangular direction
+into the positive cone of the active columns.
+
+The cone projection is Lawson-Hanson nonnegative least squares in Gram
+form, ``min p'G p / 2 - p'G w`` over ``p >= 0``, run on the carried G
+rather than on a dense copy of R.  It starts from the face before the last
+column when that face's weights, solved with the leading block of R, are
+all positive, and from ``p = 0`` otherwise.  It hands back the Cholesky
+factor of the face it finds, computed exactly as a drop to that face
+would, so the caller solves the face without factorizing it again.
 
 R is stored packed, column by column (LAPACK "UP" storage), in a buffer
 with room to grow: the k x k factor is the prefix ``ap[:k(k+1)/2]``, and
@@ -27,9 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtpsv
-from scipy.linalg.lapack import dposv, dpotrf, dtpttr, dtrttp
-from scipy.optimize import nnls
+from scipy.linalg.blas import dsymv, dtpsv
+from scipy.linalg.lapack import dpotrf, dpotrs, dtpttr, dtrttp
 
 from .errors import (
     DegenerateColumn,
@@ -62,8 +68,8 @@ def _packed_len(k):
 def _lapack_ok(routine, out, info):
     """``out`` of a LAPACK call, or :class:`DegenerateColumn` on nonzero info.
 
-    A positive info from ``dpotrf`` or ``dposv`` is a leading minor that is
-    not positive definite: the tracked columns are dependent.
+    A positive info from ``dpotrf`` is a leading minor that is not positive
+    definite: the tracked columns are dependent.
     """
     if info != 0:
         raise DegenerateColumn(f"LAPACK {routine} returned info={info}")
@@ -243,19 +249,25 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
 def cholesky_drop(factor, position):
     """Remove rows/columns of the tracked Gram matrix from the factor.
 
-    ``position`` is one position or a sequence of them; all are dropped
-    together, and an empty sequence returns the factor unchanged.  The kept
-    block of the carried Gram matrix is gathered and refactorized once in
-    LAPACK.  That is O(k^3), cheap at active-set sizes, and the factor never
-    drifts from its Gram matrix over long append/drop sequences.
+    ``position`` is one position or a sequence of distinct ones; all are
+    dropped together, and an empty sequence returns the factor unchanged.
+    A position that is not an integer, is out of range or is repeated
+    raises :class:`IndexOutOfRange`.  The kept block of the carried Gram
+    matrix is gathered and refactorized once in LAPACK.  That is O(k^3),
+    cheap at active-set sizes, and the factor never drifts from its Gram
+    matrix over long append/drop sequences.
     """
     k = factor.active_dim
     gone = np.atleast_1d(position)
-    for p in gone:
-        if not 0 <= p < k:
-            raise IndexOutOfRange(f"position {p} out of range for k={k}")
     if gone.size == 0:
         return factor
+    if gone.ndim != 1 or gone.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"positions must be integers, got {position!r}")
+    out = gone[(gone < 0) | (gone >= k)]
+    if out.size:
+        raise IndexOutOfRange(f"position {out[0]} out of range for k={k}")
+    if gone.size > 1 and np.unique(gone).size != gone.size:
+        raise IndexOutOfRange(f"repeated position in {gone.tolist()}")
     keep = np.delete(np.arange(k), gone)
     # Kept positions stay in increasing order, so the block's upper triangle
     # comes from G's.  Whole columns first: they are contiguous.
@@ -279,16 +291,25 @@ def solve_gram(factor, rhs):
 def nnls_inner_loop(gram_factor, target_weights):
     """Project the equiangular direction into the cone of active columns.
 
-    With ``u = X w`` the unconstrained direction and ``R'R = X'X``, the
-    nearest cone point ``X p`` (``p >= 0``) solves the nonnegative least
-    squares problem ``min |R p - R w|``, done here by Lawson-Hanson.  The
-    face is the support of ``p``; on it the projection is parallel to the
-    face's own equiangular direction.
+    With ``u = X w`` the unconstrained direction and ``G = X'X``, the
+    nearest cone point ``X p`` (``p >= 0``) minimizes ``|R (p - w)|``, that
+    is ``p'G p / 2 - p'b`` with ``b = G w``.  Lawson-Hanson solves it in this
+    Gram form on the carried G: add the position with the largest positive
+    dual ``(G (w - p))_j``, solve the trial face, and step back to the
+    boundary when a trial weight is not positive.  The search starts from
+    the face before the last column: the factor's leading block is its
+    Cholesky factor, and when its weights are all positive that point is
+    optimal on its face; otherwise it starts from ``p = 0``.  At most
+    ``3 k`` trial solves are made (:class:`MaxIterations` past that).
 
-    Returns ``(feasible_weights, retained)``: a full-length weight vector
-    that is zero off the face and holds the face's equiangular weights,
-    normalized so the implied direction has unit length, and the sorted
-    positions of the face within the active set.
+    Returns ``(face_factor, retained)``: the Cholesky factor of the face's
+    Gram block, from the same LAPACK call :func:`cholesky_drop` would make
+    on it, and the sorted positions of the face within the active set.  On
+    the face the projection is parallel to the face's own equiangular
+    direction.  A target with every weight positive is its own projection
+    and returns the factor as given.  A non-finite target, which only a
+    numerically singular Gram matrix yields, raises
+    :class:`DegenerateColumn`.
     """
     w = np.asarray(target_weights, dtype=float).reshape(-1)
     k = gram_factor.active_dim
@@ -296,22 +317,85 @@ def nnls_inner_loop(gram_factor, target_weights):
         raise DimensionMismatch(f"expected {k} weights, got {w.shape[0]}")
     if k == 0:
         raise EmptyFace("no active variables")
-    if np.all(w > 0):
-        return w.copy(), np.arange(k)
+    if not np.isfinite(w).all():
+        raise DegenerateColumn("cone projection target has non-finite weights")
+    if w.min() > 0.0:
+        return gram_factor, np.arange(k)
+    _check_pivots(gram_factor)
 
-    R = gram_factor.R
-    try:
-        p, _ = nnls(R, R @ w)
-    except RuntimeError as exc:
-        raise MaxIterations(f"cone projection: {exc}") from None
-    face = np.flatnonzero(p > 0)
-    if face.size == 0:
+    storage = gram_factor._storage
+    # One contiguous copy, so that dsymv does not copy G on every product.
+    G = np.array(storage.gram[:k, :k], order="F")
+    b = dsymv(1.0, G, w)
+    p = np.zeros(k)
+    face = np.zeros(k, dtype=bool)
+    if k > 1:
+        z = dtpsv(k - 1, storage.ap, b[: k - 1], trans=1)
+        z = dtpsv(k - 1, storage.ap, z, overwrite_x=1)
+        if z.min() > 0.0:
+            p[: k - 1] = z
+            face[: k - 1] = True
+    # The factor of the current face and the block it factors; None while
+    # the face has not been solved.
+    R = block = None
+    solves = 0
+    dual = dsymv(1.0, G, w - p)
+    dual[face] = 0.0
+    while True:
+        j = int(dual.argmax())
+        if dual[j] <= 0.0:
+            break
+        face[j] = True
+        idx = face.nonzero()[0]
+        entering = int(idx.searchsorted(j))
+        while True:
+            solves += 1
+            if solves > 3 * k:
+                raise MaxIterations(f"cone projection: no face after {3 * k} solves")
+            if idx.size == k:
+                # b = G w, so on the full set the solution is w itself.
+                z, R_trial, block_trial = w, None, None
+            else:
+                # idx is increasing, so the block's upper triangle, all that
+                # dpotrf reads, is G's.
+                block_trial = G[:, idx][idx]
+                R_trial = _lapack_ok("dpotrf", *dpotrf(block_trial, clean=0))
+                z = _lapack_ok("dpotrs", *dpotrs(R_trial, b[idx]))
+            if entering is not None and z[entering] <= 0.0:
+                # Rounding let in a position that does not enter the face:
+                # bar it until the dual is next computed.
+                face[j] = False
+                dual[j] = 0.0
+                break
+            entering = None
+            if z.min() > 0.0:
+                p[idx] = z
+                R, block = R_trial, block_trial
+            else:
+                # Step back to the first boundary crossed on the way to z
+                # and remove the positions that reach zero there.
+                x = p[idx]
+                neg = (z <= 0.0).nonzero()[0]
+                xn = x[neg]
+                ratios = xn / (xn - z[neg])
+                first = int(ratios.argmin())
+                x += ratios[first] * (z - x)
+                x[neg[first]] = 0.0
+                keep = x > 0.0
+                p[idx] = np.where(keep, x, 0.0)
+                face[idx] = keep
+                idx = idx[keep]
+                R = block = None
+                if idx.size:
+                    continue
+            dual = dsymv(1.0, G, w - p)
+            dual[face] = 0.0
+            break
+
+    idx = face.nonzero()[0]
+    if idx.size == 0:
         raise EmptyFace("all variables eliminated")
-    # face is increasing, so its block's upper triangle, all that the
-    # Cholesky solve reads, is G's.
-    face_gram = gram_factor._storage.gram[:k, face][face]
-    _, g1, info = dposv(face_gram, np.ones(face.size))
-    g1 = _lapack_ok("dposv", g1, info)
-    out = np.zeros(k)
-    out[face] = g1 / math.sqrt(g1.sum())
-    return out, face
+    if R is None:
+        block = G[:, idx][idx]
+        R = _lapack_ok("dpotrf", *dpotrf(block, clean=0))
+    return CholeskyFactor._packing(R, block), idx

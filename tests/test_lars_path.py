@@ -406,16 +406,12 @@ def _dense_solve(factor, rhs):
 
 
 def _dense_cone(factor, w):
-    k = factor.active_dim
     if np.all(w > 0):
-        return w.copy(), np.arange(k)
+        return factor, np.arange(factor.active_dim)
     R = np.linalg.cholesky(factor.gram).T
     p, _ = nnls(R, R @ w)
     face = np.flatnonzero(p > 0)
-    g1 = np.linalg.solve(factor.gram[np.ix_(face, face)], np.ones(face.size))
-    out = np.zeros(k)
-    out[face] = g1 / math.sqrt(g1.sum())
-    return out, face
+    return _DenseFactor(factor.gram[np.ix_(face, face)]), face
 
 
 @pytest.mark.parametrize("shape, seed", [((120, 40), 900), ((30, 80), 950)])

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import larspath.core
 import larspath.linalg
+from larspath.core import fit_path
 from larspath.errors import (
     DegenerateColumn,
     DimensionMismatch,
@@ -127,6 +130,21 @@ def test_drop_several_positions_out_of_range():
         cholesky_drop(f, [0, 4])
     with pytest.raises(IndexOutOfRange):
         cholesky_drop(f, [-1, 2])
+
+
+def test_drop_non_integer_position():
+    f = CholeskyFactor.from_gram(random_gram(4))
+    for bad in (1.5, 2.0, [0, 1.5], True):
+        with pytest.raises(IndexOutOfRange):
+            cholesky_drop(f, bad)
+
+
+def test_drop_repeated_position():
+    f = CholeskyFactor.from_gram(random_gram(4))
+    for bad in ([1, 1], [3, 0, 3]):
+        with pytest.raises(IndexOutOfRange):
+            cholesky_drop(f, bad)
+    assert cholesky_drop(f, np.zeros(0, dtype=int)) is f
 
 
 def test_random_append_drop_sequences():
@@ -306,12 +324,23 @@ def test_solve_gram_wrong_length():
         solve_gram(f, np.ones(4))
 
 
+def _cone_weights(factor, w):
+    """The projection's face and, at full length, the face's unit-length
+    equiangular weights, solved with the face factor it returns."""
+    face_factor, retained = nnls_inner_loop(factor, w)
+    assert face_factor.active_dim == retained.size
+    g1 = solve_gram(face_factor, np.ones(retained.size))
+    out = np.zeros(factor.active_dim)
+    out[retained] = g1 / math.sqrt(g1.sum())
+    return out, retained
+
+
 def test_nnls_all_positive_is_identity():
     f = CholeskyFactor.from_gram(random_gram(4))
     w = np.array([0.3, 0.1, 0.5, 0.2])
-    out, retained = nnls_inner_loop(f, w)
+    face_factor, retained = nnls_inner_loop(f, w)
     assert np.array_equal(retained, np.arange(4))
-    assert np.array_equal(out, w)
+    assert face_factor is f
 
 
 def test_nnls_empty_factor():
@@ -330,7 +359,7 @@ def test_nnls_unequal_norms_keeps_nearest_face():
         g1 = np.linalg.solve(G, np.ones(2))
         assert g1.min() < 0  # the crafted gram puts the direction outside the cone
         w = g1 / math.sqrt(g1.sum())
-        out, retained = nnls_inner_loop(CholeskyFactor.from_gram(G), w)
+        out, retained = _cone_weights(CholeskyFactor.from_gram(G), w)
         assert retained.size == 1
         kept = int(retained[0])
         # brute force: distance from the unconstrained direction to each ray
@@ -380,7 +409,7 @@ def test_nnls_face_matches_brute_force_on_random_cones():
         if g1.min() > 0:
             continue
         w = g1 / math.sqrt(g1.sum())
-        out, retained = nnls_inner_loop(CholeskyFactor.from_gram(G), w)
+        out, retained = _cone_weights(CholeskyFactor.from_gram(G), w)
         face = _brute_force_face(X, X @ w)
         assert tuple(int(p) for p in retained) == face
         wf = out[list(face)]
@@ -395,14 +424,111 @@ def test_nnls_face_matches_brute_force_on_random_cones():
     assert cones == 200
 
 
-def test_nnls_iteration_limit_raises_max_iterations(monkeypatch):
-    def exhausted(A, b, **kwargs):
-        raise RuntimeError("Maximum number of iterations reached.")
+def _positive_dual(alpha, a, x, **kwargs):
+    """Stand-in for BLAS dsymv whose products, the duals included, are all
+    positive: what rounding could make of a dual that is not."""
+    return np.ones(a.shape[0])
 
-    monkeypatch.setattr(larspath.linalg, "nnls", exhausted)
-    G = np.array([[1.0, 0.9], [0.9, 1.0]])
+
+def test_nnls_bars_a_position_its_trial_solve_rejects(monkeypatch):
+    """A position let in by a positive dual whose trial weight is not
+    positive leaves the face again and is not retried, where stepping back
+    to it would add it once more on every round."""
+    monkeypatch.setattr(larspath.linalg, "dsymv", _positive_dual)
+    face_factor, retained = nnls_inner_loop(
+        CholeskyFactor.from_gram(np.eye(2)), np.array([1.0, -1.0]))
+    assert np.array_equal(retained, [0])
+    assert np.array_equal(face_factor.R, [[1.0]])
+
+
+def test_nnls_iteration_limit_raises_max_iterations(monkeypatch):
+    """A dual that stays positive everywhere, as no dual at the optimum
+    does, keeps the search adding and stepping back on this cone; it stops
+    after 3 k trial solves with MaxIterations instead of looping on."""
+    solves = []
+    real_dpotrs = larspath.linalg.dpotrs
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real_dpotrs(*args, **kwargs)
+
+    monkeypatch.setattr(larspath.linalg, "dsymv", _positive_dual)
+    monkeypatch.setattr(larspath.linalg, "dpotrs", counted)
+    G = np.array([[12.0, 5.0, -2.0], [5.0, 3.0, 1.5], [-2.0, 1.5, 11.0]])
     with pytest.raises(MaxIterations):
-        nnls_inner_loop(CholeskyFactor.from_gram(G), np.array([1.0, -0.5]))
+        nnls_inner_loop(CholeskyFactor.from_gram(G), np.array([0.1, -1.0, -1.0]))
+    assert 0 < len(solves) <= 9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nnls_non_finite_target_is_degenerate_column(bad):
+    """NaN and inf targets, which only a numerically singular Gram matrix
+    gives, raise a LarsError that names them."""
+    f = CholeskyFactor.from_gram(random_gram(3))
+    with pytest.raises(DegenerateColumn, match="non-finite"):
+        nnls_inner_loop(f, np.array([0.5, bad, -0.2]))
+
+
+def _scipy_projection(G, w):
+    """Reference: SciPy's Lawson-Hanson on the factored problem."""
+    R = np.linalg.cholesky(G).T
+    p, _ = scipy.optimize.nnls(R, R @ w)
+    return p
+
+
+def _assert_matches_scipy(factor, w):
+    """Same face as SciPy's nnls, and the same projection weights solved
+    with the returned face factor.  Returns whether the face before the
+    last column had positive weights, the start the search is warm from."""
+    G = factor.gram
+    ref = _scipy_projection(G, w)
+    face_factor, retained = nnls_inner_loop(factor, w)
+    assert np.array_equal(retained, np.flatnonzero(ref > 0))
+    b = G @ w
+    p = np.zeros(w.size)
+    p[retained] = solve_gram(face_factor, b[retained])
+    assert np.allclose(p, ref)
+    k = w.size
+    return bool(np.linalg.solve(G[: k - 1, : k - 1], b[: k - 1]).min() > 0)
+
+
+def test_nnls_matches_scipy_from_warm_and_cold_starts():
+    """On signed Gaussian cones with k from 20 to 90, both starts give
+    SciPy's face and weights: a target negative in its last position only
+    leaves the weights before it positive (warm start), negatives spread
+    through it do not (cold start)."""
+    trng = np.random.default_rng(5)
+    starts = {True: 0, False: 0}
+    for k in range(20, 91, 5):
+        for spread in (False, True):
+            X = trng.normal(size=(3 * k, k)) * trng.choice([-1.0, 1.0], size=k)
+            w = trng.uniform(0.1, 1.0, size=k)
+            w[-1] = -0.5
+            if spread:
+                w[trng.choice(k - 1, size=k // 4, replace=False)] *= -1.0
+            f = CholeskyFactor.empty()
+            for j in range(k):
+                f = cholesky_append(f, X[:, :j].T @ X[:, j], X[:, j] @ X[:, j])
+            warm = _assert_matches_scipy(f, w)
+            assert warm != spread
+            starts[warm] += 1
+    assert starts == {True: 15, False: 15}
+
+
+def test_nnls_matches_scipy_on_every_diabetes_projection(quad_design, monkeypatch):
+    """Every cone projection of the stagewise walk on the 64-column
+    diabetes design gives SciPy's face and weights."""
+    calls = []
+
+    def recorded(factor, w):
+        calls.append((factor, w.copy()))
+        return nnls_inner_loop(factor, w)
+
+    monkeypatch.setattr(larspath.core, "nnls_inner_loop", recorded)
+    fit_path(quad_design, "stagewise")
+    assert len(calls) == 104
+    for factor, w in calls:
+        _assert_matches_scipy(factor, w)
 
 
 def test_nnls_diabetes_projection_event(design, diabetes_paths):
@@ -421,7 +547,7 @@ def test_nnls_diabetes_projection_event(design, diabetes_paths):
     assert g1.min() <= 0
     w = g1 / math.sqrt(g1.sum())
 
-    out, retained = nnls_inner_loop(CholeskyFactor.from_gram(Gs), w)
+    out, retained = _cone_weights(CholeskyFactor.from_gram(Gs), w)
     dropped_vars = sorted(active[p] for p in range(len(active))
                           if p not in retained)
     assert dropped_vars == [2, 6]

@@ -181,16 +181,18 @@ def test_simulation_study_structure(diabetes):
     assert res.replications == 4 and res.n_steps == 6
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """The df intervals take the Student t quantile from scipy.special;
-    importing scipy.stats would add about half a second to every start."""
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    """The df intervals take the Student t quantile from scipy.special and
+    the cone projection is solved in the package; importing scipy.stats or
+    scipy.optimize would add a fifth to a half of a second to every start."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, larspath; print('scipy.stats' in sys.modules)"],
+         f"import sys, larspath; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr
