@@ -35,12 +35,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _add_data_options(sp, quadratic=True):
+def _add_data_options(sp, quadratic="optional"):
+    """``--input`` and ``--response``, plus the quadratic expansion's flags:
+    ``--quadratic`` and ``--binary-col`` when ``quadratic`` is "optional",
+    ``--binary-col`` alone when it is "always", neither when it is None."""
     sp.add_argument("--input", required=True, help="CSV file with a header row")
     sp.add_argument("--response", required=True, help="name of the response column")
-    if quadratic:
+    if quadratic == "optional":
         sp.add_argument("--quadratic", action="store_true",
                         help="expand to main effects, pairwise products, squares")
+    if quadratic is not None:
         sp.add_argument("--binary-col", default=None,
                         help="two-valued column to skip when squaring "
                              "(default: auto-detect)")
@@ -54,7 +58,13 @@ def _add_output_options(sp):
                     help="report coefficients on the unit-norm scale")
 
 
-def _detect_binary(matrix, labels):
+def _binary_column(args, matrix, labels):
+    """Index of the two-valued column: the one ``--binary-col`` names, else
+    the only column holding exactly two distinct values."""
+    if args.binary_col is not None:
+        if args.binary_col not in labels:
+            raise DimensionMismatch(f"column {args.binary_col!r} not in {labels}")
+        return labels.index(args.binary_col)
     hits = [j for j in range(matrix.shape[1])
             if np.unique(matrix[:, j]).size == 2]
     if len(hits) != 1:
@@ -68,14 +78,7 @@ def _detect_binary(matrix, labels):
 def _load_design(args):
     matrix, response, labels = read_csv(args.input, args.response)
     if getattr(args, "quadratic", False):
-        if args.binary_col is not None:
-            if args.binary_col not in labels:
-                raise DimensionMismatch(
-                    f"column {args.binary_col!r} not in {labels}"
-                )
-            binary = labels.index(args.binary_col)
-        else:
-            binary = _detect_binary(matrix, labels)
+        binary = _binary_column(args, matrix, labels)
         matrix, labels = quadratic_expand(matrix, binary, labels)
     return standardize(matrix, response, labels), matrix, response, labels
 
@@ -132,15 +135,10 @@ def _cmd_bootstrap_df(args):
 
 def _cmd_simulate(args):
     matrix, response, labels = read_csv(args.input, args.response)
-    if args.binary_col is not None:
-        if args.binary_col not in labels:
-            raise DimensionMismatch(f"column {args.binary_col!r} not in {labels}")
-        binary = labels.index(args.binary_col)
-    else:
-        binary = _detect_binary(matrix, labels)
     result = run_simulation_study(matrix, response, seed=args.seed,
                                   replications=args.replications,
-                                  n_steps=args.steps, binary_column=binary)
+                                  n_steps=args.steps,
+                                  binary_column=_binary_column(args, matrix, labels))
     lines = ["method,step,pe_mean,pe_sd,avg_nonzero"]
     for name in sorted(result.pe_curves):
         pe = result.pe_curves[name]
@@ -242,9 +240,7 @@ def _build_parser():
 
     sp = sub.add_parser("simulate",
                         help="resampled prediction-error comparison")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--response", required=True)
-    sp.add_argument("--binary-col", default=None)
+    _add_data_options(sp, quadratic="always")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--replications", type=int, default=100)
     sp.add_argument("--steps", type=int, default=40)
@@ -264,7 +260,7 @@ def _build_parser():
 
     sp = sub.add_parser("main-effects-first",
                         help="fit interactions against a k-step residual")
-    _add_data_options(sp, quadratic=False)
+    _add_data_options(sp, quadratic=None)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--variant", default="lars",
                     choices=list(POLICIES))

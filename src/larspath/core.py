@@ -175,14 +175,19 @@ class Path:
         return self.steps[-1].T
 
     @cached_property
+    def betas(self):
+        """The ``(n_steps + 1, m)`` vertex coefficients, one row per step,
+        stacked once and read-only."""
+        betas = np.array([s.beta for s in self.steps])
+        betas.flags.writeable = False
+        return betas
+
+    @cached_property
     def _budgets(self):
         """Vertex budgets T and whether they never decrease, built once."""
         Ts = np.array([s.T for s in self.steps])
         Ts.flags.writeable = False
         return Ts, bool(np.all(np.diff(Ts) >= 0))
-
-    def interpolate(self, t):
-        return interpolate(self, t)
 
     def coefficients_at(self, t, original_units=False):
         beta = interpolate(self, t)
@@ -533,7 +538,7 @@ def interpolate(path, t):
     vertices; exact at vertices.  ``t`` must lie in [0, path.t_max] up to a
     small slack, otherwise (NaN included) :class:`TOutOfRange` is raised.
     """
-    steps = path.steps
+    betas = path.betas
     Ts, monotone = path._budgets
     t_end = float(Ts[-1])
     slack = 1e-12 * max(1.0, t_end)
@@ -542,13 +547,13 @@ def interpolate(path, t):
         raise TOutOfRange(f"t={t!r} outside [0, {t_end!r}]")
     t = min(max(t, 0.0), t_end)
     if monotone:
-        hi = int(np.searchsorted(Ts, t, side="left"))
+        hi = int(Ts.searchsorted(t, side="left"))
         if hi == 0:
-            return steps[0].beta.copy()
+            return betas[0].copy()
     else:
         # T can decrease after a drop; take the first bracketing segment.
         hi = None
-        for i in range(1, len(steps)):
+        for i in range(1, len(Ts)):
             lo_t, hi_t = Ts[i - 1], Ts[i]
             if min(lo_t, hi_t) - slack <= t <= max(lo_t, hi_t) + slack:
                 hi = i
@@ -558,4 +563,4 @@ def interpolate(path, t):
     lo = hi - 1
     span = Ts[hi] - Ts[lo]
     theta = 0.0 if span == 0 else (t - Ts[lo]) / span
-    return (1.0 - theta) * steps[lo].beta + theta * steps[hi].beta
+    return (1.0 - theta) * betas[lo] + theta * betas[hi]

@@ -1,4 +1,4 @@
-"""CSV ingestion and deterministic serialization of fitted paths.
+"""CSV ingestion and deterministic reports of fitted paths.
 
 An input file is read in bulk.  The header row is tokenized with
 :mod:`csv`, rows holding only whitespace, commas and quote marks are
@@ -11,25 +11,19 @@ Only when the bulk parse refuses a file does a row-by-row scan run, to
 name the line or cell in the raised :class:`ParseError` or
 :class:`NonNumericCell`; the scan never returns data.
 
-Floating point values are written with 17 significant digits, one
-``%``-format per row, so parsing and re-serializing a report reproduces it
-byte for byte.
+Floating point values in a report are written with 17 significant digits,
+one ``%``-format per row, so every float parses back to the same double.
 """
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyData, MissingResponse, NonNumericCell, ParseError
 
 __all__ = [
-    "PathRecord",
     "read_csv",
     "write_path_csv",
-    "records_from_path",
-    "read_path_records",
-    "write_path_records",
     "json_summary",
 ]
 
@@ -40,7 +34,7 @@ FIXED_COLUMNS = (
     "sign",
     "gamma",
     "C_max",
-    "T_original_units",
+    "T",
     "rss",
 )
 
@@ -151,132 +145,47 @@ def read_csv(path, response_column):
     return table[:, keep], table[:, y_col], labels
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """One serialized path vertex."""
-
-    step: int
-    action: str
-    variable: str
-    sign: object
-    gamma: float
-    C_max: float
-    T_original_units: float
-    rss: float
-    coefficients: np.ndarray
+# Report tokens of PathStep.action; the starting vertex has none.
+_ACTION_TOKENS = {None: "", "add": "ADD", "drop": "DROP"}
 
 
-def records_from_path(path, design=None, standardized=False):
-    """Flatten a fitted path into serializable records.
+def write_path_csv(path, standardized=False):
+    """CSV report of a fitted path: header, starting vertex, one row per move.
 
-    Coefficients are reported in the original units of the raw columns
-    unless ``standardized`` is set, in which case the internal unit-norm
-    scale is kept.  The conversion is the division by the column scales
-    that :func:`~larspath.preprocess.to_original_units` applies, done once
-    for all vertices.
+    Each row holds a vertex's step fields and its coefficients, read from
+    ``path.steps`` and ``path.betas``.  Coefficients are reported in the
+    original units of the raw columns, divided by the column scales as
+    :func:`~larspath.preprocess.to_original_units` does, unless
+    ``standardized`` is set, in which case the internal unit-norm scale is
+    kept.  ``T`` is the unit-norm sum |beta_j| in both modes.
     """
-    design = path.design if design is None else design
+    design = path.design
     names = column_names(design)
-    action_token = {None: "", "add": "ADD", "drop": "DROP", "final": "FINAL"}
-    coefs = np.array([s.beta for s in path.steps], dtype=float)
-    if not standardized:
-        coefs /= design.column_scales
-    out = [
-        PathRecord(
-            step=s.step_index,
-            action=action_token[s.action],
-            variable="" if s.variable is None else names[s.variable],
-            sign=None if s.sign is None else int(s.sign),
-            gamma=s.gamma,
-            C_max=s.C_max,
-            T_original_units=s.T,
-            rss=s.rss,
-            coefficients=coef,
-        )
-        for s, coef in zip(path.steps, coefs)
-    ]
-    return names, out
-
-
-def write_path_records(names, records):
-    """Serialize records to CSV text (deterministic, 17 significant digits)."""
+    scales = 1.0 if standardized else design.column_scales
     row = ",".join(["%d", "%s", "%s", "%s"] + ["%.17g"] * (4 + len(names)))
     lines = [",".join(FIXED_COLUMNS + tuple(names))]
-    for r in records:
+    for s, beta in zip(path.steps, path.betas):
         lines.append(row % (
-            r.step,
-            r.action,
-            r.variable,
-            "" if r.sign is None else int(r.sign),
-            r.gamma,
-            r.C_max,
-            r.T_original_units,
-            r.rss,
-            *r.coefficients.tolist(),
+            s.step_index,
+            _ACTION_TOKENS[s.action],
+            "" if s.variable is None else names[s.variable],
+            "" if s.sign is None else int(s.sign),
+            s.gamma,
+            s.C_max,
+            s.T,
+            s.rss,
+            *(beta / scales).tolist(),
         ))
     return "\n".join(lines) + "\n"
 
 
-def write_path_csv(path, design=None, standardized=False):
-    """CSV report of a fitted path: header, starting vertex, one row per move."""
-    names, records = records_from_path(path, design, standardized)
-    return write_path_records(names, records)
-
-
-def read_path_records(text):
-    """Parse :func:`write_path_csv` output back into records."""
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    if not rows:
-        raise EmptyData("no header row")
-    header = rows[0]
-    if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-        raise ParseError(line=1, column=1, message="unrecognized path header")
-    names = header[len(FIXED_COLUMNS):]
-    records = []
-    for line, row in enumerate(rows[1:], 2):
-        if len(row) != len(header):
-            raise ParseError(
-                line=line,
-                column=len(row),
-                message=f"expected {len(header)} fields, found {len(row)}",
-            )
-        cells = [_path_cell(convert, row, j, header, line)
-                 for j, convert in enumerate(_CELL_TYPES)]
-        coefs = [_path_cell(float, row, j, header, line)
-                 for j in range(len(FIXED_COLUMNS), len(row))]
-        records.append(PathRecord(*cells, coefficients=np.array(coefs)))
-    return names, records
-
-
-def _optional_int(text):
-    return None if text == "" else int(text)
-
-
-# Converters of the FIXED_COLUMNS cells; "action" and "variable" stay text.
-_CELL_TYPES = (int, str, str, _optional_int, float, float, float, float)
-
-
-def _path_cell(convert, row, j, header, line):
-    """``convert(row[j])``, or a :class:`ParseError` naming the cell."""
-    try:
-        return convert(row[j])
-    except ValueError:
-        raise ParseError(
-            line=line,
-            column=j + 1,
-            message=f"bad {header[j]!r} value {row[j]!r} at line {line}, "
-                    f"column {j + 1}",
-        ) from None
-
-
-def json_summary(path, design=None, cp_argmin=None):
+def json_summary(path, cp_argmin=None):
     """Machine-readable fit summary.
 
     Variable references appear twice: by label and by 1-based column index,
     matching the numbering used in the CSV reports.
     """
-    design = path.design if design is None else design
-    names = column_names(design)
+    names = column_names(path.design)
     summary = {
         "variant": path.variant,
         "steps": path.n_steps,

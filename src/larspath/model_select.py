@@ -92,15 +92,13 @@ def sigma2_full_ols(design):
     return rss / (n - m - 1)
 
 
-def cp_curve(path, sigma2, df_rule="simple-k", *, allow_variant=False):
+def cp_curve(path, sigma2, *, allow_variant=False):
     """Risk estimate per step using the df = k rule.
 
     The rule is calibrated for the plain additive walk; applying it to a
     path with drops mislabels the df, so other variants are rejected unless
     ``allow_variant`` is set.
     """
-    if df_rule != "simple-k":
-        raise ValueError(f"unknown df rule {df_rule!r}")
     if path.variant != "lars" and not allow_variant:
         raise VariantMismatch(
             f"df = k rule is calibrated for the plain variant, got {path.variant!r}"
@@ -121,7 +119,7 @@ def cp_curve(path, sigma2, df_rule="simple-k", *, allow_variant=False):
 def _vertex_betas(path, k_max):
     """The ``(k_max + 1, m)`` vertex coefficients of ``path``, padded with
     its final vertex when the walk ended early."""
-    betas = np.array([s.beta for s in path.steps])
+    betas = path.betas[:k_max + 1]
     if betas.shape[0] < k_max + 1:
         pad = np.repeat(betas[-1:], k_max + 1 - betas.shape[0], axis=0)
         betas = np.vstack([betas, pad])
@@ -244,13 +242,12 @@ def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
     for b in range(B):
         rng = np.random.default_rng([seed, b])
         y_star = _draw(rng, mu_bar, sigma, residuals, resampling)
-        path = fit_path(replace(design, response=y_star), "lasso")
+        betas = fit_path(replace(design, response=y_star), "lasso").betas
         g = b // per_group
-        last_at = {}
-        for i, s in enumerate(path.steps):
-            last_at[int(np.count_nonzero(s.beta))] = i
+        sizes = np.count_nonzero(betas, axis=1).tolist()
+        last_at = {k: i for i, k in enumerate(sizes)}
         for k, i in last_at.items():
-            fits = X @ path.steps[i].beta
+            fits = X @ betas[i]
             sum_fy[g, k] += fits * y_star
             sum_f[g, k] += fits
             sum_y[g, k] += y_star

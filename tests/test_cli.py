@@ -1,5 +1,6 @@
 """End-to-end command-line runs against the bundled data file."""
 
+import csv
 import json
 import os
 import subprocess
@@ -197,6 +198,29 @@ def test_interpolate_nan_budget_is_a_data_error(capsys):
     assert err.startswith("error: t=nan outside [0, ")
 
 
+@pytest.mark.parametrize("variant", ["lars", "lasso", "stagewise", "positive-lasso"])
+def test_report_T_is_the_budget_interpolate_takes(capsys, tmp_path, variant):
+    """The report's T column is the unit-norm budget: its last value is the
+    JSON ``t_max``, and ``interpolate --t`` at that value returns the final
+    vertex's coefficients in both unit modes."""
+    out = tmp_path / "path.csv"
+    base = ["--input", DATA, "--response", "Y", "--variant", variant]
+    for unit in ([], ["--standardized"]):
+        rc, stdout, _ = run(capsys, "fit", *base, *unit, "--json", "--out", str(out))
+        assert rc == 0
+        header, *rows = list(csv.reader(out.read_text().splitlines()))
+        assert header[6] == "T"
+        t_last = rows[-1][6]
+        assert float(t_last) == json.loads(stdout)["t_max"]
+        rc, stdout, _ = run(capsys, "interpolate", *base, *unit, "--t", t_last,
+                            "--json")
+        assert rc == 0
+        s = json.loads(stdout)
+        assert s["t_max"] == float(t_last)
+        assert [s["coefficients"][name] for name in header[8:]] == [
+            float(x) for x in rows[-1][8:]]
+
+
 def test_bootstrap_df_small_run(capsys):
     rc, out, _ = run(capsys, "bootstrap-df", "--input", DATA, "--response",
                      "Y", "--B", "20", "--groups", "5", "--json")
@@ -218,6 +242,14 @@ def test_simulate_small_run(capsys):
     assert s["replications"] == 3 and s["steps"] == 4
     assert set(s["pe_max"]) == {"lars", "lasso", "stagewise",
                                 "forward-selection"}
+
+
+def test_simulate_unknown_binary_column(capsys):
+    rc, out, err = run(capsys, "simulate", "--input", DATA, "--response", "Y",
+                       "--binary-col", "BOGUS", "--replications", "3",
+                       "--steps", "4")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "BOGUS" in err
 
 
 def test_simulate_text_table(capsys):

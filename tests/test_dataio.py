@@ -10,10 +10,7 @@ from larspath.dataio import (
     FIXED_COLUMNS,
     json_summary,
     read_csv,
-    read_path_records,
-    records_from_path,
     write_path_csv,
-    write_path_records,
 )
 from larspath.datasets import load_diabetes, verify_checksum
 from larspath.errors import (
@@ -204,68 +201,57 @@ def test_path_csv_of_an_immediately_saturated_fit():
     assert len(text.splitlines()) == 2
 
 
+def _parse_report(text):
+    """The report read back with :mod:`csv` and ``float``: the header, the
+    fixed cells of each row, and the coefficients as an array."""
+    header, *rows = csv.reader(text.splitlines())
+    width = len(FIXED_COLUMNS)
+    fixed = [row[:4] + [float(x) for x in row[4:width]] for row in rows]
+    coefs = np.array([[float(x) for x in row[width:]] for row in rows])
+    return header, fixed, coefs
+
+
 def test_serialization_round_trips_byte_for_byte(diabetes_paths):
     for variant in ("lars", "lasso", "stagewise"):
         text = write_path_csv(diabetes_paths[variant])
-        names, records = read_path_records(text)
-        assert write_path_records(names, records) == text
+        header, fixed, coefs = _parse_report(text)
+        lines = [",".join(header)]
+        for cells, coef in zip(fixed, coefs):
+            lines.append(",".join(cells[:4] + [format(x, ".17g")
+                                               for x in (*cells[4:], *coef)]))
+        assert "\n".join(lines) + "\n" == text
 
 
 def test_seventeen_digit_floats_survive_the_round_trip(diabetes_paths):
     path = diabetes_paths["lasso"]
-    _, records = read_path_records(write_path_csv(path))
-    for rec, step in zip(records, path.steps):
-        assert rec.gamma == step.gamma
-        assert rec.C_max == step.C_max
-        assert rec.T_original_units == step.T
-        assert rec.rss == step.rss
+    scales = {False: path.design.column_scales, True: 1.0}
+    for standardized, scale in scales.items():
+        text = write_path_csv(path, standardized=standardized)
+        header, fixed, coefs = _parse_report(text)
+        assert header[4:8] == ["gamma", "C_max", "T", "rss"]
+        assert len(fixed) == len(path.steps)
+        for cells, step in zip(fixed, path.steps):
+            assert cells[4] == step.gamma
+            assert cells[5] == step.C_max
+            assert cells[6] == step.T
+            assert cells[7] == step.rss
+        assert np.array_equal(coefs, path.betas / scale)
 
 
 def test_records_report_original_units_by_default(design, diabetes_paths):
     path = diabetes_paths["lars"]
-    names, records = records_from_path(path)
-    assert names == LABELS
+    header, fixed, coefs = _parse_report(write_path_csv(path))
+    assert header[len(FIXED_COLUMNS):] == LABELS
     beta_orig, _ = to_original_units(design, path.steps[-1].beta)
-    assert np.array_equal(records[-1].coefficients, beta_orig)
-    _, std_records = records_from_path(path, standardized=True)
-    assert np.array_equal(std_records[-1].coefficients, path.steps[-1].beta)
+    assert np.array_equal(coefs[-1], beta_orig)
+    _, std_fixed, std_coefs = _parse_report(write_path_csv(path, standardized=True))
+    assert np.array_equal(std_coefs[-1], path.steps[-1].beta)
+    # T is the unit-norm budget in both unit modes
+    assert [c[6] for c in fixed] == [c[6] for c in std_fixed]
+    assert fixed[-1][6] == path.t_max
     # unit-norm columns carry much smaller per-unit coefficients after
     # rescaling back to the raw measurement units
-    assert np.abs(std_records[-1].coefficients).sum() > np.abs(
-        records[-1].coefficients).sum()
-
-
-def test_read_path_records_rejects_foreign_header():
-    with pytest.raises(ParseError) as exc:
-        read_path_records("a,b,c\n1,2,3\n")
-    assert exc.value.line == 1 and exc.value.column == 1
-    with pytest.raises(EmptyData):
-        read_path_records("")
-
-
-def test_read_path_records_rejects_a_ragged_row(diabetes_paths):
-    lines = write_path_csv(diabetes_paths["lars"]).splitlines()
-    lines[3] += ",1.5"
-    with pytest.raises(ParseError) as exc:
-        read_path_records("\n".join(lines))
-    assert exc.value.line == 4 and exc.value.column == len(FIXED_COLUMNS) + 11
-
-
-@pytest.mark.parametrize("field, value", [
-    ("step", "zero"),
-    ("sign", "+"),
-    ("gamma", "1.2.3"),
-    ("x2", "nan?"),
-])
-def test_read_path_records_names_an_unreadable_cell(field, value):
-    header = list(FIXED_COLUMNS) + ["x1", "x2"]
-    row = ["1", "ADD", "x1", "1", "0.5", "2", "0.5", "3", "0.5", "0"]
-    column = header.index(field)
-    row[column] = value
-    with pytest.raises(ParseError, match=f"'{field}'") as exc:
-        read_path_records(",".join(header) + "\n" + ",".join(row) + "\n")
-    assert exc.value.line == 2 and exc.value.column == column + 1
-    assert repr(value) in str(exc.value)
+    assert np.abs(std_coefs[-1]).sum() > np.abs(coefs[-1]).sum()
 
 
 def test_json_summary_contents(diabetes_paths):
@@ -285,7 +271,7 @@ def _reference_path_csv(path, standardized):
     ``format(x, ".17g")`` per float."""
     design = path.design
     names = list(design.column_names) or [f"x{j + 1}" for j in range(design.m)]
-    token = {None: "", "add": "ADD", "drop": "DROP", "final": "FINAL"}
+    token = {None: "", "add": "ADD", "drop": "DROP"}
     lines = [",".join(FIXED_COLUMNS + tuple(names))]
     for s in path.steps:
         coef = s.beta if standardized else to_original_units(design, s.beta)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import warnings
@@ -28,6 +29,7 @@ from larspath.errors import (
     VariantMismatch,
 )
 from larspath.linalg import CholeskyFactor
+from larspath.oracles import forward_selection
 from larspath.preprocess import from_unit_columns, standardize
 
 rng = np.random.default_rng(11)
@@ -465,6 +467,48 @@ def test_export_surface():
     }
     assert not retired & set(names)
     assert importlib.util.find_spec("larspath.variants") is None
+    # Interpolation is the module function only.
+    assert not hasattr(larspath.Path, "interpolate")
+
+
+# ------------------------------------------------------- vertex coefficients
+
+
+def _stacked(path):
+    return np.array([s.beta for s in path.steps])
+
+
+def test_path_betas_stack_the_vertices(design, diabetes_paths):
+    paths = list(diabetes_paths.values()) + [forward_selection(design, design.m)]
+    assert {p.variant for p in paths} == {
+        "lars", "lasso", "stagewise", "positive-lasso", "forward-selection"}
+    for path in paths:
+        betas = path.betas
+        want = _stacked(path)
+        assert betas.dtype == want.dtype and betas.shape == want.shape
+        assert betas.tobytes() == want.tobytes()
+        assert betas.shape == (path.n_steps + 1, design.m)
+        assert not betas.flags.writeable
+        with pytest.raises(ValueError):
+            betas[0, 0] = 1.0
+        assert path.betas is betas
+
+
+def test_a_replaced_path_reads_its_own_steps(diabetes_paths):
+    """A copy made with ``dataclasses.replace(path, steps=...)`` builds its
+    own vertex coefficients, and interpolation reads them."""
+    path = diabetes_paths["lasso"]
+    original = path.betas.copy()
+    last = path.steps[-1]
+    beta = last.beta.copy()
+    beta[0] += 1e-3 * np.abs(beta).max()
+    steps = path.steps[:-1] + (dataclasses.replace(last, beta=beta),)
+    copy = dataclasses.replace(path, steps=steps)
+    assert np.array_equal(copy.betas[-1], beta)
+    assert np.array_equal(copy.betas[:-1], original[:-1])
+    assert np.array_equal(interpolate(copy, copy.t_max), beta)
+    assert np.array_equal(path.betas, original)
+    assert np.array_equal(interpolate(path, path.t_max), last.beta)
 
 
 # ----------------------------------------------------------- interpolation

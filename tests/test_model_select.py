@@ -59,11 +59,6 @@ def test_cp_curve_rejects_other_variants(design, diabetes_paths):
     assert report.cp.shape == (diabetes_paths["lasso"].n_steps + 1,)
 
 
-def test_cp_curve_unknown_rule(design, diabetes_paths):
-    with pytest.raises(ValueError):
-        cp_curve(diabetes_paths["lars"], 1.0, df_rule="trace")
-
-
 def test_bootstrap_df_recovers_projection_trace(design):
     # for a linear smoother mu_hat = M y the covariance sum is trace(M)
     # exactly in expectation; projections onto the first r columns have
