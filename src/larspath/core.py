@@ -126,6 +126,9 @@ TIE_RTOL = 1e-12
 # Denominators below this are treated as exactly parallel to the envelope.
 PARALLEL_TOL = 1e-14
 
+# Signs of the join scan's two branches, one row each.
+_BRANCH_SIGNS = np.array([[1.0], [-1.0]])
+
 
 @dataclass(frozen=True)
 class PathStep:
@@ -239,43 +242,45 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol):
     n = cand_idx.size
     if n == 0:
         return None
-    cc = c[cand_idx]
-    aa = a[cand_idx]
-    if not positive:
-        # Both branches in one pass: the negative branch sees -c and -a.
-        cc = np.concatenate((cc, -cc))
-        aa = np.concatenate((aa, -aa))
-    num = C_hat - cc
-    den = A - aa
+    # Row 0 is the positive sign branch; row 1, the negative branch (absent
+    # for the positive variant), sees -c and -a.
+    branches = _BRANCH_SIGNS[:1] if positive else _BRANCH_SIGNS
+    num = C_hat - branches * c[cand_idx]
+    den = A - branches * a[cand_idx]
     ahead = den > PARALLEL_TOL
-    r = np.where(ahead & (num > tie_tol), num, np.inf) / np.where(ahead, den, 1.0)
+    r = np.full(num.shape, np.inf)
+    np.divide(num, den, out=r, where=ahead & (num > tie_tol))
     # Tied now: no gap, and the candidate is not falling behind.
     r[(np.abs(num) <= tie_tol) & (den >= -PARALLEL_TOL)] = 0.0
     for var, s in left_signs.items():
-        p = int(np.searchsorted(cand_idx, var))
+        p = int(cand_idx.searchsorted(var))
         if p < n and cand_idx[p] == var:
             if s == 1:
-                r[p] = np.inf
+                r[0, p] = np.inf
             elif not positive:
-                r[n + p] = np.inf
-    best = r if positive else np.minimum(r[:n], r[n:])
+                r[1, p] = np.inf
+    best = r[0] if positive else np.minimum(r[0], r[1])
 
     gmin = best.min()
     if not np.isfinite(gmin):
         return None
-    tied = np.flatnonzero((best - gmin) * A <= tie_tol)
-    p = int(tied[0])
-    sign = 1 if positive or r[p] <= r[n + p] else -1
-    return float(best[p]), int(cand_idx[p]), sign, int(tied.size)
+    tied = (best - gmin) * A <= tie_tol
+    p = int(tied.argmax())
+    sign = 1 if positive or r[0, p] <= r[1, p] else -1
+    return float(best[p]), int(cand_idx[p]), sign, int(np.count_nonzero(tied))
 
 
 def _scan_drop(beta_active, direction, floor):
-    """First active coefficient to cross zero along the move direction."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(direction != 0.0, -beta_active / direction, np.inf)
-    r[~(r > floor)] = np.inf
-    p = int(np.argmin(r))
-    if not np.isfinite(r[p]):
+    """First active coefficient to cross zero along the move direction.
+
+    Entries whose direction is zero never cross, and are masked before the
+    division rather than divided and discarded.
+    """
+    r = np.full(direction.size, np.inf)
+    np.divide(-beta_active, direction, out=r, where=direction != 0.0)
+    r = np.where(r > floor, r, np.inf)
+    p = int(r.argmin())
+    if r[p] == np.inf:
         return np.inf, None
     return float(r[p]), p
 
@@ -334,10 +339,19 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
     c = c0.copy()
     beta = np.zeros(m)
     y_sq = float(y @ y)
-    # The active variables in factor order and their signs (as floats, ready
-    # to scale weights), updated in place of a list and a sign dict.
-    act_idx = np.zeros(0, dtype=int)
-    s_vec = np.zeros(0)
+    # The active set lives in two buffers allocated once, with room for
+    # ``max_active + 1`` entries: ``act_buf`` holds the active variables in
+    # factor order and ``s_buf`` their signs (as floats, ready to scale
+    # weights).  The active set is their first ``k`` entries, read through
+    # the views ``act_idx`` and ``s_vec``: a join writes entry ``k``, a drop
+    # shifts the entries after it down by one, and a cone projection gathers
+    # the retained entries to the front.  Nothing recorded on the path is a
+    # view of them.
+    act_buf = np.empty(max_active + 1, dtype=int)
+    s_buf = np.empty(max_active + 1)
+    k = 0
+    act_idx = act_buf[:0]
+    s_vec = s_buf[:0]
     active_mask = np.zeros(m, dtype=bool)
     factor = CholeskyFactor.empty()
 
@@ -380,20 +394,24 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
         _tie(tie_mode, f"{tied.size} variables tie at the start; taking {int(tied[0])}")
     j0 = int(tied[0])
     s0 = 1 if (positive or c[j0] >= 0) else -1
-    pending = ("add", j0, s0)
+    # The next event: its action, variable, sign and, for a drop, the
+    # variable's position in the active set.
+    pending = ("add", j0, s0, None)
     zero_run = 0
 
     while True:
         # The envelope is the mean |c| over the active set after the pending
         # event; it is computed once per move (again only after a cone
         # projection) and ends the walk when the correlations have vanished.
-        action, event_var, event_sign = pending
+        action, event_var, event_sign, pos = pending
         if action == "add":
-            new_idx = np.append(act_idx, event_var)
+            act_buf[k] = event_var
+            k_next = k + 1
         else:
-            pos = int(np.flatnonzero(act_idx == event_var)[0])
-            new_idx = np.delete(act_idx, pos)
-        C_hat = float(np.abs(c[new_idx]).sum()) / new_idx.size
+            act_buf[pos : k - 1] = act_buf[pos + 1 : k]
+            k_next = k - 1
+        new_idx = act_buf[:k_next]
+        C_hat = float(np.abs(c[new_idx]).sum()) / k_next
         if C_hat < ENVELOPE_FLOOR:
             break
         n_moves = len(steps) - 1
@@ -406,28 +424,39 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
         proj = ()
         if action == "add":
             col = gram.column(event_var)
-            cross = event_sign * s_vec * col[act_idx]
+            # The entering column's signed cross products, event_sign * s_vec
+            # * col[act_idx], formed in place: the signs are +-1, so the
+            # products are exact in any order.
+            cross = col[act_idx]
+            cross *= s_vec
+            if event_sign < 0:
+                np.negative(cross, out=cross)
             factor = cholesky_append(factor, cross, float(col[event_var]))
-            s_vec = np.append(s_vec, event_sign)
+            s_buf[k] = event_sign
             active_mask[event_var] = True
         else:
             factor = cholesky_drop(factor, pos)
-            s_vec = np.delete(s_vec, pos)
+            s_buf[pos : k - 1] = s_buf[pos + 1 : k]
             active_mask[event_var] = False
             left_signs[event_var] = event_sign
+        k = k_next
         act_idx = new_idx
+        s_vec = s_buf[:k]
 
         factor, retained, A, sw = _direction(factor, s_vec, cone)
         if retained is not None:
-            gone = np.ones(act_idx.size, dtype=bool)
+            gone = np.ones(k, dtype=bool)
             gone[retained] = False
             proj_vars = act_idx[gone]
             left_signs.update(zip(proj_vars.tolist(), s_vec[gone].astype(int).tolist()))
             active_mask[proj_vars] = False
             proj = tuple(sorted(proj_vars.tolist()))
-            act_idx = act_idx[retained]
-            s_vec = s_vec[retained]
-            C_hat = float(np.abs(c[act_idx]).sum()) / act_idx.size
+            act_buf[: retained.size] = act_idx[retained]
+            s_buf[: retained.size] = s_vec[retained]
+            k = retained.size
+            act_idx = act_buf[:k]
+            s_vec = s_buf[:k]
+            C_hat = float(np.abs(c[act_idx]).sum()) / k
 
         gamma_bar = C_hat / A
         floor = 1e-12 * gamma_bar
@@ -435,8 +464,8 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
         a = gram.stack(act_idx, sw)
 
         g_join = np.inf
-        if act_idx.size < max_active:
-            cand_idx = np.flatnonzero(~active_mask)
+        if k < max_active:
+            cand_idx = (~active_mask).nonzero()[0]
             found = _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol)
             if found is not None:
                 g_join, j_next, s_next, n_tied = found
@@ -463,10 +492,11 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
         beta[act_idx] += gamma * sw
         if event == "drop":
             beta[j_drop] = 0.0
-        nz = np.flatnonzero(beta)
+        nz = beta.nonzero()[0]
         if nz.size:
-            c = c0 - gram.stack(nz, beta[nz])
-            rss = y_sq - float((c0[nz] + c[nz]) @ beta[nz])
+            b_nz = beta[nz]
+            c = c0 - gram.stack(nz, b_nz)
+            rss = y_sq - float((c0[nz] + c[nz]) @ b_nz)
         else:
             c = c0.copy()
             rss = y_sq
@@ -488,9 +518,9 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
             )
         )
         if event == "drop":
-            pending = ("drop", j_drop, int(s_vec[p_drop]))
+            pending = ("drop", j_drop, int(s_vec[p_drop]), p_drop)
         elif event == "join":
-            pending = ("add", j_next, s_next)
+            pending = ("add", j_next, s_next, None)
         else:
             break
     return make_path()

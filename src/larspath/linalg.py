@@ -258,17 +258,24 @@ def cholesky_drop(factor, position):
     matrix over long append/drop sequences.
     """
     k = factor.active_dim
-    gone = np.atleast_1d(position)
-    if gone.size == 0:
-        return factor
-    if gone.ndim != 1 or gone.dtype.kind not in "iu":
-        raise IndexOutOfRange(f"positions must be integers, got {position!r}")
-    out = gone[(gone < 0) | (gone >= k)]
-    if out.size:
-        raise IndexOutOfRange(f"position {out[0]} out of range for k={k}")
-    if gone.size > 1 and np.unique(gone).size != gone.size:
-        raise IndexOutOfRange(f"repeated position in {gone.tolist()}")
-    keep = np.delete(np.arange(k), gone)
+    if type(position) is int or isinstance(position, np.integer):
+        # One position, the walk's case: checked and skipped without arrays.
+        if not 0 <= position < k:
+            raise IndexOutOfRange(f"position {position} out of range for k={k}")
+        keep = np.arange(k - 1)
+        keep[position:] += 1
+    else:
+        gone = np.atleast_1d(position)
+        if gone.size == 0:
+            return factor
+        if gone.ndim != 1 or gone.dtype.kind not in "iu":
+            raise IndexOutOfRange(f"positions must be integers, got {position!r}")
+        out = gone[(gone < 0) | (gone >= k)]
+        if out.size:
+            raise IndexOutOfRange(f"position {out[0]} out of range for k={k}")
+        if gone.size > 1 and np.unique(gone).size != gone.size:
+            raise IndexOutOfRange(f"repeated position in {gone.tolist()}")
+        keep = np.delete(np.arange(k), gone)
     # Kept positions stay in increasing order, so the block's upper triangle
     # comes from G's.  Whole columns first: they are contiguous.
     return CholeskyFactor.from_gram(factor._storage.gram[:k, keep][keep])

@@ -150,6 +150,58 @@ def test_next_join_no_candidates():
     assert scan_join(np.ones(2), 1.0, A, a, []) is None
 
 
+def scan_leaving(values, left_signs, positive=False):
+    """``_scan_join`` at envelope 1 and rate 1/2 over the candidates
+    ``values`` ({variable: (c, a)}) of a 10-variable design."""
+    c, a = np.zeros(10), np.zeros(10)
+    for j, (cj, aj) in values.items():
+        c[j], a[j] = cj, aj
+    cand_idx = np.array(sorted(values))
+    return _scan_join(c, 1.0, 0.5, a, cand_idx, left_signs, positive, TIE_RTOL)
+
+
+def test_leaver_same_sign_branch_is_barred():
+    """A variable that leaves at this vertex sits on the envelope: its
+    same-sign ratio is 0/0 and would tie at once; the scan bars it."""
+    values = {1: (0.25, 0.0), 3: (1.0, 0.5)}   # 1: (1 - 0.25) / (0.5 - 0)
+    assert scan_leaving(values, {}) == (0.0, 3, 1, 1)
+    assert scan_leaving(values, {3: 1}) == (1.5, 1, 1, 1)
+    # the same for a leaver with a negative sign, on the negative branch
+    values = {1: (0.25, 0.0), 3: (-1.0, -0.5)}
+    assert scan_leaving(values, {}) == (0.0, 3, -1, 1)
+    assert scan_leaving(values, {3: -1}) == (1.5, 1, 1, 1)
+
+
+def test_leaver_opposite_branch_stays_live():
+    """The leaver's opposite branch is scanned, and it wins when it is the
+    minimum: (1 + 1) / (0.5 + 0.5) = 2."""
+    assert scan_leaving({3: (1.0, 0.5)}, {3: 1}) == (2.0, 3, -1, 1)
+    assert scan_leaving({3: (-1.0, -0.5)}, {3: -1}) == (2.0, 3, 1, 1)
+    # another candidate ties it (6: 1 / 0.5 = 2): the lower index joins
+    values = {3: (1.0, 0.5), 6: (0.0, 0.0)}
+    assert scan_leaving(values, {3: 1}) == (2.0, 3, -1, 2)
+
+
+def test_positive_scan_ignores_a_departing_negative_sign():
+    """The positive variant scans one branch; a leaver recorded with sign -1
+    does not bar it, while one recorded with sign +1 does."""
+    values = {3: (-0.25, -0.25), 7: (0.5, 0.25)}   # 1.25 / 0.75 and 0.5 / 0.25
+    want = scan_leaving(values, {}, positive=True)
+    assert want == (1.25 / 0.75, 3, 1, 1)
+    assert scan_leaving(values, {3: -1}, positive=True) == want
+    assert scan_leaving(values, {3: 1}, positive=True) == (2.0, 7, 1, 1)
+    assert scan_leaving({3: (-0.25, -0.25)}, {3: 1}, positive=True) is None
+
+
+def test_tie_takes_the_lowest_index_and_counts_the_tied():
+    """Variables 5 (positive branch) and 8 (negative branch) tie at 1; 2
+    comes later.  The lowest tied index joins, and both count as tied."""
+    values = {2: (0.0, 0.0), 5: (0.5, 0.0), 8: (-0.5, 0.0)}
+    assert scan_leaving(values, {}) == (1.0, 5, 1, 2)
+    # with 5 leaving on its positive branch, 8 joins alone
+    assert scan_leaving(values, {5: 1}) == (1.0, 8, -1, 1)
+
+
 # ---------------------------------------------------------------- full walks
 
 
@@ -476,6 +528,23 @@ def test_export_surface():
 
 def _stacked(path):
     return np.array([s.beta for s in path.steps])
+
+
+def test_vertices_own_their_data(quad_design, quad_paths):
+    """The walk keeps its active set and coefficients in buffers it
+    overwrites; every recorded vertex holds copies: Python ints in the
+    tuples, and a coefficient array of its own that no other vertex shares."""
+    paths = dict(quad_paths, **{"positive-lasso": fit_path(quad_design, "positive-lasso")})
+    for variant, path in paths.items():
+        betas = [s.beta for s in path.steps]
+        for s in path.steps:
+            for field in (s.active_after, s.signs_after):
+                assert type(field) is tuple
+                assert all(type(v) is int for v in field), variant
+            assert set(s.signs_after) <= {-1, 1}
+            assert s.beta.base is None and s.beta.flags.owndata, variant
+        for i, b in enumerate(betas):
+            assert not any(np.shares_memory(b, other) for other in betas[i + 1:]), variant
 
 
 def test_path_betas_stack_the_vertices(design, diabetes_paths):

@@ -124,6 +124,21 @@ def test_drop_several_positions_equals_single_drops():
     assert cholesky_drop(f, []) is f
 
 
+def test_drop_one_position_given_as_int_or_array_agrees():
+    """A single position, as a Python or NumPy integer, gives the same
+    factor bytes as the one-element sequence holding it."""
+    f = CholeskyFactor.from_gram(random_gram(7))
+    for p in range(7):
+        want = cholesky_drop(f, [p])
+        for one in (p, np.int64(p), np.uint8(p)):
+            got = cholesky_drop(f, one)
+            assert got.packed.tobytes() == want.packed.tobytes()
+            assert got.gram.tobytes() == want.gram.tobytes()
+    for bad in (7, np.int64(-1), np.uint8(7)):
+        with pytest.raises(IndexOutOfRange):
+            cholesky_drop(f, bad)
+
+
 def test_drop_several_positions_out_of_range():
     f = CholeskyFactor.from_gram(random_gram(4))
     with pytest.raises(IndexOutOfRange):

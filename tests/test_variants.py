@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,6 +59,18 @@ def test_drop_candidate_first_crossing():
     assert gamma == 2.0 and pos == 0
     gamma, pos = _scan_drop(np.array([1.0, 0.3, -4.0]), np.array([-0.5, -0.3, 1.0]), 0.0)
     assert gamma == 1.0 and pos == 1
+
+
+def test_drop_scan_skips_zero_rates_without_warning():
+    """Entries with a zero rate (a zero coefficient among them, 0/0) never
+    cross, and the scan divides nothing by zero to find that out."""
+    beta = np.array([1.0, 0.0, -2.0, 0.25, -0.0])
+    direction = np.array([0.0, 0.0, 1.0, -0.25, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scan_drop(beta, direction, 0.0) == (1.0, 3)
+        assert _scan_drop(beta, np.zeros(5), 0.0) == (np.inf, None)
+        assert _scan_drop(np.zeros(3), np.zeros(3), 0.0) == (np.inf, None)
 
 
 def test_arbitration():
