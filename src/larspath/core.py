@@ -49,8 +49,10 @@ Numerical conventions that the step counts depend on:
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +132,23 @@ PARALLEL_TOL = 1e-14
 _BRANCH_SIGNS = np.array([[1.0], [-1.0]])
 
 
+class _BudgetTable(NamedTuple):
+    """Vertex budgets T as Python floats, the rows of ``Path.betas``, and
+    the end budget and its slack.
+
+    ``low`` and ``high`` bound each segment's T range, widened by the slack;
+    they are built only when T decreases somewhere (``monotone`` False).
+    """
+
+    Ts: list
+    rows: list
+    t_end: float
+    slack: float
+    monotone: bool
+    low: object
+    high: object
+
+
 @dataclass(frozen=True)
 class PathStep:
     """One vertex of a fitted path.
@@ -186,11 +205,19 @@ class Path:
         return betas
 
     @cached_property
-    def _budgets(self):
-        """Vertex budgets T and whether they never decrease, built once."""
-        Ts = np.array([s.T for s in self.steps])
-        Ts.flags.writeable = False
-        return Ts, bool(np.all(np.diff(Ts) >= 0))
+    def _budget_table(self):
+        """The vertex budgets and rows as ``interpolate`` reads them, built
+        once."""
+        Ts = [float(s.T) for s in self.steps]
+        rows = list(self.betas)
+        t_end = Ts[-1]
+        slack = 1e-12 * max(1.0, t_end)
+        T = np.array(Ts)
+        if np.all(np.diff(T) >= 0):
+            return _BudgetTable(Ts, rows, t_end, slack, True, None, None)
+        low = np.minimum(T[:-1], T[1:]) - slack
+        high = np.maximum(T[:-1], T[1:]) + slack
+        return _BudgetTable(Ts, rows, t_end, slack, False, low, high)
 
     def coefficients_at(self, t, original_units=False):
         beta = interpolate(self, t)
@@ -567,30 +594,30 @@ def interpolate(path, t):
     Linear interpolation in T = sum |beta_j| between the two bracketing
     vertices; exact at vertices.  ``t`` must lie in [0, path.t_max] up to a
     small slack, otherwise (NaN included) :class:`TOutOfRange` is raised.
+    Where T decreases somewhere along the path, the bracketing segment is
+    the first one whose T range, widened by the slack, holds ``t``; budgets
+    above ``path.t_max`` are refused even where such a path passes them.
     """
-    betas = path.betas
-    Ts, monotone = path._budgets
-    t_end = float(Ts[-1])
-    slack = 1e-12 * max(1.0, t_end)
+    Ts, rows, t_end, slack, monotone, low, high = path._budget_table
     t = float(t)
     if not -slack <= t <= t_end + slack:
         raise TOutOfRange(f"t={t!r} outside [0, {t_end!r}]")
     t = min(max(t, 0.0), t_end)
     if monotone:
-        hi = int(Ts.searchsorted(t, side="left"))
+        hi = bisect_left(Ts, t)
         if hi == 0:
-            return betas[0].copy()
+            return rows[0].copy()
     else:
-        # T can decrease after a drop; take the first bracketing segment.
-        hi = None
-        for i in range(1, len(Ts)):
-            lo_t, hi_t = Ts[i - 1], Ts[i]
-            if min(lo_t, hi_t) - slack <= t <= max(lo_t, hi_t) + slack:
-                hi = i
-                break
-        if hi is None:
+        # T falls on some lars moves, such as a last, saturating one; no
+        # lasso path tried has a falling T.  Take the first bracketing
+        # segment.
+        inside = (low <= t) & (t <= high)
+        hi = int(inside.argmax()) + 1
+        if not inside[hi - 1]:
             raise TOutOfRange(f"t={t!r} not bracketed by any path segment")
     lo = hi - 1
     span = Ts[hi] - Ts[lo]
     theta = 0.0 if span == 0 else (t - Ts[lo]) / span
-    return (1.0 - theta) * betas[lo] + theta * betas[hi]
+    beta = (1.0 - theta) * rows[lo]
+    beta += theta * rows[hi]
+    return beta
