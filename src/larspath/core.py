@@ -36,7 +36,13 @@ Numerical conventions that the step counts depend on:
   ordering; exact recomputation removes the drift entirely.  It costs
   O(m * k) per move from the materialized Gram matrix of a tall design and
   O(n * m) through X on a wide one, the same order as the equiangular
-  products a = G[:, A] (s * w).
+  products a = G[:, A] (s * w).  Both products read one gather per move:
+  the active set's rows of G (its columns of X on a wide design) are
+  gathered for the rates and read again for the refresh, because the
+  support of a lars, lasso or positive-lasso path lies in its active set.
+  A stagewise support also holds the coefficients that cone projections
+  froze, so that variant refreshes over its sorted support with a gather
+  of its own.
 * A variable that leaves the active set at the current vertex (coefficient
   sign crossing, or cone projection under the stagewise variant) sits
   exactly on the correlation envelope.  Its same-sign join ratio is 0/0 and
@@ -251,11 +257,22 @@ class _GramCache:
             return self._full[j]
         return self.X.T @ self.X[:, j]
 
+    def block(self, indices):
+        """The block that products with ``G[:, indices]`` read: those rows
+        of G on a tall design, those columns of X on a wide one."""
+        if self._full is not None:
+            return self._full[indices]
+        return self.X[:, indices]
+
+    def times(self, block, weights):
+        """``G[:, indices] @ weights`` from the ``block`` of ``indices``."""
+        if self._full is not None:
+            return weights @ block
+        return self.X.T @ (block @ weights)
+
     def stack(self, indices, weights):
         """``G[:, indices] @ weights``."""
-        if self._full is not None:
-            return weights @ self._full[indices]
-        return self.X.T @ (self.X[:, indices] @ weights)
+        return self.times(self.block(indices), weights)
 
 
 def _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol):
@@ -272,13 +289,16 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol):
     # Row 0 is the positive sign branch; row 1, the negative branch (absent
     # for the positive variant), sees -c and -a.
     branches = _BRANCH_SIGNS[:1] if positive else _BRANCH_SIGNS
-    num = C_hat - branches * c[cand_idx]
-    den = A - branches * a[cand_idx]
-    ahead = den > PARALLEL_TOL
+    num = branches * c[cand_idx]
+    np.subtract(C_hat, num, out=num)
+    den = branches * a[cand_idx]
+    np.subtract(A, den, out=den)
+    gap = num > tie_tol
     r = np.full(num.shape, np.inf)
-    np.divide(num, den, out=r, where=ahead & (num > tie_tol))
-    # Tied now: no gap, and the candidate is not falling behind.
-    r[(np.abs(num) <= tie_tol) & (den >= -PARALLEL_TOL)] = 0.0
+    np.divide(num, den, out=r, where=gap & (den > PARALLEL_TOL))
+    if not gap.all():
+        # Tied now: no gap, and the candidate is not falling behind.
+        r[(np.abs(num) <= tie_tol) & (den >= -PARALLEL_TOL)] = 0.0
     for var, s in left_signs.items():
         p = int(cand_idx.searchsorted(var))
         if p < n and cand_idx[p] == var:
@@ -288,13 +308,23 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol):
                 r[1, p] = np.inf
     best = r[0] if positive else np.minimum(r[0], r[1])
 
-    gmin = best.min()
-    if not np.isfinite(gmin):
+    p = int(best.argmin())
+    gmin = best[p]
+    if not gmin < np.inf:
         return None
-    tied = (best - gmin) * A <= tie_tol
-    p = int(tied.argmax())
+    # (best - gmin) * A rises with best, so another candidate ties only if
+    # the runner-up does; only then are the ties counted and the lowest
+    # tied index taken.
+    best[p] = np.inf
+    runner_up = np.minimum.reduce(best)
+    best[p] = gmin
+    n_tied = 1
+    if (runner_up - gmin) * A <= tie_tol:
+        tied = (best - gmin) * A <= tie_tol
+        p = int(tied.argmax())
+        n_tied = int(np.count_nonzero(tied))
     sign = 1 if positive or r[0, p] <= r[1, p] else -1
-    return float(best[p]), int(cand_idx[p]), sign, int(np.count_nonzero(tied))
+    return float(best[p]), int(cand_idx[p]), sign, n_tied
 
 
 def _scan_drop(beta_active, direction, floor):
@@ -326,13 +356,31 @@ def _direction(factor, s_vec, cone):
     """
     g1 = solve_gram(factor, np.ones(s_vec.size))
     retained = None
-    if cone and g1.min() <= 0.0:
-        w_target = (1.0 / math.sqrt(g1.sum())) * g1
+    if cone and np.minimum.reduce(g1) <= 0.0:
+        w_target = (1.0 / math.sqrt(np.add.reduce(g1))) * g1
         factor, retained = nnls_inner_loop(factor, w_target)
         s_vec = s_vec[retained]
         g1 = solve_gram(factor, np.ones(retained.size))
-    A = 1.0 / math.sqrt(g1.sum())
-    return factor, retained, A, s_vec * (A * g1)
+    A = 1.0 / math.sqrt(np.add.reduce(g1))
+    # g1 is the solve's own array: scaled in place into sw.
+    g1 *= A
+    g1 *= s_vec
+    return factor, retained, A, g1
+
+
+def _refresh(gram, c0, y_sq, beta, block, beta_A):
+    """Correlations ``c = X'y - G beta`` and the residual sum of squares
+    after a move whose support lies in the active set: ``block`` is the
+    active set's Gram block, read already for the move's rates, and
+    ``beta_A`` the active coefficients in its order."""
+    c = c0 - gram.times(block, beta_A)
+    return c, y_sq - float((c0 + c) @ beta)
+
+
+def _envelope(c, idx):
+    """Mean |c| over the variables ``idx``."""
+    c_idx = c[idx]
+    return float(np.add.reduce(np.abs(c_idx, out=c_idx))) / idx.size
 
 
 def _next_event(g_join, gamma_bar, g_drop):
@@ -383,24 +431,18 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
     factor = CholeskyFactor.empty()
 
     C0 = float(np.abs(c).max()) if m else 0.0
-    steps = [
-        PathStep(
-            step_index=0,
-            action=None,
-            variable=None,
-            sign=None,
-            active_after=(),
-            signs_after=(),
-            gamma=0.0,
-            C_max=C0,
-            A=0.0,
-            beta=beta.copy(),
-            rss=y_sq,
-            T=0.0,
-        )
-    ]
+    # Per move, PathStep's fields from ``action`` to ``projection_dropped``
+    # without ``beta`` and ``T``, and the vertex's beta.  Every vertex's T
+    # comes from one reduction over the stacked betas when the path is made.
+    moves = []
+    betas = [beta.copy()]
 
     def make_path():
+        Ts = np.add.reduce(np.abs(np.array(betas)), axis=1).tolist()
+        steps = [PathStep(0, None, None, None, (), (), 0.0, C0, 0.0, betas[0], y_sq, Ts[0])]
+        for i, (fields, b, T) in enumerate(zip(moves, betas[1:], Ts[1:]), 1):
+            *head, rss, proj = fields
+            steps.append(PathStep(i, *head, b, rss, T, proj))
         return Path(variant=policy.kind, steps=tuple(steps), design=design)
 
     # Cold start: highest absolute correlation (highest positive correlation
@@ -438,10 +480,10 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
             act_buf[pos : k - 1] = act_buf[pos + 1 : k]
             k_next = k - 1
         new_idx = act_buf[:k_next]
-        C_hat = float(np.abs(c[new_idx]).sum()) / k_next
+        C_hat = _envelope(c, new_idx)
         if C_hat < ENVELOPE_FLOOR:
             break
-        n_moves = len(steps) - 1
+        n_moves = len(moves)
         if stop_after is not None and n_moves >= stop_after:
             break
         if n_moves >= budget:
@@ -483,12 +525,15 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
             k = retained.size
             act_idx = act_buf[:k]
             s_vec = s_buf[:k]
-            C_hat = float(np.abs(c[act_idx]).sum()) / k
+            C_hat = _envelope(c, act_idx)
 
         gamma_bar = C_hat / A
         floor = 1e-12 * gamma_bar
         tie_tol = TIE_RTOL * max(1.0, C_hat)
-        a = gram.stack(act_idx, sw)
+        # One gather of the active block serves the rates a = G_A sw here
+        # and the refresh after the move.
+        block = gram.block(act_idx)
+        a = gram.times(block, sw)
 
         g_join = np.inf
         if k < max_active:
@@ -502,7 +547,8 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
                         f"{n_tied} candidates tie at gamma={g_join:.6g}; "
                         f"taking variable {j_next}",
                     )
-        g_drop, p_drop = _scan_drop(beta[act_idx], sw, floor) if drops else (np.inf, None)
+        beta_A = beta[act_idx]
+        g_drop, p_drop = _scan_drop(beta_A, sw, floor) if drops else (np.inf, None)
         gamma, event = _next_event(g_join, gamma_bar, g_drop)
         if event == "drop":
             j_drop = int(act_idx[p_drop])
@@ -516,34 +562,25 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
         else:
             zero_run = 0
 
-        beta[act_idx] += gamma * sw
+        # sw is _direction's own array: scaled in place into the move.
+        sw *= gamma
+        beta_A += sw
         if event == "drop":
-            beta[j_drop] = 0.0
-        nz = beta.nonzero()[0]
-        if nz.size:
+            beta_A[p_drop] = 0.0
+        beta[act_idx] = beta_A
+        if cone:
+            # A stagewise support also holds the variables projected out,
+            # frozen at nonzero coefficients that the active block misses.
+            nz = beta.nonzero()[0]
             b_nz = beta[nz]
             c = c0 - gram.stack(nz, b_nz)
             rss = y_sq - float((c0[nz] + c[nz]) @ b_nz)
         else:
-            c = c0.copy()
-            rss = y_sq
-        steps.append(
-            PathStep(
-                step_index=n_moves + 1,
-                action=action,
-                variable=event_var,
-                sign=event_sign,
-                active_after=tuple(act_idx.tolist()),
-                signs_after=tuple(s_vec.astype(int).tolist()),
-                gamma=float(gamma),
-                C_max=C_hat,
-                A=float(A),
-                beta=beta.copy(),
-                rss=float(rss),
-                T=float(np.abs(beta).sum()),
-                projection_dropped=proj,
-            )
-        )
+            c, rss = _refresh(gram, c0, y_sq, beta, block, beta_A)
+        moves.append((action, event_var, event_sign, tuple(act_idx.tolist()),
+                      tuple(s_vec.astype(int).tolist()), float(gamma), C_hat,
+                      float(A), float(rss), proj))
+        betas.append(beta.copy())
         if event == "drop":
             pending = ("drop", j_drop, int(s_vec[p_drop]), p_drop)
         elif event == "join":

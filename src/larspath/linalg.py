@@ -17,11 +17,14 @@ would, so the caller solves the face without factorizing it again.
 
 R is stored packed, column by column (LAPACK "UP" storage), in a buffer
 with room to grow: the k x k factor is the prefix ``ap[:k(k+1)/2]``, and
-appending column k writes its k + 1 entries at the end.  Both triangular
-solves are BLAS ``dtpsv`` on the whole buffer with an explicit order, so no
-call slices the factor or makes the wrapper copy it.  G is carried in a
-square Fortran-ordered buffer of the same capacity, upper triangle only
-(all that ``dpotrf`` reads); an append writes its new column there.
+appending column k writes its k + 1 entries at the end.  A solve with G is
+one LAPACK ``dpptrs`` call on the whole buffer with an explicit order, so
+no call slices the factor or makes the wrapper copy it; the append's
+single triangular solve is BLAS ``dtpsv``.  ``dpptrs`` makes the two
+``dtpsv`` calls that reference LAPACK does, and its results equal theirs
+bit for bit (a test pins this).  G is carried in a square Fortran-ordered
+buffer of the same capacity, upper triangle only (all that ``dpotrf``
+reads); an append writes its new column there.
 
 Factors grown from one another share these buffers.  The buffers record
 the order of the largest factor written to them: a factor of that order
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dsymv, dtpsv
-from scipy.linalg.lapack import dpotrf, dpotrs, dtpttr, dtrttp
+from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs, dtpttr, dtrttp
 
 from .errors import (
     DegenerateColumn,
@@ -258,27 +261,34 @@ def cholesky_drop(factor, position):
     matrix over long append/drop sequences.
     """
     k = factor.active_dim
+    G = factor._storage.gram
     if type(position) is int or isinstance(position, np.integer):
-        # One position, the walk's case: checked and skipped without arrays.
-        if not 0 <= position < k:
+        # One position, the walk's case: the kept block's upper triangle is
+        # three slices of G's, copied into a Fortran-ordered block that
+        # dpotrf reads in place.  Its strict lower triangle is never read.
+        p = int(position)
+        q = p + 1
+        if not 0 <= p < k:
             raise IndexOutOfRange(f"position {position} out of range for k={k}")
-        keep = np.arange(k - 1)
-        keep[position:] += 1
-    else:
-        gone = np.atleast_1d(position)
-        if gone.size == 0:
-            return factor
-        if gone.ndim != 1 or gone.dtype.kind not in "iu":
-            raise IndexOutOfRange(f"positions must be integers, got {position!r}")
-        out = gone[(gone < 0) | (gone >= k)]
-        if out.size:
-            raise IndexOutOfRange(f"position {out[0]} out of range for k={k}")
-        if gone.size > 1 and np.unique(gone).size != gone.size:
-            raise IndexOutOfRange(f"repeated position in {gone.tolist()}")
-        keep = np.delete(np.arange(k), gone)
+        block = np.empty((k - 1, k - 1), order="F")
+        block[:p, :p] = G[:p, :p]
+        block[:p, p:] = G[:p, q:k]
+        block[p:, p:] = G[q:k, q:k]
+        return CholeskyFactor.from_gram(block)
+    gone = np.atleast_1d(position)
+    if gone.size == 0:
+        return factor
+    if gone.ndim != 1 or gone.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"positions must be integers, got {position!r}")
+    out = gone[(gone < 0) | (gone >= k)]
+    if out.size:
+        raise IndexOutOfRange(f"position {out[0]} out of range for k={k}")
+    if gone.size > 1 and np.unique(gone).size != gone.size:
+        raise IndexOutOfRange(f"repeated position in {gone.tolist()}")
+    keep = np.delete(np.arange(k), gone)
     # Kept positions stay in increasing order, so the block's upper triangle
     # comes from G's.  Whole columns first: they are contiguous.
-    return CholeskyFactor.from_gram(factor._storage.gram[:k, keep][keep])
+    return CholeskyFactor.from_gram(G[:k, keep][keep])
 
 
 def solve_gram(factor, rhs):
@@ -290,9 +300,9 @@ def solve_gram(factor, rhs):
     if k == 0:
         return np.zeros(0)
     _check_pivots(factor)
-    ap = factor._storage.ap
-    z = dtpsv(k, ap, b, trans=1)
-    return dtpsv(k, ap, z, overwrite_x=1)
+    # info is nonzero only for an illegal argument, which the checks above
+    # exclude.
+    return dpptrs(k, factor._storage.ap, b)[0]
 
 
 def nnls_inner_loop(gram_factor, target_weights):
@@ -337,8 +347,7 @@ def nnls_inner_loop(gram_factor, target_weights):
     p = np.zeros(k)
     face = np.zeros(k, dtype=bool)
     if k > 1:
-        z = dtpsv(k - 1, storage.ap, b[: k - 1], trans=1)
-        z = dtpsv(k - 1, storage.ap, z, overwrite_x=1)
+        z = dpptrs(k - 1, storage.ap, b[: k - 1])[0]
         if z.min() > 0.0:
             p[: k - 1] = z
             face[: k - 1] = True

@@ -9,6 +9,7 @@ estimate tracks the step index closely, which is what justifies the
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,19 +98,22 @@ def cp_curve(path, sigma2, *, allow_variant=False):
 
     The rule is calibrated for the plain additive walk; applying it to a
     path with drops mislabels the df, so other variants are rejected unless
-    ``allow_variant`` is set.
+    ``allow_variant`` is set.  ``sigma2`` must be finite and positive.
     """
     if path.variant != "lars" and not allow_variant:
         raise VariantMismatch(
             f"df = k rule is calibrated for the plain variant, got {path.variant!r}"
         )
+    sigma2 = float(sigma2)
+    if not (math.isfinite(sigma2) and sigma2 > 0.0):
+        raise DimensionMismatch(f"sigma2={sigma2!r} must be finite and positive")
     n = path.design.n
     K = path.n_steps
     df_used = np.arange(K + 1, dtype=float)
     rss = np.array([s.rss for s in path.steps])
-    cp = rss / float(sigma2) - n + 2.0 * df_used
+    cp = rss / sigma2 - n + 2.0 * df_used
     return CpReport(
-        sigma2_bar=float(sigma2),
+        sigma2_bar=sigma2,
         cp=cp,
         argmin_k=int(np.argmin(cp)),
         df_used=df_used,
@@ -145,6 +149,17 @@ def lars_fitted_values(design, k_max, variant="lars"):
     return estimator
 
 
+def _check_groups(B, groups):
+    """At least two groups, for the interval's spread, and at least two
+    draws per group, for each group's covariances."""
+    if groups < 2:
+        raise DimensionMismatch(f"groups={groups} must be at least 2")
+    if B % groups != 0 or B < 2 * groups:
+        raise DimensionMismatch(
+            f"B={B} must be a multiple of groups={groups}, at least 2 per group"
+        )
+
+
 def _draw(rng, mu_bar, sigma, residuals, resampling):
     n = mu_bar.shape[0]
     if resampling == "normal":
@@ -167,10 +182,7 @@ def bootstrap_df(design, estimator, B=100, groups=10, seed=0, *,
     ``resampling="residual"`` draws errors by resampling the full-model
     residuals instead of normal deviates.
     """
-    if B % groups != 0 or B < 2 * groups:
-        raise DimensionMismatch(
-            f"B={B} must be a multiple of groups={groups}, at least 2 per group"
-        )
+    _check_groups(B, groups)
     n = design.n
     mu_bar, rss = _full_ols(design)
     sigma2 = sigma2_full_ols(design)
@@ -222,10 +234,7 @@ def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
     the k-th estimate.  Support sizes a draw never visits are skipped for
     that draw.
     """
-    if B % groups != 0 or B < 2 * groups:
-        raise DimensionMismatch(
-            f"B={B} must be a multiple of groups={groups}, at least 2 per group"
-        )
+    _check_groups(B, groups)
     n, m = design.n, design.m
     mu_bar, _ = _full_ols(design)
     sigma2 = sigma2_full_ols(design)
@@ -287,6 +296,10 @@ def hybrid_r2(path, k):
     """
     if path.variant != "lars":
         raise VariantMismatch(f"requires the plain variant, got {path.variant!r}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise DimensionMismatch(f"k={k!r} must be an integer") from None
     if not 1 <= k <= path.n_steps:
         raise DimensionMismatch(f"k={k} outside 1..{path.n_steps}")
     tss = path.steps[0].rss
@@ -325,8 +338,11 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
     the true signal, and for each replicate resamples residuals onto that
     signal and refits every method.  Reports, per method and step, the mean
     and standard deviation over replicates of the proportion of true-signal
-    variance explained, plus the average nonzero count per step.
+    variance explained, plus the average nonzero count per step.  At least
+    two replications are needed for the standard deviations.
     """
+    if replications < 2:
+        raise DimensionMismatch(f"replications={replications} must be at least 2")
     Xq, labels = quadratic_expand(raw_columns, binary_column)
     design = standardize(Xq, raw_response, labels)
     base = fit_path(design, "lars", stop_after=10)

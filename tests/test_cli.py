@@ -233,6 +233,22 @@ def test_bootstrap_df_small_run(capsys):
                zip(s["ci_low"], s["df_hat"], s["ci_high"]))
 
 
+@pytest.mark.parametrize("groups", ["0", "1"])
+def test_bootstrap_df_refuses_fewer_than_two_groups(capsys, groups):
+    rc, out, err = run(capsys, "bootstrap-df", "--input", DATA, "--response",
+                       "Y", "--B", "20", "--groups", groups)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "groups" in err
+
+
+@pytest.mark.parametrize("replications", ["0", "1"])
+def test_simulate_refuses_fewer_than_two_replications(capsys, replications):
+    rc, out, err = run(capsys, "simulate", "--input", DATA, "--response", "Y",
+                       "--replications", replications, "--steps", "4")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "replications" in err
+
+
 def test_simulate_small_run(capsys):
     rc, out, _ = run(capsys, "simulate", "--input", DATA, "--response", "Y",
                      "--replications", "3", "--steps", "4", "--json")

@@ -426,6 +426,27 @@ def test_materialized_gram_path_matches_products_through_x(monkeypatch):
     _assert_same_paths_under(monkeypatch, designs, [(_GramCache, "__init__", through_x)])
 
 
+def _refresh_over_support(gram, c0, y_sq, beta, block, beta_A):
+    """The correlation refresh as a product of its own, gathered over the
+    sorted support rather than read from the active block."""
+    nz = beta.nonzero()[0]
+    b_nz = beta[nz]
+    c = c0 - gram.stack(nz, b_nz)
+    return c, y_sq - float((c0[nz] + c[nz]) @ b_nz)
+
+
+@pytest.mark.parametrize("shape, seed", [((120, 40), 1300), ((30, 80), 1400)])
+def test_refresh_from_the_active_block_matches_a_separate_product(monkeypatch,
+                                                                  shape, seed):
+    """The walk refreshes the correlations from the Gram block it gathered
+    for the move's rates; a separate gather and product over the sorted
+    support gives the same events and, to rounding, the same vertices
+    (30 tall, 30 wide designs)."""
+    designs = [random_design(*shape, seed + i) for i in range(30)]
+    _assert_same_paths_under(monkeypatch, designs,
+                             [(core, "_refresh", _refresh_over_support)])
+
+
 class _DenseFactor:
     """Reference factor: the active Gram matrix itself, solved densely."""
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.linalg.blas import dtpsv
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 import larspath.core
 import larspath.linalg
@@ -337,6 +339,62 @@ def test_solve_gram_wrong_length():
     f = CholeskyFactor.from_gram(random_gram(3))
     with pytest.raises(DimensionMismatch):
         solve_gram(f, np.ones(4))
+
+
+def _two_triangular_solves(factor, b):
+    """G x = b as two BLAS ``dtpsv`` calls on the packed factor: R'z = b,
+    then R x = z."""
+    k = factor.active_dim
+    z = dtpsv(k, factor.packed, b, trans=1)
+    return dtpsv(k, factor.packed, z, overwrite_x=1)
+
+
+def test_solve_gram_equals_two_triangular_solves_bit_for_bit():
+    """``solve_gram`` runs both triangular solves in one LAPACK call, with
+    the same result bytes as the two ``dtpsv`` calls: on fresh factors of
+    order 1 to 80, and on the leading factors of a buffer that a longer
+    factor has grown into, solved on the buffer itself as the cone
+    projection's warm start solves the block before the last column."""
+    r = np.random.default_rng(17)
+    for k in range(1, 81):
+        X = r.normal(size=(k + 3, k))
+        f = CholeskyFactor.from_gram(X.T @ X)
+        b = r.normal(size=k)
+        assert solve_gram(f, b).tobytes() == _two_triangular_solves(f, b).tobytes()
+    G = _unit_gram(7, 120, 60)
+    f = CholeskyFactor.empty()
+    leading = []
+    for j in range(60):
+        f = cholesky_append(f, G[:j, j], G[j, j])
+        leading.append(f)
+    assert f._storage.capacity > f.active_dim
+    shared = [g for g in leading if g._storage is f._storage]
+    assert len(shared) >= 20
+    b = r.normal(size=60)
+    for g in shared:
+        k = g.active_dim
+        assert solve_gram(g, b[:k]).tobytes() == _two_triangular_solves(g, b[:k]).tobytes()
+
+
+@pytest.mark.parametrize("k", [9, 40])
+def test_factor_bytes_are_lapacks(k):
+    """A fresh factor is dpotrf's R packed by dtrttp, byte for byte, for a
+    C- or Fortran-ordered Gram matrix; a one-position drop equals a fresh
+    factor of the kept block gathered with fancy indexing, from a fresh
+    factor and from one grown by appends."""
+    G = _unit_gram(k, 3 * k, k)
+    want = dtrttp(dpotrf(G, clean=0)[0])[0]
+    for given in (G, np.asfortranarray(G)):
+        f = CholeskyFactor.from_gram(given)
+        assert f.packed.tobytes() == want.tobytes()
+        assert np.array_equal(f.gram, G)
+    for f in (CholeskyFactor.from_gram(G), _grown(G, list(range(k)))):
+        for p in range(k):
+            keep = np.delete(np.arange(k), p)
+            got = cholesky_drop(f, p)
+            fresh = CholeskyFactor.from_gram(G[keep][:, keep])
+            assert got.packed.tobytes() == fresh.packed.tobytes()
+            assert got.gram.tobytes() == fresh.gram.tobytes()
 
 
 def _cone_weights(factor, w):

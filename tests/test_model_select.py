@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,18 @@ def test_bootstrap_df_group_shape_validation(design):
         bootstrap_df(design, est, B=20, groups=2, resampling="wild")
 
 
+@pytest.mark.parametrize("groups", [0, 1])
+def test_df_estimators_refuse_fewer_than_two_groups(design, groups):
+    """One group leaves no spread for the interval, and zero none at all:
+    both are refused before any draw, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="groups"):
+            bootstrap_df(design, lars_fitted_values(design, 2), B=20, groups=groups)
+        with pytest.raises(DimensionMismatch, match="groups"):
+            lasso_df_by_support(design, B=20, groups=groups)
+
+
 def test_lars_fitted_values_shape_and_padding():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(25, 3))
@@ -155,6 +168,34 @@ def test_hybrid_argument_validation(diabetes_paths):
         hybrid_r2(path, path.n_steps + 1)
     with pytest.raises(VariantMismatch):
         hybrid_r2(diabetes_paths["lasso"], 1)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan"), float("inf")])
+def test_cp_curve_refuses_a_variance_that_is_not_finite_and_positive(diabetes_paths,
+                                                                    sigma2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="sigma2"):
+            cp_curve(diabetes_paths["lars"], sigma2)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
+def test_hybrid_r2_refuses_a_step_that_is_not_an_integer(diabetes_paths, k):
+    path = diabetes_paths["lars"]
+    with pytest.raises(DimensionMismatch, match="integer"):
+        hybrid_r2(path, k)
+    assert hybrid_r2(path, np.int64(2)) == hybrid_r2(path, 2)
+
+
+@pytest.mark.parametrize("replications", [0, 1])
+def test_simulation_study_refuses_fewer_than_two_replications(diabetes,
+                                                              replications):
+    matrix, response, _ = diabetes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="replications"):
+            run_simulation_study(matrix, response, replications=replications,
+                                 n_steps=4)
 
 
 def test_simulation_study_structure(diabetes):
