@@ -5,22 +5,12 @@ including the lasso modification (coefficient sign crossings remove
 variables), the idealized forward-stagewise limit (direction projected
 into the active sign cone), and the nonnegative-coefficient restriction.
 Ships risk estimation on top of the fitted paths (Cp with the df = k rule,
-bootstrap degrees of freedom), slow independent oracles for verification,
-and a small CLI.  Everything is NumPy and SciPy: LAPACK for the Cholesky
+bootstrap degrees of freedom, a comparison with forward selection) and a
+small CLI.  Everything is NumPy and SciPy: LAPACK for the Cholesky
 factors and Lawson-Hanson for the stagewise cone projection.
 """
 
-from .core import (
-    LARS,
-    LASSO,
-    POSITIVE_LASSO,
-    STAGEWISE,
-    Path,
-    PathStep,
-    VariantPolicy,
-    fit_path,
-    interpolate,
-)
+from .core import VARIANTS, Path, PathStep, fit_path, interpolate
 from .datasets import diabetes_design, load_diabetes
 from .dataio import read_csv, write_path_csv
 from .errors import (
@@ -56,13 +46,7 @@ from .model_select import (
     run_simulation_study,
     sigma2_full_ols,
 )
-from .oracles import (
-    OrderStatistics,
-    epsilon_stagewise,
-    forward_selection,
-    lasso_at_t,
-    soft_threshold_path,
-)
+from .oracles import forward_selection
 from .preprocess import (
     StandardizedDesign,
     from_unit_columns,
@@ -86,17 +70,7 @@ __all__ = [
     "Path",
     "fit_path",
     "interpolate",
-    # variants
-    "VariantPolicy",
-    "LARS",
-    "LASSO",
-    "STAGEWISE",
-    "POSITIVE_LASSO",
-    # oracles
-    "OrderStatistics",
-    "soft_threshold_path",
-    "epsilon_stagewise",
-    "lasso_at_t",
+    "VARIANTS",
     "forward_selection",
     # model selection
     "CpReport",

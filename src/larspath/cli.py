@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .core import POLICIES, fit_path, interpolate
+from .core import VARIANTS, fit_path, interpolate
 from .dataio import json_summary, read_csv, write_path_csv
 from .errors import DimensionMismatch, LarsError
 from .model_select import (
@@ -218,8 +218,7 @@ def _build_parser():
 
     sp = sub.add_parser("fit", help="fit a coefficient path")
     _add_data_options(sp)
-    sp.add_argument("--variant", default="lars",
-                    choices=list(POLICIES))
+    sp.add_argument("--variant", default="lars", choices=VARIANTS)
     sp.add_argument("--max-steps", type=int, default=None)
     sp.add_argument("--jitter-seed", type=int, default=None)
     _add_output_options(sp)
@@ -250,8 +249,7 @@ def _build_parser():
     sp = sub.add_parser("interpolate",
                         help="coefficients at a magnitude budget t")
     _add_data_options(sp)
-    sp.add_argument("--variant", default="lasso",
-                    choices=list(POLICIES))
+    sp.add_argument("--variant", default="lasso", choices=VARIANTS)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--max-steps", type=int, default=None)
     sp.add_argument("--jitter-seed", type=int, default=None)
@@ -262,8 +260,7 @@ def _build_parser():
                         help="fit interactions against a k-step residual")
     _add_data_options(sp, quadratic=None)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--variant", default="lars",
-                    choices=list(POLICIES))
+    sp.add_argument("--variant", default="lars", choices=VARIANTS)
     _add_output_options(sp)
     sp.set_defaults(handler=_cmd_main_effects_first)
     return parser

@@ -15,11 +15,12 @@ Moves are labeled by the event applied at their start; the final move keeps
 the label of its starting event, so a path that adds a variable and then
 runs to the least squares point counts one move, not two.
 
-One walk serves all four variants.  ``POLICIES`` maps each variant name to
-its :class:`VariantPolicy`, whose three rules the walk reads: ``positive``
-(join on the positive sign branch only), ``drops`` (sign-crossing drops)
-and ``cone`` (stagewise projection of the direction).  Each move calls the
-same step primitives, which the tests exercise directly:
+One walk serves all four variants, named by the strings in ``VARIANTS``.
+From the name the walk derives three rules once per fit: ``positive`` (join
+on the positive sign branch only; "positive-lasso"), ``drops``
+(sign-crossing drops; "lasso" and "positive-lasso") and ``cone`` (stagewise
+projection of the direction; "stagewise").  Each move calls the same step
+primitives, which the tests exercise directly:
 
 * ``_direction``: equiangular weights of the signed active columns, and
   under ``cone`` the Lawson-Hanson face of the active sign cone;
@@ -76,15 +77,10 @@ from .linalg import (
     nnls_inner_loop,
     solve_gram,
 )
-from .preprocess import StandardizedDesign, to_original_units
+from .preprocess import StandardizedDesign
 
 __all__ = [
-    "VariantPolicy",
-    "LARS",
-    "LASSO",
-    "STAGEWISE",
-    "POSITIVE_LASSO",
-    "POLICIES",
+    "VARIANTS",
     "PathStep",
     "Path",
     "fit_path",
@@ -92,38 +88,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VariantPolicy:
-    """The event rules of one variant, derived from its name ``kind``.
-
-    Accepted anywhere a variant string is.  The rules are read-only
-    properties rather than fields, so only the four variants of
-    ``POLICIES`` can be expressed.
-    """
-
-    kind: str
-
-    @property
-    def positive(self):
-        """Candidates join on the positive sign branch only."""
-        return self.kind == "positive-lasso"
-
-    @property
-    def drops(self):
-        """An active coefficient that crosses zero leaves the active set."""
-        return self.kind in ("lasso", "positive-lasso")
-
-    @property
-    def cone(self):
-        """The direction is projected into the cone of the active signs."""
-        return self.kind == "stagewise"
-
-
-LARS = VariantPolicy("lars")
-LASSO = VariantPolicy("lasso")
-STAGEWISE = VariantPolicy("stagewise")
-POSITIVE_LASSO = VariantPolicy("positive-lasso")
-POLICIES = {p.kind: p for p in (LARS, LASSO, STAGEWISE, POSITIVE_LASSO)}
+VARIANTS = ("lars", "lasso", "stagewise", "positive-lasso")
 
 # Correlations this small (in response units) terminate the walk.
 ENVELOPE_FLOOR = 1e-10
@@ -224,12 +189,6 @@ class Path:
         low = np.minimum(T[:-1], T[1:]) - slack
         high = np.maximum(T[:-1], T[1:]) + slack
         return _BudgetTable(Ts, rows, t_end, slack, False, low, high)
-
-    def coefficients_at(self, t, original_units=False):
-        beta = interpolate(self, t)
-        if not original_units:
-            return beta, 0.0
-        return to_original_units(self.design, beta)
 
 
 class _TieRestart(Exception):
@@ -401,13 +360,15 @@ def _tie(tie_mode, message):
     warnings.warn(message, TieWarning, stacklevel=3)
 
 
-def _fit_once(design, policy, max_steps, stop_after, tie_mode):
+def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     X = design.columns
     y = design.response
     n, m = X.shape
     budget = 8 * m if max_steps is None else int(max_steps)
     max_active = min(m, n - 1) if design.centered else min(m, n)
-    positive, drops, cone = policy.positive, policy.drops, policy.cone
+    positive = variant == "positive-lasso"
+    drops = positive or variant == "lasso"
+    cone = variant == "stagewise"
 
     gram = _GramCache(X)
     c0 = X.T @ y
@@ -443,7 +404,7 @@ def _fit_once(design, policy, max_steps, stop_after, tie_mode):
         for i, (fields, b, T) in enumerate(zip(moves, betas[1:], Ts[1:]), 1):
             *head, rss, proj = fields
             steps.append(PathStep(i, *head, b, rss, T, proj))
-        return Path(variant=policy.kind, steps=tuple(steps), design=design)
+        return Path(variant=variant, steps=tuple(steps), design=design)
 
     # Cold start: highest absolute correlation (highest positive correlation
     # for the positive variant), ties to the lowest index.
@@ -605,24 +566,22 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None,
     fit restarts (up to three times) with a centered uniform perturbation of
     the response at relative scale 1e-9.
     """
-    kind = getattr(variant, "kind", variant)
-    policy = POLICIES.get(kind) if isinstance(kind, str) else None
-    if policy is None:
-        raise VariantMismatch(f"unknown variant {kind!r}")
+    if not (isinstance(variant, str) and variant in VARIANTS):
+        raise VariantMismatch(f"unknown variant {variant!r}")
     if jitter_seed is None:
-        return _fit_once(design, policy, max_steps, stop_after, tie_mode="warn")
+        return _fit_once(design, variant, max_steps, stop_after, tie_mode="warn")
     rng = np.random.default_rng(jitter_seed)
     scale = 1e-9 * float(np.linalg.norm(design.response))
     work = design
     for _ in range(3):
         try:
-            return _fit_once(work, policy, max_steps, stop_after, tie_mode="raise")
+            return _fit_once(work, variant, max_steps, stop_after, tie_mode="raise")
         except _TieRestart:
             noise = rng.uniform(-1.0, 1.0, design.n) * scale
             if design.centered:
                 noise -= noise.mean()
             work = replace(design, response=design.response + noise)
-    return _fit_once(work, policy, max_steps, stop_after, tie_mode="warn")
+    return _fit_once(work, variant, max_steps, stop_after, tie_mode="warn")
 
 
 def interpolate(path, t):

@@ -58,7 +58,7 @@ class TOutOfRange(LarsError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# model selection and oracles
+# variants, model selection and iterative solvers
 
 
 class VariantMismatch(LarsError, ValueError):

@@ -12,8 +12,9 @@ form, ``min p'G p / 2 - p'G w`` over ``p >= 0``, run on the carried G
 rather than on a dense copy of R.  It starts from the face before the last
 column when that face's weights, solved with the leading block of R, are
 all positive, and from ``p = 0`` otherwise.  It hands back the Cholesky
-factor of the face it finds, computed exactly as a drop to that face
-would, so the caller solves the face without factorizing it again.
+factor of the face it finds, computed exactly as a fresh factorization of
+the face's Gram block would be, so the caller solves the face without
+factorizing it again.
 
 R is stored packed, column by column (LAPACK "UP" storage), in a buffer
 with room to grow: the k x k factor is the prefix ``ap[:k(k+1)/2]``, and
@@ -117,17 +118,14 @@ class CholeskyFactor:
     grown from and those grown from it; G is carried beside it, upper
     triangle only, for the drops and cone projections that need its blocks.
     ``R`` and ``gram`` build dense copies on demand.  Factors come from
-    :meth:`empty`, :meth:`from_gram`, :meth:`from_factor` and the
-    append/drop operations; the fields past ``active_dim`` are internal.
-    Instances are immutable: the append/drop operations return new factors,
-    and an append to a factor whose buffer has grown past it copies before
-    it writes.
+    :meth:`empty`, :meth:`from_gram` and the append/drop operations; the
+    fields past ``active_dim`` are internal.  Instances are immutable: the
+    append/drop operations return new factors, and an append to a factor
+    whose buffer has grown past it copies before it writes.
     """
 
     active_dim: int
     _storage: _Storage = field(repr=False)
-    # 1-based position of the first zero on R's diagonal, 0 if none.
-    _zero_pivot: int = 0
 
     @property
     def packed(self):
@@ -172,40 +170,13 @@ class CholeskyFactor:
         return cls._packing(R, G)
 
     @classmethod
-    def from_factor(cls, R, gram):
-        """A factor from a given upper-triangular R and the G it factors.
-
-        R is not checked against G.  A zero on R's diagonal is recorded
-        once, here, and makes every solve and append with the factor raise
-        :class:`DegenerateColumn`.
-        """
-        R = np.asarray(R, dtype=float)
-        G = np.asarray(gram, dtype=float)
-        if R.ndim != 2 or R.shape[0] != R.shape[1] or G.shape != R.shape:
-            raise DimensionMismatch("R and gram must be square and of one size")
-        if R.shape[0] == 0:
-            return cls.empty()
-        zeros = np.flatnonzero(np.diagonal(R) == 0.0)
-        return cls._packing(R, G, int(zeros[0]) + 1 if zeros.size else 0)
-
-    @classmethod
-    def _packing(cls, R, G, zero_pivot=0):
+    def _packing(cls, R, G):
         k = R.shape[0]
         storage = _Storage(max(MIN_CAPACITY, 2 * k))
         storage.ap[: _packed_len(k)] = dtrttp(R)[0]
         storage.gram[:k, :k] = G
         storage.fill = k
-        return cls(k, storage, zero_pivot)
-
-
-def _check_pivots(factor):
-    """Raise :class:`DegenerateColumn` for a factor with a zero pivot.
-
-    ``info`` is the pivot's 1-based position, as LAPACK's triangular solver
-    would report it.
-    """
-    if factor._zero_pivot:
-        raise DegenerateColumn(f"factor has a zero pivot: info={factor._zero_pivot}")
+        return cls(k, storage)
 
 
 def cholesky_append(factor, new_cross_products, new_norm_sq):
@@ -224,7 +195,6 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
     norm_sq = float(new_norm_sq)
     if norm_sq <= 0.0:
         raise DegenerateColumn("entering column has nonpositive squared norm")
-    _check_pivots(factor)
 
     storage = factor._storage
     if k == 0:
@@ -250,45 +220,31 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
 
 
 def cholesky_drop(factor, position):
-    """Remove rows/columns of the tracked Gram matrix from the factor.
+    """Remove one row and column of the tracked Gram matrix from the factor.
 
-    ``position`` is one position or a sequence of distinct ones; all are
-    dropped together, and an empty sequence returns the factor unchanged.
-    A position that is not an integer, is out of range or is repeated
-    raises :class:`IndexOutOfRange`.  The kept block of the carried Gram
-    matrix is gathered and refactorized once in LAPACK.  That is O(k^3),
-    cheap at active-set sizes, and the factor never drifts from its Gram
-    matrix over long append/drop sequences.
+    ``position`` is a Python or NumPy integer; anything else (a bool, a
+    float, a sequence) or a position out of range raises
+    :class:`IndexOutOfRange`.  The kept block of the carried Gram matrix is
+    refactorized in LAPACK.  That is O(k^3), cheap at active-set sizes, and
+    the factor never drifts from its Gram matrix over long append/drop
+    sequences.
     """
+    if not (type(position) is int or isinstance(position, np.integer)):
+        raise IndexOutOfRange(f"position must be an integer, got {position!r}")
     k = factor.active_dim
+    p = int(position)
+    if not 0 <= p < k:
+        raise IndexOutOfRange(f"position {position} out of range for k={k}")
+    # The kept block's upper triangle is three slices of G's, copied into a
+    # Fortran-ordered block that dpotrf reads in place.  Its strict lower
+    # triangle is never read.
     G = factor._storage.gram
-    if type(position) is int or isinstance(position, np.integer):
-        # One position, the walk's case: the kept block's upper triangle is
-        # three slices of G's, copied into a Fortran-ordered block that
-        # dpotrf reads in place.  Its strict lower triangle is never read.
-        p = int(position)
-        q = p + 1
-        if not 0 <= p < k:
-            raise IndexOutOfRange(f"position {position} out of range for k={k}")
-        block = np.empty((k - 1, k - 1), order="F")
-        block[:p, :p] = G[:p, :p]
-        block[:p, p:] = G[:p, q:k]
-        block[p:, p:] = G[q:k, q:k]
-        return CholeskyFactor.from_gram(block)
-    gone = np.atleast_1d(position)
-    if gone.size == 0:
-        return factor
-    if gone.ndim != 1 or gone.dtype.kind not in "iu":
-        raise IndexOutOfRange(f"positions must be integers, got {position!r}")
-    out = gone[(gone < 0) | (gone >= k)]
-    if out.size:
-        raise IndexOutOfRange(f"position {out[0]} out of range for k={k}")
-    if gone.size > 1 and np.unique(gone).size != gone.size:
-        raise IndexOutOfRange(f"repeated position in {gone.tolist()}")
-    keep = np.delete(np.arange(k), gone)
-    # Kept positions stay in increasing order, so the block's upper triangle
-    # comes from G's.  Whole columns first: they are contiguous.
-    return CholeskyFactor.from_gram(G[:k, keep][keep])
+    q = p + 1
+    block = np.empty((k - 1, k - 1), order="F")
+    block[:p, :p] = G[:p, :p]
+    block[:p, p:] = G[:p, q:k]
+    block[p:, p:] = G[q:k, q:k]
+    return CholeskyFactor.from_gram(block)
 
 
 def solve_gram(factor, rhs):
@@ -299,7 +255,6 @@ def solve_gram(factor, rhs):
         raise DimensionMismatch(f"rhs length {b.shape[0]}, expected {k}")
     if k == 0:
         return np.zeros(0)
-    _check_pivots(factor)
     # info is nonzero only for an illegal argument, which the checks above
     # exclude.
     return dpptrs(k, factor._storage.ap, b)[0]
@@ -320,12 +275,12 @@ def nnls_inner_loop(gram_factor, target_weights):
     ``3 k`` trial solves are made (:class:`MaxIterations` past that).
 
     Returns ``(face_factor, retained)``: the Cholesky factor of the face's
-    Gram block, from the same LAPACK call :func:`cholesky_drop` would make
-    on it, and the sorted positions of the face within the active set.  On
-    the face the projection is parallel to the face's own equiangular
-    direction.  A target with every weight positive is its own projection
-    and returns the factor as given.  A non-finite target, which only a
-    numerically singular Gram matrix yields, raises
+    Gram block, from the same LAPACK call :meth:`CholeskyFactor.from_gram`
+    makes on it, and the sorted positions of the face within the active
+    set.  On the face the projection is parallel to the face's own
+    equiangular direction.  A target with every weight positive is its own
+    projection and returns the factor as given.  A non-finite target, which
+    only a numerically singular Gram matrix yields, raises
     :class:`DegenerateColumn`.
     """
     w = np.asarray(target_weights, dtype=float).reshape(-1)
@@ -338,7 +293,6 @@ def nnls_inner_loop(gram_factor, target_weights):
         raise DegenerateColumn("cone projection target has non-finite weights")
     if w.min() > 0.0:
         return gram_factor, np.arange(k)
-    _check_pivots(gram_factor)
 
     storage = gram_factor._storage
     # One contiguous copy, so that dsymv does not copy G on every product.

@@ -75,9 +75,15 @@ class SimulationResult:
 
 
 def _full_ols(design):
+    """Fitted values, residuals and residual variance of the full least
+    squares fit, from one solve."""
+    n, m = design.n, design.m
+    if n <= m + 1:
+        raise Underdetermined(f"need n > m + 1, got n={n}, m={m}")
     beta, *_ = np.linalg.lstsq(design.columns, design.response, rcond=None)
     mu_bar = design.columns @ beta
-    return mu_bar, float(np.sum((design.response - mu_bar) ** 2))
+    residuals = design.response - mu_bar
+    return mu_bar, residuals, float(np.sum(residuals ** 2)) / (n - m - 1)
 
 
 def sigma2_full_ols(design):
@@ -86,11 +92,7 @@ def sigma2_full_ols(design):
     The divisor is n - m - 1: one degree of freedom per predictor plus one
     for the centering step that absorbed the intercept.
     """
-    n, m = design.n, design.m
-    if n <= m + 1:
-        raise Underdetermined(f"need n > m + 1, got n={n}, m={m}")
-    _, rss = _full_ols(design)
-    return rss / (n - m - 1)
+    return _full_ols(design)[2]
 
 
 def cp_curve(path, sigma2, *, allow_variant=False):
@@ -150,23 +152,47 @@ def lars_fitted_values(design, k_max, variant="lars"):
 
 
 def _check_groups(B, groups):
-    """At least two groups, for the interval's spread, and at least two
-    draws per group, for each group's covariances."""
+    """``B`` and ``groups`` as integers: at least two groups, for the
+    interval's spread, and at least two draws per group, for each group's
+    covariances."""
+    try:
+        B, groups = operator.index(B), operator.index(groups)
+    except TypeError:
+        raise DimensionMismatch(
+            f"B={B!r} and groups={groups!r} must be integers"
+        ) from None
     if groups < 2:
         raise DimensionMismatch(f"groups={groups} must be at least 2")
     if B % groups != 0 or B < 2 * groups:
         raise DimensionMismatch(
             f"B={B} must be a multiple of groups={groups}, at least 2 per group"
         )
+    return B, groups
 
 
-def _draw(rng, mu_bar, sigma, residuals, resampling):
-    n = mu_bar.shape[0]
-    if resampling == "normal":
-        return mu_bar + sigma * rng.standard_normal(n)
-    if resampling == "residual":
-        return mu_bar + residuals[rng.integers(0, n, n)]
-    raise ValueError(f"unknown resampling {resampling!r}")
+def _resampling(design, B, groups, seed, resampling):
+    """The set-up both bootstrap estimates share, with one least squares
+    solve: the checked ``B`` and ``groups``, the draws per group, the full
+    fit's residual variance, and an iterator over the ``B`` draws around
+    the full fit, each as ``(group, y_star)``."""
+    B, groups = _check_groups(B, groups)
+    mu_bar, residuals, sigma2 = _full_ols(design)
+    if resampling not in ("normal", "residual"):
+        raise ValueError(f"unknown resampling {resampling!r}")
+    sigma = math.sqrt(sigma2)
+    per_group = B // groups
+    n = design.n
+
+    def draws():
+        for b in range(B):
+            rng = np.random.default_rng([seed, b])
+            if resampling == "normal":
+                y_star = mu_bar + sigma * rng.standard_normal(n)
+            else:
+                y_star = mu_bar + residuals[rng.integers(0, n, n)]
+            yield b // per_group, y_star
+
+    return B, groups, per_group, sigma2, draws()
 
 
 def bootstrap_df(design, estimator, B=100, groups=10, seed=0, *,
@@ -182,18 +208,11 @@ def bootstrap_df(design, estimator, B=100, groups=10, seed=0, *,
     ``resampling="residual"`` draws errors by resampling the full-model
     residuals instead of normal deviates.
     """
-    _check_groups(B, groups)
+    B, groups, per_group, sigma2, draws = _resampling(design, B, groups, seed,
+                                                      resampling)
     n = design.n
-    mu_bar, rss = _full_ols(design)
-    sigma2 = sigma2_full_ols(design)
-    sigma = math.sqrt(sigma2)
-    residuals = design.response - mu_bar
-    per_group = B // groups
-
     sum_fy = None
-    for b in range(B):
-        rng = np.random.default_rng([seed, b])
-        y_star = _draw(rng, mu_bar, sigma, residuals, resampling)
+    for g, y_star in draws:
         fits = np.asarray(estimator(y_star))
         if fits.ndim == 1:
             fits = fits[None, :]
@@ -202,7 +221,6 @@ def bootstrap_df(design, estimator, B=100, groups=10, seed=0, *,
             sum_fy = np.zeros((groups, R, n))
             sum_f = np.zeros((groups, R, n))
             sum_y = np.zeros((groups, n))
-        g = b // per_group
         sum_fy[g] += fits * y_star
         sum_f[g] += fits
         sum_y[g] += y_star
@@ -234,13 +252,8 @@ def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
     the k-th estimate.  Support sizes a draw never visits are skipped for
     that draw.
     """
-    _check_groups(B, groups)
+    _, groups, _, sigma2, draws = _resampling(design, B, groups, seed, resampling)
     n, m = design.n, design.m
-    mu_bar, _ = _full_ols(design)
-    sigma2 = sigma2_full_ols(design)
-    sigma = math.sqrt(sigma2)
-    residuals = design.response - mu_bar
-    per_group = B // groups
     X = design.columns
     R = m + 1
 
@@ -248,11 +261,8 @@ def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
     sum_f = np.zeros((groups, R, n))
     sum_y = np.zeros((groups, R, n))
     count = np.zeros((groups, R), dtype=int)
-    for b in range(B):
-        rng = np.random.default_rng([seed, b])
-        y_star = _draw(rng, mu_bar, sigma, residuals, resampling)
+    for g, y_star in draws:
         betas = fit_path(replace(design, response=y_star), "lasso").betas
-        g = b // per_group
         sizes = np.count_nonzero(betas, axis=1).tolist()
         last_at = {k: i for i, k in enumerate(sizes)}
         for k, i in last_at.items():

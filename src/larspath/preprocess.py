@@ -60,10 +60,6 @@ class StandardizedDesign:
     def m(self):
         return self.columns.shape[1]
 
-    def gram(self):
-        """Full m x m Gram matrix of the stored columns."""
-        return self.columns.T @ self.columns
-
 
 def _default_names(m):
     return tuple(f"x{j + 1}" for j in range(m))

@@ -20,8 +20,8 @@ from larspath.model_select import (
     run_simulation_study,
     sigma2_full_ols,
 )
-from larspath.oracles import epsilon_stagewise, lasso_at_t, soft_threshold_path
 from larspath.preprocess import from_unit_columns, standardize
+from reference.oracles import epsilon_stagewise, lasso_at_t, soft_threshold_path
 
 
 def test_diabetes_additive_path_structure(design):

@@ -12,7 +12,6 @@ from larspath import core
 from larspath.core import (
     TIE_RTOL,
     Path,
-    VariantPolicy,
     _direction,
     _GramCache,
     _scan_join,
@@ -518,15 +517,18 @@ def test_stop_after_truncates(design, diabetes_paths):
 
 
 def test_unknown_variant(design):
-    with pytest.raises(VariantMismatch):
-        fit_path(design, "newton")
-    with pytest.raises(VariantMismatch):
-        fit_path(design, VariantPolicy("newton"))
+    """A variant is one of the four names in ``VARIANTS``; any other name or
+    any non-string, even one that compares equal to a name, is refused."""
+    assert core.VARIANTS == ("lars", "lasso", "stagewise", "positive-lasso")
+    for bad in ("newton", "LARS", None, np.array("lars"), np.array(["lars", "lasso"])):
+        with pytest.raises(VariantMismatch):
+            fit_path(design, bad)
 
 
 def test_export_surface():
     """Every exported name resolves, once; the step primitives, the factor
-    layer and the retired variant helpers stay out of the surface."""
+    layer, the retired variant helpers and the test-only references stay out
+    of the surface."""
     names = larspath.__all__
     assert len(names) == len(set(names))
     for name in names:
@@ -538,10 +540,22 @@ def test_export_surface():
         "CholeskyFactor", "cholesky_append", "cholesky_drop", "solve_gram",
         "nnls_inner_loop",
     }
-    assert not retired & set(names)
+    # Variants are named by string; the references live under tests/.
+    gone = {
+        "VariantPolicy", "LARS", "LASSO", "STAGEWISE", "POSITIVE_LASSO",
+        "POLICIES", "OrderStatistics", "soft_threshold_path",
+        "epsilon_stagewise", "lasso_at_t",
+    }
+    assert not (retired | gone) & set(names)
+    for module in (larspath, core, larspath.oracles):
+        assert not {name for name in gone if hasattr(module, name)}, module
     assert importlib.util.find_spec("larspath.variants") is None
-    # Interpolation is the module function only.
+    # Interpolation is the module function only, and the factor is built
+    # from a Gram matrix or by appends.
     assert not hasattr(larspath.Path, "interpolate")
+    assert not hasattr(larspath.Path, "coefficients_at")
+    assert not hasattr(CholeskyFactor, "from_factor")
+    assert not hasattr(larspath.StandardizedDesign, "gram")
 
 
 # ------------------------------------------------------- vertex coefficients
@@ -626,17 +640,6 @@ def test_interpolate_rejects_out_of_range(diabetes_paths):
     for t in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(TOutOfRange):
             interpolate(path, t)
-
-
-def test_coefficients_at_original_units(design, diabetes_paths):
-    path = diabetes_paths["lasso"]
-    beta, intercept = path.coefficients_at(1000.0, original_units=True)
-    std = interpolate(path, 1000.0)
-    assert np.allclose(beta, std / design.column_scales)
-    fitted_raw = (design.columns * design.column_scales +
-                  design.column_means) @ beta + intercept
-    fitted_std = design.columns @ std + design.response_mean
-    assert np.abs(fitted_raw - fitted_std).max() < 1e-8
 
 
 # -------------------------------------------------- fit-size curve geometry

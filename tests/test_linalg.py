@@ -117,22 +117,13 @@ def test_drop_position_out_of_range():
         cholesky_drop(f, -1)
 
 
-def test_drop_several_positions_equals_single_drops():
-    f = CholeskyFactor.from_gram(random_gram(6))
-    both = cholesky_drop(f, [1, 4])
-    one_by_one = cholesky_drop(cholesky_drop(f, 4), 1)
-    assert np.array_equal(both.R, one_by_one.R)
-    assert np.array_equal(both.gram, one_by_one.gram)
-    assert cholesky_drop(f, []) is f
-
-
 def test_drop_one_position_given_as_int_or_array_agrees():
-    """A single position, as a Python or NumPy integer, gives the same
-    factor bytes as the one-element sequence holding it."""
+    """A position given as a Python int or as a NumPy array scalar of any
+    integer type gives the same factor bytes."""
     f = CholeskyFactor.from_gram(random_gram(7))
     for p in range(7):
-        want = cholesky_drop(f, [p])
-        for one in (p, np.int64(p), np.uint8(p)):
+        want = cholesky_drop(f, p)
+        for one in (np.int64(p), np.uint8(p)):
             got = cholesky_drop(f, one)
             assert got.packed.tobytes() == want.packed.tobytes()
             assert got.gram.tobytes() == want.gram.tobytes()
@@ -141,27 +132,13 @@ def test_drop_one_position_given_as_int_or_array_agrees():
             cholesky_drop(f, bad)
 
 
-def test_drop_several_positions_out_of_range():
-    f = CholeskyFactor.from_gram(random_gram(4))
-    with pytest.raises(IndexOutOfRange):
-        cholesky_drop(f, [0, 4])
-    with pytest.raises(IndexOutOfRange):
-        cholesky_drop(f, [-1, 2])
-
-
 def test_drop_non_integer_position():
+    """A drop takes one integer position: a float, a bool or a sequence,
+    even of one integer, is refused."""
     f = CholeskyFactor.from_gram(random_gram(4))
-    for bad in (1.5, 2.0, [0, 1.5], True):
+    for bad in (1.5, 2.0, [0, 1.5], True, [1], np.array([1])):
         with pytest.raises(IndexOutOfRange):
             cholesky_drop(f, bad)
-
-
-def test_drop_repeated_position():
-    f = CholeskyFactor.from_gram(random_gram(4))
-    for bad in ([1, 1], [3, 0, 3]):
-        with pytest.raises(IndexOutOfRange):
-            cholesky_drop(f, bad)
-    assert cholesky_drop(f, np.zeros(0, dtype=int)) is f
 
 
 def test_random_append_drop_sequences():
@@ -195,9 +172,8 @@ def test_random_append_drop_sequences():
 
 
 def test_factor_matches_dense_references_through_appends_and_drops():
-    """Appends, single drops and multi-position drops give the factor and
-    the solves of a dense Cholesky and a dense solve, and R stays in the
-    Fortran order LAPACK takes."""
+    """Appends and drops give the factor and the solves of a dense Cholesky
+    and a dense solve, and R stays in the Fortran order LAPACK takes."""
     trng = np.random.default_rng(2024)
     X = trng.normal(size=(200, 60))
     X /= np.linalg.norm(X, axis=0)
@@ -216,8 +192,8 @@ def test_factor_matches_dense_references_through_appends_and_drops():
         f = cholesky_append(f, G[: k - 1, k - 1], G[k - 1, k - 1])
         check(f, list(range(k)))
     assert CholeskyFactor.from_gram(G).R.flags.f_contiguous
-    for gone in (0, 59, 31, [2, 3, 40], [0, 17, 58, 59], list(range(1, 60, 2))):
-        idx = [p for p in range(60) if p not in np.atleast_1d(gone)]
+    for gone in (0, 59, 31):
+        idx = [p for p in range(60) if p != gone]
         check(cholesky_drop(f, gone), idx)
 
 
@@ -302,14 +278,8 @@ def test_append_chain_writes_in_place():
 
 
 def test_nonzero_lapack_info_is_a_lars_error():
-    """A zero pivot in a given factor or a Gram matrix that is not positive
-    definite (dpotrf) raises a LarsError, not a raw LAPACK one."""
-    singular = CholeskyFactor.from_factor(np.array([[1.0, 0.5], [0.0, 0.0]]),
-                                          np.array([[1.0, 0.5], [0.5, 0.25]]))
-    with pytest.raises(LarsError, match="info=2"):
-        solve_gram(singular, np.ones(2))
-    with pytest.raises(LarsError, match="info=2"):
-        cholesky_append(singular, np.array([0.1, 0.2]), 1.0)
+    """A Gram matrix that is not positive definite (dpotrf) raises a
+    LarsError, not a raw LAPACK one."""
     with pytest.raises(LarsError, match="info=2"):
         CholeskyFactor.from_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))
 

@@ -107,6 +107,39 @@ def test_df_estimators_refuse_fewer_than_two_groups(design, groups):
             lasso_df_by_support(design, B=20, groups=groups)
 
 
+@pytest.mark.parametrize("B, groups", [(20.0, 2), (20, 2.5), ("20", 2)])
+def test_df_estimators_refuse_non_integer_draw_counts(design, B, groups):
+    """A non-integer ``B`` or ``groups`` is refused as a LarsError before any
+    draw, rather than failing where the arrays are sized."""
+    with pytest.raises(DimensionMismatch, match="integers"):
+        bootstrap_df(design, lars_fitted_values(design, 2), B=B, groups=groups)
+    with pytest.raises(DimensionMismatch, match="integers"):
+        lasso_df_by_support(design, B=B, groups=groups)
+
+
+def test_df_estimators_take_numpy_integers_and_solve_the_full_fit_once(
+        design, monkeypatch):
+    """NumPy integers count as the integers they hold, and each estimate
+    solves the full least squares fit once for its draws and its sigma2."""
+    est = lars_fitted_values(design, 2)
+    want = (bootstrap_df(design, est, B=4, groups=2),
+            lasso_df_by_support(design, B=4, groups=2))
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    got = bootstrap_df(design, est, B=np.int64(4), groups=np.uint8(2))
+    assert len(solves) == 1
+    assert got == want[0] and got[0].B == 4 and type(got[0].groups) is int
+    got = lasso_df_by_support(design, B=np.int64(4), groups=np.uint8(2))
+    assert len(solves) == 2
+    assert got == want[1]
+
+
 def test_lars_fitted_values_shape_and_padding():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(25, 3))

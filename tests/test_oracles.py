@@ -1,24 +1,29 @@
-"""Checks for the slow reference procedures.
+"""Checks for the slow reference procedures in ``tests/reference`` and for
+forward selection.
 
 These are mostly closed-form cases (orthogonal designs) plus cross-checks
 against the path engine on the diabetes data.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from larspath.core import fit_path, interpolate
 from larspath.errors import DimensionMismatch
-from larspath.oracles import (
+from larspath.oracles import forward_selection
+from larspath.preprocess import from_unit_columns, standardize
+from reference.oracles import (
     OrderStatistics,
     _cd_sweeps,
+    _gram,
     _stagewise_chunk,
     epsilon_stagewise,
-    forward_selection,
     lasso_at_t,
     soft_threshold_path,
 )
-from larspath.preprocess import from_unit_columns, standardize
 
 
 def test_order_statistics_sorting_and_permutation():
@@ -106,7 +111,7 @@ def _gram_problem(seed, n=30, m=6):
     X = rng.normal(size=(n, m))
     y = X @ rng.normal(size=m) + 0.5 * rng.normal(size=n)
     d = standardize(X, y)
-    G = np.ascontiguousarray(d.gram())
+    G = _gram(d)
     c0 = d.columns.T @ d.response
     return G, c0
 
@@ -207,3 +212,21 @@ def test_forward_selection_stops_on_exhausted_residual():
     fwd = forward_selection(d, 3)
     assert len(fwd.steps) == 2
     assert fwd.entry_order == [0]
+
+
+def test_reference_code_imports_only_the_error_classes():
+    """The references share no code with the engine: every module under
+    ``tests/reference`` imports from ``larspath`` only ``larspath.errors``."""
+    modules = sorted((Path(__file__).parent / "reference").glob("*.py"))
+    assert {m.name for m in modules} >= {"__init__.py", "oracles.py"}
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "larspath":
+                    assert name == "larspath.errors", (module.name, name)

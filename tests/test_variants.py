@@ -6,9 +6,7 @@ import pytest
 import scipy.optimize
 
 from larspath.core import (
-    LASSO,
     TIE_RTOL,
-    VariantPolicy,
     _direction,
     _next_event,
     _scan_drop,
@@ -93,13 +91,6 @@ def test_diabetes_drop_zeroes_the_coefficient(diabetes_paths):
     after = path.steps[drop.step_index + 1]
     assert after.action == "add" and after.variable == 6
     assert 6 in after.active_after
-
-
-def test_variant_policy_objects_work_like_strings(design, diabetes_paths):
-    for policy in (LASSO, VariantPolicy("lasso")):
-        path = fit_path(design, policy)
-        assert path.variant == "lasso"
-        assert path.n_steps == diabetes_paths["lasso"].n_steps
 
 
 # ------------------------------------------------------------- stagewise
