@@ -69,6 +69,7 @@ from .errors import (
     TieWarning,
     TOutOfRange,
     VariantMismatch,
+    as_integer,
 )
 from .linalg import (
     CholeskyFactor,
@@ -305,26 +306,27 @@ def _direction(factor, s_vec, cone):
     """Equiangular weights of the signed active columns.
 
     ``factor`` holds the signed Gram matrix of the active set, whose signs
-    are ``s_vec``.  Returns ``(factor, retained, A, sw)``: with ``sw`` the
-    signed weights, ``u = X_A sw`` is the unit direction along which every
-    active column's signed correlation falls at rate ``A``.  Under ``cone``
-    a direction outside the active sign cone is replaced by the equiangular
+    are ``s_vec``.  Returns ``(retained, A, sw)``: with ``sw`` the signed
+    weights, ``u = X_A sw`` is the unit direction along which every active
+    column's signed correlation falls at rate ``A``.  Under ``cone`` a
+    direction outside the active sign cone is replaced by the equiangular
     direction of its Lawson-Hanson face: ``retained`` holds the positions
-    kept, and the factor and ``sw`` cover those positions only.  ``retained``
-    is None when no projection was needed.
+    kept, the factor is refactorized in place to those positions, and
+    ``sw`` covers them only.  ``retained`` is None when no projection was
+    needed.
     """
     g1 = solve_gram(factor, np.ones(s_vec.size))
     retained = None
     if cone and np.minimum.reduce(g1) <= 0.0:
         w_target = (1.0 / math.sqrt(np.add.reduce(g1))) * g1
-        factor, retained = nnls_inner_loop(factor, w_target)
+        _, retained = nnls_inner_loop(factor, w_target)
         s_vec = s_vec[retained]
         g1 = solve_gram(factor, np.ones(retained.size))
     A = 1.0 / math.sqrt(np.add.reduce(g1))
     # g1 is the solve's own array: scaled in place into sw.
     g1 *= A
     g1 *= s_vec
-    return factor, retained, A, g1
+    return retained, A, g1
 
 
 def _refresh(gram, c0, y_sq, beta, block, beta_A):
@@ -364,7 +366,7 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     X = design.columns
     y = design.response
     n, m = X.shape
-    budget = 8 * m if max_steps is None else int(max_steps)
+    budget = 8 * m if max_steps is None else max_steps
     max_active = min(m, n - 1) if design.centered else min(m, n)
     positive = variant == "positive-lasso"
     drops = positive or variant == "lasso"
@@ -389,7 +391,7 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     act_idx = act_buf[:0]
     s_vec = s_buf[:0]
     active_mask = np.zeros(m, dtype=bool)
-    factor = CholeskyFactor.empty()
+    factor = CholeskyFactor()
 
     C0 = float(np.abs(c).max()) if m else 0.0
     # Per move, PathStep's fields from ``action`` to ``projection_dropped``
@@ -408,18 +410,11 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
 
     # Cold start: highest absolute correlation (highest positive correlation
     # for the positive variant), ties to the lowest index.
-    if positive:
-        top = float(c.max()) if m else 0.0
-        if top <= ENVELOPE_FLOOR:
-            return make_path()
-        tie_tol0 = TIE_RTOL * max(1.0, top)
-        tied = np.flatnonzero(c >= top - tie_tol0)
-    else:
-        top = C0
-        if top < ENVELOPE_FLOOR:
-            return make_path()
-        tie_tol0 = TIE_RTOL * max(1.0, top)
-        tied = np.flatnonzero(np.abs(c) >= top - tie_tol0)
+    score = c if positive else np.abs(c)
+    top = float(score.max()) if m else 0.0
+    if top < ENVELOPE_FLOOR:
+        return make_path()
+    tied = np.flatnonzero(score >= top - TIE_RTOL * max(1.0, top))
     if tied.size > 1:
         _tie(tie_mode, f"{tied.size} variables tie at the start; taking {int(tied[0])}")
     j0 = int(tied[0])
@@ -461,11 +456,11 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
             cross *= s_vec
             if event_sign < 0:
                 np.negative(cross, out=cross)
-            factor = cholesky_append(factor, cross, float(col[event_var]))
+            cholesky_append(factor, cross, float(col[event_var]))
             s_buf[k] = event_sign
             active_mask[event_var] = True
         else:
-            factor = cholesky_drop(factor, pos)
+            cholesky_drop(factor, pos)
             s_buf[pos : k - 1] = s_buf[pos + 1 : k]
             active_mask[event_var] = False
             left_signs[event_var] = event_sign
@@ -473,7 +468,7 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
         act_idx = new_idx
         s_vec = s_buf[:k]
 
-        factor, retained, A, sw = _direction(factor, s_vec, cone)
+        retained, A, sw = _direction(factor, s_vec, cone)
         if retained is not None:
             gone = np.ones(k, dtype=bool)
             gone[retained] = False
@@ -559,7 +554,8 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None,
     (sign-consistency drops), "stagewise" (cone projections), or
     "positive-lasso".  ``max_steps`` bounds the move count (default ``8 m``;
     exceeding it raises :class:`MaxStepsExceeded`).  ``stop_after``
-    truncates the walk after that many moves without error.
+    truncates the walk after that many moves without error.  A count that
+    is not a non-negative integer raises :class:`DimensionMismatch`.
 
     Ties are resolved to the lowest variable index with a
     :class:`TieWarning` unless ``jitter_seed`` is given, in which case the
@@ -568,6 +564,10 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None,
     """
     if not (isinstance(variant, str) and variant in VARIANTS):
         raise VariantMismatch(f"unknown variant {variant!r}")
+    if max_steps is not None:
+        max_steps = as_integer(max_steps, "max_steps", minimum=0)
+    if stop_after is not None:
+        stop_after = as_integer(stop_after, "stop_after", minimum=0)
     if jitter_seed is None:
         return _fit_once(design, variant, max_steps, stop_after, tie_mode="warn")
     rng = np.random.default_rng(jitter_seed)
@@ -588,14 +588,18 @@ def interpolate(path, t):
     """Coefficients at coefficient-magnitude budget ``t``.
 
     Linear interpolation in T = sum |beta_j| between the two bracketing
-    vertices; exact at vertices.  ``t`` must lie in [0, path.t_max] up to a
-    small slack, otherwise (NaN included) :class:`TOutOfRange` is raised.
+    vertices; exact at vertices.  ``t`` must be a number in [0, path.t_max]
+    up to a small slack, otherwise (NaN included) :class:`TOutOfRange` is
+    raised.
     Where T decreases somewhere along the path, the bracketing segment is
     the first one whose T range, widened by the slack, holds ``t``; budgets
     above ``path.t_max`` are refused even where such a path passes them.
     """
     Ts, rows, t_end, slack, monotone, low, high = path._budget_table
-    t = float(t)
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise TOutOfRange(f"t={t!r} is not a number") from None
     if not -slack <= t <= t_end + slack:
         raise TOutOfRange(f"t={t!r} outside [0, {t_end!r}]")
     t = min(max(t, 0.0), t_end)

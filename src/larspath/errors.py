@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and one check."""
+
+import operator
 
 
 class LarsError(Exception):
@@ -105,6 +107,23 @@ class NonNumericCell(LarsError, ValueError):
 
 class EmptyData(LarsError):
     """The CSV contains a header but no data rows (or nothing at all)."""
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+
+def as_integer(value, name, error=DimensionMismatch, minimum=None):
+    """A count or position ``value`` as an int, by ``operator.index``, or
+    ``error`` naming it: a float, even a whole one, a string or an array is
+    refused, as is a value below ``minimum`` when one is given."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} takes integers, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise error(f"{name}={value} must be at least {minimum}")
+    return value
 
 
 # ---------------------------------------------------------------------------

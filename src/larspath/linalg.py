@@ -5,16 +5,18 @@ matrix G (R'R = G), the update behind the paper's cost claim: a column
 append is an O(k^2) bordered solve that writes O(k) numbers, a column drop
 refactorizes the kept block of G with LAPACK.  Also provides the triangular
 solves with the factor and the projection of the equiangular direction
-into the positive cone of the active columns.
+into the positive cone of the active columns.  A walk owns one factor:
+the append grows it, and the drop and the cone projection refactorize it,
+all in place.
 
 The cone projection is Lawson-Hanson nonnegative least squares in Gram
 form, ``min p'G p / 2 - p'G w`` over ``p >= 0``, run on the carried G
 rather than on a dense copy of R.  It starts from the face before the last
 column when that face's weights, solved with the leading block of R, are
-all positive, and from ``p = 0`` otherwise.  It hands back the Cholesky
-factor of the face it finds, computed exactly as a fresh factorization of
-the face's Gram block would be, so the caller solves the face without
-factorizing it again.
+all positive, and from ``p = 0`` otherwise.  It leaves in the factor the
+Cholesky factor of the face it finds, computed exactly as a fresh
+factorization of the face's Gram block would be, so the caller solves the
+face without factorizing it again.
 
 R is stored packed, column by column (LAPACK "UP" storage), in a buffer
 with room to grow: the k x k factor is the prefix ``ap[:k(k+1)/2]``, and
@@ -25,21 +27,16 @@ single triangular solve is BLAS ``dtpsv``.  ``dpptrs`` makes the two
 ``dtpsv`` calls that reference LAPACK does, and its results equal theirs
 bit for bit (a test pins this).  G is carried in a square Fortran-ordered
 buffer of the same capacity, upper triangle only (all that ``dpotrf``
-reads); an append writes its new column there.
-
-Factors grown from one another share these buffers.  The buffers record
-the order of the largest factor written to them: a factor of that order
-appends in place, any other one (a factor that has already been appended
-to) first copies its prefix into buffers of its own.  So a factor never
-sees its R or G change, however many factors are grown from it.
+reads); an append writes its new column there, and an append to full
+buffers first moves them into buffers twice as large.  A drop or a face
+writes its factor and Gram block over the prefixes of the same buffers.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dsymv, dtpsv
-from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs, dtpttr, dtrttp
+from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs, dtrttp
 
 from .errors import (
     DegenerateColumn,
@@ -80,77 +77,21 @@ def _lapack_ok(routine, out, info):
     return out
 
 
-class _Storage:
-    """Buffers shared by the factors grown from one another.
-
-    ``ap`` holds R packed by columns and ``gram`` the upper triangle of G,
-    both with room for ``capacity`` columns; ``fill`` is the order of the
-    largest factor written to them, the only factor that may append in
-    place.
-    """
-
-    __slots__ = ("ap", "gram", "fill")
-
-    def __init__(self, capacity):
-        self.ap = np.empty(_packed_len(capacity))
-        self.gram = np.empty((capacity, capacity), order="F")
-        self.fill = 0
-
-    @property
-    def capacity(self):
-        return self.gram.shape[0]
-
-    def branch(self, k, capacity):
-        """New buffers holding a copy of the first ``k`` columns."""
-        out = _Storage(capacity)
-        n = _packed_len(k)
-        out.ap[:n] = self.ap[:n]
-        out.gram[:k, :k] = self.gram[:k, :k]
-        out.fill = k
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     """Upper-triangular factor R with R'R equal to the tracked Gram matrix.
 
-    R is held packed by columns in a buffer shared with the factors it was
-    grown from and those grown from it; G is carried beside it, upper
-    triangle only, for the drops and cone projections that need its blocks.
-    ``R`` and ``gram`` build dense copies on demand.  Factors come from
-    :meth:`empty`, :meth:`from_gram` and the append/drop operations; the
-    fields past ``active_dim`` are internal.  Instances are immutable: the
-    append/drop operations return new factors, and an append to a factor
-    whose buffer has grown past it copies before it writes.
+    ``ap`` holds R packed by columns and ``gram`` the upper triangle of G,
+    both with room for more columns than the ``active_dim`` in use.  The
+    append, drop and cone projection change the factor in place, and one
+    that raises leaves it as it was.
     """
 
-    active_dim: int
-    _storage: _Storage = field(repr=False)
+    __slots__ = ("ap", "gram", "active_dim")
 
-    @property
-    def packed(self):
-        """R packed by columns (read-only view of the shared buffer)."""
-        view = self._storage.ap[: _packed_len(self.active_dim)]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def R(self):
-        """R as a dense Fortran-ordered matrix, unpacked from the buffer."""
-        k = self.active_dim
-        return dtpttr(k, self._storage.ap[: _packed_len(k)])[0]
-
-    @property
-    def gram(self):
-        """G as a dense symmetric matrix, built from its upper triangle."""
-        upper = self._storage.gram[: self.active_dim, : self.active_dim]
-        out = np.triu(upper)
-        out += np.triu(upper, 1).T
-        return out
-
-    @classmethod
-    def empty(cls):
-        return cls(0, _Storage(MIN_CAPACITY))
+    def __init__(self, capacity=MIN_CAPACITY):
+        self.ap = np.empty(_packed_len(capacity))
+        self.gram = np.empty((capacity, capacity), order="F")
+        self.active_dim = 0
 
     @classmethod
     def from_gram(cls, gram):
@@ -163,30 +104,31 @@ class CholeskyFactor:
         G = np.asarray(gram, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise DimensionMismatch("gram must be square")
-        k = G.shape[0]
-        if k == 0:
-            return cls.empty()
-        R = _lapack_ok("dpotrf", *dpotrf(G, clean=0))
-        return cls._packing(R, G)
+        return _refactor(cls(max(MIN_CAPACITY, 2 * G.shape[0])), G)
 
-    @classmethod
-    def _packing(cls, R, G):
-        k = R.shape[0]
-        storage = _Storage(max(MIN_CAPACITY, 2 * k))
-        storage.ap[: _packed_len(k)] = dtrttp(R)[0]
-        storage.gram[:k, :k] = G
-        storage.fill = k
-        return cls(k, storage)
+
+def _refactor(factor, block, R=None):
+    """Load the Gram block ``block`` and its Cholesky factor ``R`` (from
+    ``dpotrf`` when not given) into the factor's buffers.  Nothing is
+    written when the factorization fails."""
+    k = block.shape[0]
+    if k:
+        if R is None:
+            R = _lapack_ok("dpotrf", *dpotrf(block, clean=0))
+        factor.ap[: _packed_len(k)] = dtrttp(R)[0]
+        factor.gram[:k, :k] = block
+    factor.active_dim = k
+    return factor
 
 
 def cholesky_append(factor, new_cross_products, new_norm_sq):
-    """Extend the factor by one column of the Gram matrix.
+    """Extend the factor in place by one column of the Gram matrix.
 
     ``new_cross_products`` holds the inner products of the entering column
     with the current active columns; ``new_norm_sq`` its squared norm.
     Cost O(k^2) for the solve, O(k) written.  Raises
     :class:`DegenerateColumn` when the entering column is numerically
-    dependent on the active set.
+    dependent on the active set.  Returns the factor.
     """
     v = np.asarray(new_cross_products, dtype=float).reshape(-1)
     k = factor.active_dim
@@ -196,31 +138,34 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
     if norm_sq <= 0.0:
         raise DegenerateColumn("entering column has nonpositive squared norm")
 
-    storage = factor._storage
     if k == 0:
         r12 = v
         pivot_sq = norm_sq
     else:
-        r12 = dtpsv(k, storage.ap, v, trans=1)
+        r12 = dtpsv(k, factor.ap, v, trans=1)
         pivot_sq = norm_sq - float(r12 @ r12)
     if pivot_sq < DEGENERACY_RTOL * norm_sq:
         raise DegenerateColumn(
             f"pivot^2 = {pivot_sq:.3e} below tolerance for norm^2 = {norm_sq:.3e}"
         )
 
-    if storage.fill != k or storage.capacity == k:
-        storage = storage.branch(k, max(MIN_CAPACITY, 2 * (k + 1)))
     start = _packed_len(k)
-    storage.ap[start : start + k] = r12
-    storage.ap[start + k] = math.sqrt(pivot_sq)
-    storage.gram[:k, k] = v
-    storage.gram[k, k] = norm_sq
-    storage.fill = k + 1
-    return CholeskyFactor(k + 1, storage)
+    if factor.gram.shape[0] == k:
+        grown = CholeskyFactor(max(MIN_CAPACITY, 2 * k))
+        grown.ap[:start] = factor.ap[:start]
+        grown.gram[:k, :k] = factor.gram[:k, :k]
+        factor.ap, factor.gram = grown.ap, grown.gram
+    factor.ap[start : start + k] = r12
+    factor.ap[start + k] = math.sqrt(pivot_sq)
+    factor.gram[:k, k] = v
+    factor.gram[k, k] = norm_sq
+    factor.active_dim = k + 1
+    return factor
 
 
 def cholesky_drop(factor, position):
-    """Remove one row and column of the tracked Gram matrix from the factor.
+    """Remove one row and column of the tracked Gram matrix from the factor,
+    in place, and return the factor.
 
     ``position`` is a Python or NumPy integer; anything else (a bool, a
     float, a sequence) or a position out of range raises
@@ -238,13 +183,13 @@ def cholesky_drop(factor, position):
     # The kept block's upper triangle is three slices of G's, copied into a
     # Fortran-ordered block that dpotrf reads in place.  Its strict lower
     # triangle is never read.
-    G = factor._storage.gram
+    G = factor.gram
     q = p + 1
     block = np.empty((k - 1, k - 1), order="F")
     block[:p, :p] = G[:p, :p]
     block[:p, p:] = G[:p, q:k]
     block[p:, p:] = G[q:k, q:k]
-    return CholeskyFactor.from_gram(block)
+    return _refactor(factor, block)
 
 
 def solve_gram(factor, rhs):
@@ -257,7 +202,7 @@ def solve_gram(factor, rhs):
         return np.zeros(0)
     # info is nonzero only for an illegal argument, which the checks above
     # exclude.
-    return dpptrs(k, factor._storage.ap, b)[0]
+    return dpptrs(k, factor.ap, b)[0]
 
 
 def nnls_inner_loop(gram_factor, target_weights):
@@ -274,14 +219,14 @@ def nnls_inner_loop(gram_factor, target_weights):
     optimal on its face; otherwise it starts from ``p = 0``.  At most
     ``3 k`` trial solves are made (:class:`MaxIterations` past that).
 
-    Returns ``(face_factor, retained)``: the Cholesky factor of the face's
-    Gram block, from the same LAPACK call :meth:`CholeskyFactor.from_gram`
-    makes on it, and the sorted positions of the face within the active
-    set.  On the face the projection is parallel to the face's own
-    equiangular direction.  A target with every weight positive is its own
-    projection and returns the factor as given.  A non-finite target, which
-    only a numerically singular Gram matrix yields, raises
-    :class:`DegenerateColumn`.
+    Returns ``(gram_factor, retained)``: the factor, changed in place to the
+    Cholesky factor of the face's Gram block (from the same LAPACK call
+    :meth:`CholeskyFactor.from_gram` makes on it), and the sorted positions
+    of the face within the active set.  On the face the projection is
+    parallel to the face's own equiangular direction.  A target with every
+    weight positive is its own projection and leaves the factor as it is;
+    so does a refusal.  A non-finite target, which only a numerically
+    singular Gram matrix yields, raises :class:`DegenerateColumn`.
     """
     w = np.asarray(target_weights, dtype=float).reshape(-1)
     k = gram_factor.active_dim
@@ -294,14 +239,13 @@ def nnls_inner_loop(gram_factor, target_weights):
     if w.min() > 0.0:
         return gram_factor, np.arange(k)
 
-    storage = gram_factor._storage
     # One contiguous copy, so that dsymv does not copy G on every product.
-    G = np.array(storage.gram[:k, :k], order="F")
+    G = np.array(gram_factor.gram[:k, :k], order="F")
     b = dsymv(1.0, G, w)
     p = np.zeros(k)
     face = np.zeros(k, dtype=bool)
     if k > 1:
-        z = dpptrs(k - 1, storage.ap, b[: k - 1])[0]
+        z = dpptrs(k - 1, gram_factor.ap, b[: k - 1])[0]
         if z.min() > 0.0:
             p[: k - 1] = z
             face[: k - 1] = True
@@ -367,5 +311,4 @@ def nnls_inner_loop(gram_factor, target_weights):
         raise EmptyFace("all variables eliminated")
     if R is None:
         block = G[:, idx][idx]
-        R = _lapack_ok("dpotrf", *dpotrf(block, clean=0))
-    return CholeskyFactor._packing(R, block), idx
+    return _refactor(gram_factor, block, R), idx

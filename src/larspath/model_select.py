@@ -9,7 +9,6 @@ estimate tracks the step index closely, which is what justifies the
 """
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     Underdetermined,
     VariantMismatch,
+    as_integer,
 )
 from .oracles import forward_selection
 from .preprocess import standardize, quadratic_expand
@@ -139,6 +139,7 @@ def lars_fitted_values(design, k_max, variant="lars"):
     matrix of fitted values at every vertex 0..k_max, padding with the final
     vertex when the path terminates early.
     """
+    k_max = as_integer(k_max, "k_max", minimum=0)
     X = design.columns
 
     def estimator(y_star):
@@ -155,14 +156,7 @@ def _check_groups(B, groups):
     """``B`` and ``groups`` as integers: at least two groups, for the
     interval's spread, and at least two draws per group, for each group's
     covariances."""
-    try:
-        B, groups = operator.index(B), operator.index(groups)
-    except TypeError:
-        raise DimensionMismatch(
-            f"B={B!r} and groups={groups!r} must be integers"
-        ) from None
-    if groups < 2:
-        raise DimensionMismatch(f"groups={groups} must be at least 2")
+    B, groups = as_integer(B, "B"), as_integer(groups, "groups", minimum=2)
     if B % groups != 0 or B < 2 * groups:
         raise DimensionMismatch(
             f"B={B} must be a multiple of groups={groups}, at least 2 per group"
@@ -306,10 +300,7 @@ def hybrid_r2(path, k):
     """
     if path.variant != "lars":
         raise VariantMismatch(f"requires the plain variant, got {path.variant!r}")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DimensionMismatch(f"k={k!r} must be an integer") from None
+    k = as_integer(k, "k")
     if not 1 <= k <= path.n_steps:
         raise DimensionMismatch(f"k={k} outside 1..{path.n_steps}")
     tss = path.steps[0].rss
@@ -332,6 +323,7 @@ def main_effects_first(design_main, path, k, interaction_columns, names=None,
     ``y - X beta_k`` and a fresh path is fitted on them.  Returns the new
     path.  The residual of a saturating fit gives an empty path.
     """
+    k = as_integer(k, "k", IndexOutOfRange)
     if not 0 <= k < len(path.steps):
         raise IndexOutOfRange(f"k={k} outside the fitted path (0..{len(path.steps) - 1})")
     beta_k = path.steps[k].beta
@@ -351,8 +343,8 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
     variance explained, plus the average nonzero count per step.  At least
     two replications are needed for the standard deviations.
     """
-    if replications < 2:
-        raise DimensionMismatch(f"replications={replications} must be at least 2")
+    replications = as_integer(replications, "replications", minimum=2)
+    n_steps = as_integer(n_steps, "n_steps", minimum=0)
     Xq, labels = quadratic_expand(raw_columns, binary_column)
     design = standardize(Xq, raw_response, labels)
     base = fit_path(design, "lars", stop_after=10)

@@ -5,7 +5,7 @@ path variants."""
 import numpy as np
 
 from .core import Path, PathStep, _GramCache
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, as_integer
 from .linalg import CholeskyFactor, cholesky_append, solve_gram
 
 __all__ = ["forward_selection"]
@@ -23,6 +23,7 @@ def forward_selection(design, k_max):
     y = design.response
     n, m = X.shape
     limit = min(m, n - 1) if design.centered else min(m, n)
+    k_max = as_integer(k_max, "k_max")
     if not 0 <= k_max <= limit:
         raise DimensionMismatch(f"k_max={k_max} outside 0..{limit}")
 
@@ -31,7 +32,7 @@ def forward_selection(design, k_max):
     y_sq = float(y @ y)
     beta = np.zeros(m)
     sel = np.zeros(0, dtype=int)
-    factor = CholeskyFactor.empty()
+    factor = CholeskyFactor()
     steps = [
         PathStep(
             step_index=0, action=None, variable=None, sign=None,
@@ -48,7 +49,7 @@ def forward_selection(design, k_max):
         if c_abs[j] < 1e-10:
             break
         col = gram.column(j)
-        factor = cholesky_append(factor, col[sel], float(col[j]))
+        cholesky_append(factor, col[sel], float(col[j]))
         sel = np.append(sel, j)
         coef = solve_gram(factor, c0[sel])
         # Zero (of either sign) counts as positive.

@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     NonNumericCell,
     WrongColumnCount,
+    as_integer,
 )
 
 __all__ = [
@@ -201,6 +202,7 @@ def quadratic_expand(raw_columns, binary_column, names=None):
             f"need at least 2 columns, got {X.shape[1] if X.ndim == 2 else 'n/a'}"
         )
     n, m = X.shape
+    binary_column = as_integer(binary_column, "binary_column", WrongColumnCount)
     if not 0 <= binary_column < m:
         raise WrongColumnCount(
             f"binary_column {binary_column} out of range for {m} columns"

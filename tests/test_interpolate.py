@@ -104,6 +104,10 @@ def test_interpolate_refuses_what_the_reference_refuses(reference_paths):
             with pytest.raises(TOutOfRange) as want:
                 reference_interpolate(path, t)
             assert str(got.value) == str(want.value)
+        # Not a number at all: the reference fails inside float().
+        for t in (None, "x", [1.0]):
+            with pytest.raises(TOutOfRange, match="not a number"):
+                interpolate(path, t)
 
 
 def test_decreasing_budget_takes_the_first_bracketing_segment():

@@ -44,7 +44,7 @@ def equiangular(design, active, signs):
     """``A`` and the signed weights ``sw`` from ``_direction`` on the signed
     Gram factor of ``active``, with ``u = X_A sw`` and ``a = X'u``."""
     s = np.asarray(signs, dtype=float)
-    _, retained, A, sw = _direction(signed_factor(design, active, signs), s, False)
+    retained, A, sw = _direction(signed_factor(design, active, signs), s, False)
     assert retained is None
     u = design.columns[:, list(active)] @ sw
     return A, sw, u, design.columns.T @ u
@@ -447,15 +447,15 @@ def test_refresh_from_the_active_block_matches_a_separate_product(monkeypatch,
 
 
 class _DenseFactor:
-    """Reference factor: the active Gram matrix itself, solved densely."""
+    """Reference factor: the active Gram matrix itself, solved densely, and
+    replaced in place by the append, drop and cone projection below."""
 
-    def __init__(self, gram):
-        self.gram = gram
-        self.active_dim = gram.shape[0]
+    def __init__(self):
+        self.gram = np.zeros((0, 0))
 
-    @classmethod
-    def empty(cls):
-        return cls(np.zeros((0, 0)))
+    @property
+    def active_dim(self):
+        return self.gram.shape[0]
 
 
 def _dense_append(factor, cross, norm_sq):
@@ -467,12 +467,14 @@ def _dense_append(factor, cross, norm_sq):
     G[:k, :k] = factor.gram
     G[:k, k] = G[k, :k] = cross
     G[k, k] = norm_sq
-    return _DenseFactor(G)
+    factor.gram = G
+    return factor
 
 
 def _dense_drop(factor, position):
     keep = np.delete(np.arange(factor.active_dim), position)
-    return _DenseFactor(factor.gram[np.ix_(keep, keep)])
+    factor.gram = factor.gram[np.ix_(keep, keep)]
+    return factor
 
 
 def _dense_solve(factor, rhs):
@@ -485,13 +487,14 @@ def _dense_cone(factor, w):
     R = np.linalg.cholesky(factor.gram).T
     p, _ = nnls(R, R @ w)
     face = np.flatnonzero(p > 0)
-    return _DenseFactor(factor.gram[np.ix_(face, face)]), face
+    factor.gram = factor.gram[np.ix_(face, face)]
+    return factor, face
 
 
 @pytest.mark.parametrize("shape, seed", [((120, 40), 900), ((30, 80), 950)])
 def test_path_matches_dense_reference_factor(monkeypatch, shape, seed):
-    """The packed, shared-buffer factor gives the walk the same events and,
-    to rounding, the same vertices as a dense reference that keeps the
+    """The packed factor, changed in place, gives the walk the same events
+    and, to rounding, the same vertices as a dense reference that keeps the
     active Gram matrix and solves it with numpy (30 tall, 30 wide designs)."""
     designs = [random_design(*shape, seed + i) for i in range(30)]
     _assert_same_paths_under(monkeypatch, designs, [
@@ -514,6 +517,22 @@ def test_stop_after_truncates(design, diabetes_paths):
     full = diabetes_paths["lars"]
     for a, b in zip(path.steps, full.steps[:5]):
         assert np.array_equal(a.beta, b.beta)
+    assert fit_path(design, "lars", stop_after=np.int64(4)).betas.tobytes() == \
+        path.betas.tobytes()
+
+
+def test_cold_start_uses_the_walks_envelope_floor():
+    """Every variant starts when its top score reaches the envelope floor
+    and stops at once below it: the score is c for positive-lasso and |c|
+    otherwise, and the test is the walk's own ``< ENVELOPE_FLOOR``."""
+    floor = core.ENVELOPE_FLOOR
+    at = from_unit_columns(np.eye(2), [floor, 0.0])
+    below = from_unit_columns(np.eye(2), [0.5 * floor, 0.0])
+    for variant in core.VARIANTS:
+        assert fit_path(at, variant).n_steps == 1, variant
+        assert fit_path(below, variant).n_steps == 0, variant
+    negative = from_unit_columns(np.eye(2), [-1.0, 0.0])
+    assert [fit_path(negative, v).n_steps for v in core.VARIANTS] == [1, 1, 1, 0]
 
 
 def test_unknown_variant(design):
@@ -551,10 +570,13 @@ def test_export_surface():
         assert not {name for name in gone if hasattr(module, name)}, module
     assert importlib.util.find_spec("larspath.variants") is None
     # Interpolation is the module function only, and the factor is built
-    # from a Gram matrix or by appends.
+    # from a Gram matrix or by appends, one object changed in place with no
+    # dense views.
     assert not hasattr(larspath.Path, "interpolate")
     assert not hasattr(larspath.Path, "coefficients_at")
-    assert not hasattr(CholeskyFactor, "from_factor")
+    for name in ("from_factor", "empty", "R", "packed", "_storage"):
+        assert not hasattr(CholeskyFactor, name), name
+    assert not hasattr(larspath.linalg, "_Storage")
     assert not hasattr(larspath.StandardizedDesign, "gram")
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy.linalg.blas import dtpsv
-from scipy.linalg.lapack import dpotrf, dtrttp
+from scipy.linalg.lapack import dpotrf, dpptrs, dtpttr, dtrttp
 
 import larspath.core
 import larspath.linalg
@@ -29,34 +30,64 @@ from larspath.linalg import (
 rng = np.random.default_rng(42)
 
 
+def packed(f):
+    """R packed by columns: the factor's buffer up to its order."""
+    k = f.active_dim
+    return f.ap[: k * (k + 1) // 2]
+
+
+def dense_R(f):
+    """R as a dense matrix, unpacked from the buffer."""
+    return dtpttr(f.active_dim, packed(f))[0]
+
+
+def dense_gram(f):
+    """G as a dense symmetric matrix, built from the carried upper triangle."""
+    k = f.active_dim
+    upper = f.gram[:k, :k]
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+def state(f):
+    """Everything the factor holds, down to the bytes of its whole buffers."""
+    return f.active_dim, f.ap, f.gram, f.ap.tobytes(), f.gram.tobytes()
+
+
+def assert_unchanged(f, before):
+    k, ap, gram, ap_bytes, gram_bytes = before
+    assert f.active_dim == k
+    assert f.ap is ap and f.gram is gram
+    assert f.ap.tobytes() == ap_bytes and f.gram.tobytes() == gram_bytes
+
+
 def random_gram(k):
     X = rng.normal(size=(3 * k + 5, k))
     return X.T @ X
 
 
 def test_append_first_column():
-    f = cholesky_append(CholeskyFactor.empty(), np.zeros(0), 1.0)
+    f = cholesky_append(CholeskyFactor(), np.zeros(0), 1.0)
     assert f.active_dim == 1
-    assert np.allclose(f.R, [[1.0]])
+    assert np.allclose(dense_R(f), [[1.0]])
 
 
 def test_append_orthonormal_pair():
-    f = cholesky_append(CholeskyFactor.empty(), np.zeros(0), 1.0)
+    f = cholesky_append(CholeskyFactor(), np.zeros(0), 1.0)
     f = cholesky_append(f, np.array([0.0]), 1.0)
-    assert np.allclose(f.R, np.eye(2))
+    assert np.allclose(dense_R(f), np.eye(2))
 
 
 def test_append_correlated_pair():
     # unit columns at correlation 0.5: second pivot is sqrt(1 - 0.25)
-    f = cholesky_append(CholeskyFactor.empty(), np.zeros(0), 1.0)
+    f = cholesky_append(CholeskyFactor(), np.zeros(0), 1.0)
     f = cholesky_append(f, np.array([0.5]), 1.0)
     expected = np.array([[1.0, 0.5], [0.0, math.sqrt(0.75)]])
-    assert np.allclose(f.R, expected, atol=1e-15)
-    assert np.allclose(f.R.T @ f.R, f.gram, atol=1e-15)
+    assert np.allclose(dense_R(f), expected, atol=1e-15)
+    assert np.allclose(dense_R(f).T @ dense_R(f), dense_gram(f), atol=1e-15)
 
 
 def test_append_rejects_duplicate_column():
-    f = cholesky_append(CholeskyFactor.empty(), np.zeros(0), 1.0)
+    f = cholesky_append(CholeskyFactor(), np.zeros(0), 1.0)
     with pytest.raises(DegenerateColumn):
         cholesky_append(f, np.array([1.0]), 1.0)
 
@@ -79,19 +110,23 @@ def test_append_wrong_cross_product_length():
 
 
 def test_drop_reverses_append():
+    """The append and the drop change the factor they are given and return
+    it; dropping the appended column restores its R and G."""
     G = random_gram(5)
     f = CholeskyFactor.from_gram(G)
-    g = cholesky_append(f, rng.normal(size=5) * 0.1, 2.0)
-    back = cholesky_drop(g, 5)
-    assert np.allclose(back.R, f.R, atol=1e-12)
-    assert np.allclose(back.gram, f.gram)
+    R0, G0 = dense_R(f), dense_gram(f)
+    assert cholesky_append(f, rng.normal(size=5) * 0.1, 2.0) is f
+    assert f.active_dim == 6
+    assert cholesky_drop(f, 5) is f
+    assert np.allclose(dense_R(f), R0, atol=1e-12)
+    assert np.allclose(dense_gram(f), G0)
 
 
 def test_drop_from_identity():
     f = CholeskyFactor.from_gram(np.eye(3))
     g = cholesky_drop(f, 1)
     assert g.active_dim == 2
-    assert np.allclose(g.R, np.eye(2))
+    assert np.allclose(dense_R(g), np.eye(2))
 
 
 def test_drop_middle_column_matches_fresh_factor():
@@ -100,7 +135,7 @@ def test_drop_middle_column_matches_fresh_factor():
     g = cholesky_drop(f, 2)
     keep = [0, 1, 3, 4]
     fresh = CholeskyFactor.from_gram(G[np.ix_(keep, keep)])
-    assert np.allclose(g.R, fresh.R, atol=1e-10)
+    assert np.allclose(dense_R(g), dense_R(fresh), atol=1e-10)
 
 
 def test_drop_last_column_gives_empty():
@@ -120,13 +155,14 @@ def test_drop_position_out_of_range():
 def test_drop_one_position_given_as_int_or_array_agrees():
     """A position given as a Python int or as a NumPy array scalar of any
     integer type gives the same factor bytes."""
-    f = CholeskyFactor.from_gram(random_gram(7))
+    G = random_gram(7)
+    f = CholeskyFactor.from_gram(G)
     for p in range(7):
-        want = cholesky_drop(f, p)
+        want = cholesky_drop(CholeskyFactor.from_gram(G), p)
         for one in (np.int64(p), np.uint8(p)):
-            got = cholesky_drop(f, one)
-            assert got.packed.tobytes() == want.packed.tobytes()
-            assert got.gram.tobytes() == want.gram.tobytes()
+            got = cholesky_drop(CholeskyFactor.from_gram(G), one)
+            assert packed(got).tobytes() == packed(want).tobytes()
+            assert dense_gram(got).tobytes() == dense_gram(want).tobytes()
     for bad in (7, np.int64(-1), np.uint8(7)):
         with pytest.raises(IndexOutOfRange):
             cholesky_drop(f, bad)
@@ -150,30 +186,31 @@ def test_random_append_drop_sequences():
         X /= np.linalg.norm(X, axis=0)
         G = X.T @ X
         active = []
-        f = CholeskyFactor.empty()
+        f = CholeskyFactor()
         for op in range(60):
             if active and trng.random() < 0.35:
                 pos = int(trng.integers(len(active)))
                 active.pop(pos)
-                f = cholesky_drop(f, pos)
+                cholesky_drop(f, pos)
             else:
                 candidates = [j for j in range(m) if j not in active]
                 if not candidates:
                     continue
                 j = candidates[int(trng.integers(len(candidates)))]
                 idx = np.array(active, dtype=int)
-                f = cholesky_append(f, G[idx, j], G[j, j])
+                cholesky_append(f, G[idx, j], G[j, j])
                 active.append(j)
             if active:
                 idx = np.ix_(active, active)
                 ref = G[idx]
-                err = np.linalg.norm(f.R.T @ f.R - ref) / np.linalg.norm(ref)
+                R = dense_R(f)
+                err = np.linalg.norm(R.T @ R - ref) / np.linalg.norm(ref)
                 assert err < 1e-9
 
 
 def test_factor_matches_dense_references_through_appends_and_drops():
     """Appends and drops give the factor and the solves of a dense Cholesky
-    and a dense solve, and R stays in the Fortran order LAPACK takes."""
+    and a dense solve."""
     trng = np.random.default_rng(2024)
     X = trng.normal(size=(200, 60))
     X /= np.linalg.norm(X, axis=0)
@@ -181,20 +218,18 @@ def test_factor_matches_dense_references_through_appends_and_drops():
 
     def check(f, idx):
         sub = G[np.ix_(idx, idx)]
-        assert f.R.flags.f_contiguous
-        assert np.allclose(f.R, np.linalg.cholesky(sub).T, rtol=0, atol=1e-12)
+        assert np.allclose(dense_R(f), np.linalg.cholesky(sub).T, rtol=0, atol=1e-12)
         b = trng.normal(size=len(idx))
         assert np.allclose(solve_gram(f, b), np.linalg.solve(sub, b),
                            rtol=1e-11, atol=1e-12)
 
-    f = CholeskyFactor.empty()
+    f = CholeskyFactor()
     for k in range(1, 61):
-        f = cholesky_append(f, G[: k - 1, k - 1], G[k - 1, k - 1])
+        cholesky_append(f, G[: k - 1, k - 1], G[k - 1, k - 1])
         check(f, list(range(k)))
-    assert CholeskyFactor.from_gram(G).R.flags.f_contiguous
     for gone in (0, 59, 31):
         idx = [p for p in range(60) if p != gone]
-        check(cholesky_drop(f, gone), idx)
+        check(cholesky_drop(copy.deepcopy(f), gone), idx)
 
 
 def _unit_gram(seed, n, m):
@@ -205,75 +240,86 @@ def _unit_gram(seed, n, m):
 
 def _grown(G, order):
     """The factor of G's ``order`` block, grown one append at a time."""
-    f = CholeskyFactor.empty()
+    f = CholeskyFactor()
     for i, j in enumerate(order):
-        f = cholesky_append(f, G[order[:i], j], G[j, j])
+        cholesky_append(f, G[order[:i], j], G[j, j])
     return f
 
 
 def _assert_factors(f, G, idx):
     sub = G[np.ix_(idx, idx)]
     assert f.active_dim == len(idx)
-    assert np.allclose(f.R, np.linalg.cholesky(sub).T, rtol=0, atol=1e-12)
-    assert np.array_equal(f.gram, sub)
+    assert np.allclose(dense_R(f), np.linalg.cholesky(sub).T, rtol=0, atol=1e-12)
+    assert np.array_equal(dense_gram(f), sub)
     b = np.linspace(-1.0, 2.0, len(idx))
     assert np.allclose(solve_gram(f, b), np.linalg.solve(sub, b), rtol=1e-11, atol=1e-12)
 
 
-def test_two_appends_to_one_factor_are_independent():
-    """Two different columns appended to one factor give two factors that
-    each match a dense Cholesky and a dense solve of their own Gram matrix,
-    whichever is appended first, and keep doing so as both grow further."""
-    G = _unit_gram(3, 60, 14)
-    base = list(range(10))
-    for first, second in ((10, 11), (11, 10)):
-        f = _grown(G, base)
-        g1 = cholesky_append(f, G[base, first], G[first, first])
-        g2 = cholesky_append(f, G[base, second], G[second, second])
-        idx1, idx2 = base + [first], base + [second]
-        h1 = cholesky_append(g1, G[idx1, 12], G[12, 12])
-        h2 = cholesky_append(g2, G[idx2, 13], G[13, 13])
-        _assert_factors(f, G, base)
-        _assert_factors(g1, G, idx1)
-        _assert_factors(g2, G, idx2)
-        _assert_factors(h1, G, idx1 + [12])
-        _assert_factors(h2, G, idx2 + [13])
-
-
 def test_refused_append_leaves_the_factor_unchanged():
-    """An append refused as dependent writes nothing: the parent keeps its
-    R, Gram and solves, and a later append to it is exact."""
-    G = _unit_gram(4, 40, 8)
-    base = list(range(5))
-    f = _grown(G, base)
-    packed, R, gram = f.packed.copy(), f.R, f.gram
-    coef = np.array([1.0, -2.0, 0.5, 1.5, 0.25])
-    cross = G[np.ix_(base, base)] @ coef
+    """An append refused as dependent writes nothing, also to full buffers,
+    which it does not replace: the factor keeps its R, Gram and solves, and
+    a later append to it is exact."""
+    G = _unit_gram(4, 40, 2 * larspath.linalg.MIN_CAPACITY)
+    coef = np.linspace(-2.0, 1.5, 5)
+    for size in (5, larspath.linalg.MIN_CAPACITY):
+        base = list(range(size))
+        f = _grown(G, base)
+        assert (f.gram.shape[0] == size) == (size == larspath.linalg.MIN_CAPACITY)
+        before = state(f)
+        cross = G[np.ix_(base, base[:5])] @ coef
+        with pytest.raises(DegenerateColumn):
+            cholesky_append(f, cross, float(coef @ cross[:5]))
+        with pytest.raises(DegenerateColumn):
+            cholesky_append(f, G[base, size], 0.0)
+        assert_unchanged(f, before)
+        _assert_factors(f, G, base)
+        _assert_factors(cholesky_append(f, G[base, size], G[size, size]), G, base + [size])
+
+
+def test_refused_drop_and_cone_projection_leave_the_factor_unchanged(monkeypatch):
+    """A drop at a bad position and a cone projection that raises write
+    nothing: the factor keeps its order and the bytes of its buffers."""
+    f = _grown(_unit_gram(6, 30, 6), list(range(6)))
+    before = state(f)
+    for bad in (6, -1, 1.5, [1], True):
+        with pytest.raises(IndexOutOfRange):
+            cholesky_drop(f, bad)
     with pytest.raises(DegenerateColumn):
-        cholesky_append(f, cross, float(coef @ cross))
-    with pytest.raises(DegenerateColumn):
-        cholesky_append(f, G[base, 5], 0.0)
-    assert np.array_equal(f.packed, packed)
-    assert np.array_equal(f.R, R)
-    assert np.array_equal(f.gram, gram)
-    _assert_factors(f, G, base)
-    _assert_factors(cholesky_append(f, G[base, 5], G[5, 5]), G, base + [5])
+        nnls_inner_loop(f, np.array([0.5, np.nan, -0.2, 0.1, 0.3, 0.4]))
+    with pytest.raises(DimensionMismatch):
+        nnls_inner_loop(f, np.array([0.5, -0.2]))
+    assert_unchanged(f, before)
+
+    eye = CholeskyFactor.from_gram(np.eye(3))
+    before = state(eye)
+    with pytest.raises(EmptyFace):
+        nnls_inner_loop(eye, np.array([-1.0, -1.0, -1.0]))
+    assert_unchanged(eye, before)
+
+    monkeypatch.setattr(larspath.linalg, "dsymv", _positive_dual)
+    g = CholeskyFactor.from_gram(
+        np.array([[12.0, 5.0, -2.0], [5.0, 3.0, 1.5], [-2.0, 1.5, 11.0]]))
+    before = state(g)
+    with pytest.raises(MaxIterations):
+        nnls_inner_loop(g, np.array([0.1, -1.0, -1.0]))
+    assert_unchanged(g, before)
 
 
 def test_append_chain_writes_in_place():
-    """Along a chain of 200 appends the factors share one packed buffer
-    (no append copied the factor), and an early factor still matches its
-    dense reference after the later appends."""
+    """Along a chain of 200 appends the factor keeps its buffers until they
+    are full, and then moves to buffers of twice the capacity."""
     G = _unit_gram(5, 400, 200)
-    f = CholeskyFactor.empty()
-    kept = {}
+    f = CholeskyFactor()
+    capacities = [f.gram.shape[0]]
     for j in range(200):
-        f = cholesky_append(f, G[:j, j], G[j, j])
-        if j + 1 in (100, 120):
-            kept[j + 1] = f
-    assert np.shares_memory(kept[100].packed, kept[120].packed)
-    assert np.array_equal(kept[120].packed[: kept[100].packed.size], kept[100].packed)
-    _assert_factors(kept[100], G, list(range(100)))
+        ap, gram = f.ap, f.gram
+        cholesky_append(f, G[:j, j], G[j, j])
+        if f.ap is not ap or f.gram is not gram:
+            assert f.ap is not ap and f.gram is not gram
+            assert j == capacities[-1]
+            capacities.append(f.gram.shape[0])
+    assert capacities == [16, 32, 64, 128, 256]
+    assert f.ap.size == 256 * 257 // 2
     _assert_factors(f, G, list(range(200)))
 
 
@@ -315,16 +361,17 @@ def _two_triangular_solves(factor, b):
     """G x = b as two BLAS ``dtpsv`` calls on the packed factor: R'z = b,
     then R x = z."""
     k = factor.active_dim
-    z = dtpsv(k, factor.packed, b, trans=1)
-    return dtpsv(k, factor.packed, z, overwrite_x=1)
+    z = dtpsv(k, packed(factor), b, trans=1)
+    return dtpsv(k, packed(factor), z, overwrite_x=1)
 
 
 def test_solve_gram_equals_two_triangular_solves_bit_for_bit():
     """``solve_gram`` runs both triangular solves in one LAPACK call, with
     the same result bytes as the two ``dtpsv`` calls: on fresh factors of
-    order 1 to 80, and on the leading factors of a buffer that a longer
-    factor has grown into, solved on the buffer itself as the cone
-    projection's warm start solves the block before the last column."""
+    order 1 to 80, on a factor grown by appends into buffers larger than
+    it, and on the leading blocks of that factor's buffer, solved with
+    ``dpptrs`` on the buffer itself as the cone projection's warm start
+    solves the block before the last column."""
     r = np.random.default_rng(17)
     for k in range(1, 81):
         X = r.normal(size=(k + 3, k))
@@ -332,48 +379,71 @@ def test_solve_gram_equals_two_triangular_solves_bit_for_bit():
         b = r.normal(size=k)
         assert solve_gram(f, b).tobytes() == _two_triangular_solves(f, b).tobytes()
     G = _unit_gram(7, 120, 60)
-    f = CholeskyFactor.empty()
-    leading = []
-    for j in range(60):
-        f = cholesky_append(f, G[:j, j], G[j, j])
-        leading.append(f)
-    assert f._storage.capacity > f.active_dim
-    shared = [g for g in leading if g._storage is f._storage]
-    assert len(shared) >= 20
+    f = CholeskyFactor()
     b = r.normal(size=60)
-    for g in shared:
-        k = g.active_dim
-        assert solve_gram(g, b[:k]).tobytes() == _two_triangular_solves(g, b[:k]).tobytes()
+    grown = {}
+    for j in range(60):
+        cholesky_append(f, G[:j, j], G[j, j])
+        grown[j + 1] = solve_gram(f, b[: j + 1])
+        assert grown[j + 1].tobytes() == _two_triangular_solves(f, b[: j + 1]).tobytes()
+    assert f.gram.shape[0] > f.active_dim
+    for k in range(1, 60):
+        leading = dpptrs(k, f.ap, b[:k])[0]
+        assert leading.tobytes() == grown[k].tobytes()
+
+
+def _lapack_packed(block):
+    """A fresh ``dpotrf`` of ``block``, packed by ``dtrttp``."""
+    return dtrttp(dpotrf(block, clean=0)[0])[0]
 
 
 @pytest.mark.parametrize("k", [9, 40])
 def test_factor_bytes_are_lapacks(k):
     """A fresh factor is dpotrf's R packed by dtrttp, byte for byte, for a
-    C- or Fortran-ordered Gram matrix; a one-position drop equals a fresh
-    factor of the kept block gathered with fancy indexing, from a fresh
-    factor and from one grown by appends."""
+    C- or Fortran-ordered Gram matrix.  A one-position drop, from a fresh
+    factor and from one grown by appends, and the face a cone projection
+    finds leave in the factor itself a fresh dpotrf + dtrttp of the kept
+    block, and the block as its Gram matrix."""
     G = _unit_gram(k, 3 * k, k)
-    want = dtrttp(dpotrf(G, clean=0)[0])[0]
+    want = _lapack_packed(G)
     for given in (G, np.asfortranarray(G)):
         f = CholeskyFactor.from_gram(given)
-        assert f.packed.tobytes() == want.tobytes()
-        assert np.array_equal(f.gram, G)
-    for f in (CholeskyFactor.from_gram(G), _grown(G, list(range(k)))):
+        assert packed(f).tobytes() == want.tobytes()
+        assert np.array_equal(dense_gram(f), G)
+    for make in (lambda: CholeskyFactor.from_gram(G), lambda: _grown(G, list(range(k)))):
         for p in range(k):
             keep = np.delete(np.arange(k), p)
-            got = cholesky_drop(f, p)
-            fresh = CholeskyFactor.from_gram(G[keep][:, keep])
-            assert got.packed.tobytes() == fresh.packed.tobytes()
-            assert got.gram.tobytes() == fresh.gram.tobytes()
+            f = make()
+            cholesky_drop(f, p)
+            assert packed(f).tobytes() == _lapack_packed(G[keep][:, keep]).tobytes()
+            assert np.array_equal(dense_gram(f), G[np.ix_(keep, keep)])
+    trng = np.random.default_rng(k)
+    faces = 0
+    for _ in range(10):
+        X = trng.normal(size=(3 * k, k)) * trng.choice([-1.0, 1.0], size=k)
+        Gs = X.T @ X
+        w = trng.uniform(0.1, 1.0, size=k)
+        w[trng.choice(k, size=k // 3, replace=False)] *= -1.0
+        f = _grown(Gs, list(range(k)))
+        _, retained = nnls_inner_loop(f, w)
+        assert 0 < retained.size < k
+        face = np.ix_(retained, retained)
+        assert packed(f).tobytes() == _lapack_packed(Gs[face]).tobytes()
+        assert np.array_equal(dense_gram(f), Gs[face])
+        faces += 1
+    assert faces == 10
 
 
 def _cone_weights(factor, w):
     """The projection's face and, at full length, the face's unit-length
-    equiangular weights, solved with the face factor it returns."""
+    equiangular weights, solved with the face factor it leaves in
+    ``factor``."""
+    k = factor.active_dim
     face_factor, retained = nnls_inner_loop(factor, w)
-    assert face_factor.active_dim == retained.size
-    g1 = solve_gram(face_factor, np.ones(retained.size))
-    out = np.zeros(factor.active_dim)
+    assert face_factor is factor
+    assert factor.active_dim == retained.size
+    g1 = solve_gram(factor, np.ones(retained.size))
+    out = np.zeros(k)
     out[retained] = g1 / math.sqrt(g1.sum())
     return out, retained
 
@@ -388,7 +458,7 @@ def test_nnls_all_positive_is_identity():
 
 def test_nnls_empty_factor():
     with pytest.raises(EmptyFace):
-        nnls_inner_loop(CholeskyFactor.empty(), np.zeros(0))
+        nnls_inner_loop(CholeskyFactor(), np.zeros(0))
 
 
 def test_nnls_unequal_norms_keeps_nearest_face():
@@ -481,7 +551,7 @@ def test_nnls_bars_a_position_its_trial_solve_rejects(monkeypatch):
     face_factor, retained = nnls_inner_loop(
         CholeskyFactor.from_gram(np.eye(2)), np.array([1.0, -1.0]))
     assert np.array_equal(retained, [0])
-    assert np.array_equal(face_factor.R, [[1.0]])
+    assert np.array_equal(dense_R(face_factor), [[1.0]])
 
 
 def test_nnls_iteration_limit_raises_max_iterations(monkeypatch):
@@ -521,9 +591,10 @@ def _scipy_projection(G, w):
 
 def _assert_matches_scipy(factor, w):
     """Same face as SciPy's nnls, and the same projection weights solved
-    with the returned face factor.  Returns whether the face before the
-    last column had positive weights, the start the search is warm from."""
-    G = factor.gram
+    with the face factor left in ``factor``.  Returns whether the face
+    before the last column had positive weights, the start the search is
+    warm from."""
+    G = dense_gram(factor)
     ref = _scipy_projection(G, w)
     face_factor, retained = nnls_inner_loop(factor, w)
     assert np.array_equal(retained, np.flatnonzero(ref > 0))
@@ -549,9 +620,9 @@ def test_nnls_matches_scipy_from_warm_and_cold_starts():
             w[-1] = -0.5
             if spread:
                 w[trng.choice(k - 1, size=k // 4, replace=False)] *= -1.0
-            f = CholeskyFactor.empty()
+            f = CholeskyFactor()
             for j in range(k):
-                f = cholesky_append(f, X[:, :j].T @ X[:, j], X[:, j] @ X[:, j])
+                cholesky_append(f, X[:, :j].T @ X[:, j], X[:, j] @ X[:, j])
             warm = _assert_matches_scipy(f, w)
             assert warm != spread
             starts[warm] += 1
@@ -560,11 +631,12 @@ def test_nnls_matches_scipy_from_warm_and_cold_starts():
 
 def test_nnls_matches_scipy_on_every_diabetes_projection(quad_design, monkeypatch):
     """Every cone projection of the stagewise walk on the 64-column
-    diabetes design gives SciPy's face and weights."""
+    diabetes design gives SciPy's face and weights, on a copy of the
+    factor the walk goes on to change."""
     calls = []
 
     def recorded(factor, w):
-        calls.append((factor, w.copy()))
+        calls.append((copy.deepcopy(factor), w.copy()))
         return nnls_inner_loop(factor, w)
 
     monkeypatch.setattr(larspath.core, "nnls_inner_loop", recorded)

@@ -10,17 +10,24 @@ import numpy as np
 import pytest
 
 from larspath.core import fit_path
-from larspath.errors import DimensionMismatch, Underdetermined, VariantMismatch
+from larspath.errors import (
+    DimensionMismatch,
+    LarsError,
+    Underdetermined,
+    VariantMismatch,
+)
 from larspath.model_select import (
     bootstrap_df,
     cp_curve,
     hybrid_r2,
     lars_fitted_values,
     lasso_df_by_support,
+    main_effects_first,
     run_simulation_study,
     sigma2_full_ols,
 )
-from larspath.preprocess import from_unit_columns, standardize
+from larspath.oracles import forward_selection
+from larspath.preprocess import from_unit_columns, quadratic_expand, standardize
 
 
 def test_sigma2_full_ols_diabetes(design):
@@ -218,6 +225,34 @@ def test_hybrid_r2_refuses_a_step_that_is_not_an_integer(diabetes_paths, k):
     with pytest.raises(DimensionMismatch, match="integer"):
         hybrid_r2(path, k)
     assert hybrid_r2(path, np.int64(2)) == hybrid_r2(path, 2)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("stop_after", lambda d, p, X, y: fit_path(d, "lars", stop_after=1.5)),
+    ("stop_after", lambda d, p, X, y: fit_path(d, "lars", stop_after=-1)),
+    ("max_steps", lambda d, p, X, y: fit_path(d, "lars", max_steps=2.5)),
+    ("max_steps", lambda d, p, X, y: fit_path(d, "lasso", max_steps=-1)),
+    ("k_max", lambda d, p, X, y: forward_selection(d, 2.0)),
+    ("k", lambda d, p, X, y: main_effects_first(d, p, 2.0, X[:, :3] * X[:, 3:6])),
+    ("k_max", lambda d, p, X, y: lars_fitted_values(d, 2.5)),
+    ("k_max", lambda d, p, X, y: lars_fitted_values(d, -1)),
+    ("n_steps", lambda d, p, X, y: run_simulation_study(X, y, replications=2, n_steps=2.5)),
+    ("replications", lambda d, p, X, y: run_simulation_study(X, y, replications=2.0)),
+    ("binary_column", lambda d, p, X, y: run_simulation_study(
+        X, y, replications=2, n_steps=2, binary_column=1.5)),
+    ("binary_column", lambda d, p, X, y: quadratic_expand(X, 1.5)),
+], ids=["stop_after=1.5", "stop_after=-1", "max_steps=2.5", "max_steps=-1",
+        "forward_selection", "main_effects_first", "lars_fitted_values=2.5",
+        "lars_fitted_values=-1", "simulation_n_steps", "simulation_replications",
+        "simulation_binary_column", "quadratic_expand"])
+def test_count_and_position_arguments_must_be_integers(design, diabetes_paths,
+                                                       diabetes, name, call):
+    """A count or position that is not an integer, even a whole float, and
+    a negative move count are refused with a LarsError naming the argument,
+    rather than rounded, read as some other count or left to fail inside."""
+    matrix, response, _ = diabetes
+    with pytest.raises(LarsError, match=name):
+        call(design, diabetes_paths["lars"], matrix, response)
 
 
 @pytest.mark.parametrize("replications", [0, 1])

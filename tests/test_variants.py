@@ -31,11 +31,11 @@ def direction(design, active, signs, factor, cone):
     """What ``_direction`` returns on ``factor``, plus the kept variables
     and signs, ``u = X_kept sw`` and ``a = X'u``."""
     active, signs = np.asarray(active), np.asarray(signs, dtype=float)
-    factor, retained, A, sw = _direction(factor, signs, cone)
+    retained, A, sw = _direction(factor, signs, cone)
     if retained is not None:
         active, signs = active[retained], signs[retained]
     u = design.columns[:, active] @ sw
-    return SimpleNamespace(factor=factor, retained=retained, A=A, sw=sw,
+    return SimpleNamespace(retained=retained, A=A, sw=sw,
                            active=tuple(active.tolist()), signs=signs, u=u,
                            a=design.columns.T @ u)
 
@@ -103,8 +103,8 @@ def test_stagewise_direction_interior_is_identity():
     plain = direction(d, (0, 1), (1, 1), f, False)
     assert plain.sw.min() > 0
     face = direction(d, (0, 1), (1, 1), f, True)
-    assert face.factor is f
     assert face.retained is None  # nothing projected out
+    assert f.active_dim == 2
     assert face.A == plain.A and np.array_equal(face.sw, plain.sw)
 
 
@@ -121,6 +121,7 @@ def test_stagewise_direction_two_variable_cone():
     assert direction(d, (0, 1), (1, 1), f, False).sw.min() < 0
     face = direction(d, (0, 1), (1, 1), f, True)
     assert tuple(np.delete([0, 1], face.retained)) == (0,)
+    assert f.active_dim == 1  # refactorized in place to the face
     assert face.active == (1,)
     assert np.allclose(face.u, X[:, 1] / np.linalg.norm(X[:, 1]))
 
