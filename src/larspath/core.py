@@ -170,8 +170,8 @@ class Path:
 
     @cached_property
     def betas(self):
-        """The ``(n_steps + 1, m)`` vertex coefficients, one row per step,
-        stacked once and read-only."""
+        """The read-only ``(n_steps + 1, m)`` vertex coefficients: recorded
+        with the vertices, or stacked once from a path's replaced steps."""
         betas = np.array([s.beta for s in self.steps])
         betas.flags.writeable = False
         return betas
@@ -190,6 +190,28 @@ class Path:
         low = np.minimum(T[:-1], T[1:]) - slack
         high = np.maximum(T[:-1], T[1:]) + slack
         return _BudgetTable(Ts, rows, t_end, slack, False, low, high)
+
+
+def _max_active(design):
+    """The most variables a walk can hold: m, below n, or n - 1 if centered."""
+    return min(design.m, design.n - 1 if design.centered else design.n)
+
+
+def _record_path(variant, design, C_max0, rss0, moves, betas):
+    """The :class:`Path` of a walk from each move's :class:`PathStep` fields
+    but ``beta`` and ``T`` (``moves``) and every vertex's coefficients
+    (``betas``), stacked once into the read-only ``Path.betas``: its rows
+    are the vertices' ``beta``, and one reduction over it gives every T."""
+    stacked = np.array(betas)
+    stacked.flags.writeable = False
+    Ts = np.add.reduce(np.abs(stacked), axis=1).tolist()
+    start = (None, None, None, (), (), 0.0, C_max0, 0.0, rss0, ())
+    steps = tuple(PathStep(i, *head, stacked[i], rss, T, proj)
+                  for i, ((*head, rss, proj), T) in enumerate(zip([start, *moves], Ts)))
+    path = Path(variant=variant, steps=steps, design=design)
+    # Seeds the cached ``betas``, so reading it stacks nothing again.
+    vars(path)["betas"] = stacked
+    return path
 
 
 class _TieRestart(Exception):
@@ -365,9 +387,9 @@ def _tie(tie_mode, message):
 def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     X = design.columns
     y = design.response
-    n, m = X.shape
+    m = X.shape[1]
     budget = 8 * m if max_steps is None else max_steps
-    max_active = min(m, n - 1) if design.centered else min(m, n)
+    max_active = _max_active(design)
     positive = variant == "positive-lasso"
     drops = positive or variant == "lasso"
     cone = variant == "stagewise"
@@ -394,26 +416,16 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     factor = CholeskyFactor()
 
     C0 = float(np.abs(c).max()) if m else 0.0
-    # Per move, PathStep's fields from ``action`` to ``projection_dropped``
-    # without ``beta`` and ``T``, and the vertex's beta.  Every vertex's T
-    # comes from one reduction over the stacked betas when the path is made.
+    # Per move, the fields ``_record_path`` reads, and the vertex's beta.
     moves = []
     betas = [beta.copy()]
-
-    def make_path():
-        Ts = np.add.reduce(np.abs(np.array(betas)), axis=1).tolist()
-        steps = [PathStep(0, None, None, None, (), (), 0.0, C0, 0.0, betas[0], y_sq, Ts[0])]
-        for i, (fields, b, T) in enumerate(zip(moves, betas[1:], Ts[1:]), 1):
-            *head, rss, proj = fields
-            steps.append(PathStep(i, *head, b, rss, T, proj))
-        return Path(variant=variant, steps=tuple(steps), design=design)
 
     # Cold start: highest absolute correlation (highest positive correlation
     # for the positive variant), ties to the lowest index.
     score = c if positive else np.abs(c)
     top = float(score.max()) if m else 0.0
     if top < ENVELOPE_FLOOR:
-        return make_path()
+        return _record_path(variant, design, C0, y_sq, moves, betas)
     tied = np.flatnonzero(score >= top - TIE_RTOL * max(1.0, top))
     if tied.size > 1:
         _tie(tie_mode, f"{tied.size} variables tie at the start; taking {int(tied[0])}")
@@ -543,7 +555,7 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
             pending = ("add", j_next, s_next, None)
         else:
             break
-    return make_path()
+    return _record_path(variant, design, C0, y_sq, moves, betas)
 
 
 def fit_path(design, variant="lars", *, max_steps=None, stop_after=None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import stdtrit
 
-from .core import fit_path
+from .core import _max_active, fit_path
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -125,11 +125,7 @@ def cp_curve(path, sigma2, *, allow_variant=False):
 def _vertex_betas(path, k_max):
     """The ``(k_max + 1, m)`` vertex coefficients of ``path``, padded with
     its final vertex when the walk ended early."""
-    betas = path.betas[:k_max + 1]
-    if betas.shape[0] < k_max + 1:
-        pad = np.repeat(betas[-1:], k_max + 1 - betas.shape[0], axis=0)
-        betas = np.vstack([betas, pad])
-    return betas
+    return path.betas[np.minimum(np.arange(k_max + 1), path.n_steps)]
 
 
 def lars_fitted_values(design, k_max, variant="lars"):
@@ -152,29 +148,20 @@ def lars_fitted_values(design, k_max, variant="lars"):
     return estimator
 
 
-def _check_groups(B, groups):
-    """``B`` and ``groups`` as integers: at least two groups, for the
-    interval's spread, and at least two draws per group, for each group's
-    covariances."""
+def _resampling(design, B, groups, seed, resampling):
+    """The set-up both bootstrap estimates share, with one least squares
+    solve: the checked ``groups`` (two or more, each of two draws or more),
+    the full fit's residual variance, and an iterator over the ``B`` draws
+    around the full fit, each as ``(group, y_star)``."""
     B, groups = as_integer(B, "B"), as_integer(groups, "groups", minimum=2)
     if B % groups != 0 or B < 2 * groups:
         raise DimensionMismatch(
             f"B={B} must be a multiple of groups={groups}, at least 2 per group"
         )
-    return B, groups
-
-
-def _resampling(design, B, groups, seed, resampling):
-    """The set-up both bootstrap estimates share, with one least squares
-    solve: the checked ``B`` and ``groups``, the draws per group, the full
-    fit's residual variance, and an iterator over the ``B`` draws around
-    the full fit, each as ``(group, y_star)``."""
-    B, groups = _check_groups(B, groups)
     mu_bar, residuals, sigma2 = _full_ols(design)
     if resampling not in ("normal", "residual"):
         raise ValueError(f"unknown resampling {resampling!r}")
     sigma = math.sqrt(sigma2)
-    per_group = B // groups
     n = design.n
 
     def draws():
@@ -184,9 +171,38 @@ def _resampling(design, B, groups, seed, resampling):
                 y_star = mu_bar + sigma * rng.standard_normal(n)
             else:
                 y_star = mu_bar + residuals[rng.integers(0, n, n)]
-            yield b // per_group, y_star
+            yield b // (B // groups), y_star
 
-    return B, groups, per_group, sigma2, draws()
+    return groups, sigma2, draws()
+
+
+def _df_sums(groups, R, n):
+    """Zeroed ``(groups, R, n)`` sums of fitted times drawn values, of
+    fitted values and of drawn values, and ``(groups, R)`` draw counts."""
+    return (*(np.zeros((groups, R, n)) for _ in range(3)),
+            np.zeros((groups, R), dtype=int))
+
+
+def _df_estimates(sum_fy, sum_f, sum_y, count, sigma2):
+    """One :class:`DfEstimate` per estimate ``k`` seen in two draws or more
+    by two groups or more: the mean over those groups of their summed
+    covariances over ``sigma2``, with a Student-t 95% interval."""
+    out = []
+    crit = float(stdtrit(count.shape[0] - 1, 0.975))
+    for k in range(count.shape[1]):
+        cnt = count[:, k]
+        ok = cnt >= 2
+        n_ok = int(ok.sum())
+        if n_ok < 2:
+            continue
+        c = cnt[ok][:, None].astype(float)
+        cov = (sum_fy[ok, k] - sum_f[ok, k] * sum_y[ok, k] / c) / (c - 1)
+        df_groups = cov.sum(axis=1) / sigma2
+        df_hat = float(df_groups.mean())
+        half = crit * (float(df_groups.std(ddof=1)) / math.sqrt(n_ok))
+        out.append(DfEstimate(k, df_hat, df_hat - half, df_hat + half,
+                              int(cnt.sum()), n_ok))
+    return out
 
 
 def bootstrap_df(design, estimator, B=100, groups=10, seed=0, *,
@@ -197,44 +213,29 @@ def bootstrap_df(design, estimator, B=100, groups=10, seed=0, *,
     to each, and accumulates per-observation covariances between fitted and
     drawn values.  Replicates are split into ``groups`` equal groups; the
     reported df is the mean of the per-group estimates with a Student-t 95%
-    interval across groups.
+    interval across groups.  Fitted values of a shape other than ``(n,)``
+    or ``(R, n)``, with one ``R`` for every draw, raise DimensionMismatch.
 
     ``resampling="residual"`` draws errors by resampling the full-model
     residuals instead of normal deviates.
     """
-    B, groups, per_group, sigma2, draws = _resampling(design, B, groups, seed,
-                                                      resampling)
+    groups, sigma2, draws = _resampling(design, B, groups, seed, resampling)
     n = design.n
-    sum_fy = None
+    sums = None
     for g, y_star in draws:
-        fits = np.asarray(estimator(y_star))
-        if fits.ndim == 1:
-            fits = fits[None, :]
-        if sum_fy is None:
-            R = fits.shape[0]
-            sum_fy = np.zeros((groups, R, n))
-            sum_f = np.zeros((groups, R, n))
-            sum_y = np.zeros((groups, n))
+        out = np.asarray(estimator(y_star))
+        fits = out[None, :] if out.ndim == 1 else out
+        if sums is None and fits.ndim == 2:
+            sums = _df_sums(groups, len(fits), n)
+        if sums is None or fits.shape != sums[0].shape[1:]:
+            raise DimensionMismatch(f"estimator returned shape {out.shape}; expected "
+                                    f"({n},) or (R, {n}) with the same R on every draw")
+        sum_fy, sum_f, sum_y, count = sums
         sum_fy[g] += fits * y_star
         sum_f[g] += fits
         sum_y[g] += y_star
-
-    cov = (sum_fy - sum_f * (sum_y[:, None, :] / per_group)) / (per_group - 1)
-    df_groups = cov.sum(axis=2) / sigma2
-    df_hat = df_groups.mean(axis=0)
-    spread = df_groups.std(axis=0, ddof=1) / math.sqrt(groups)
-    crit = float(stdtrit(groups - 1, 0.975))
-    return [
-        DfEstimate(
-            k=r,
-            df_hat=float(df_hat[r]),
-            ci_low=float(df_hat[r] - crit * spread[r]),
-            ci_high=float(df_hat[r] + crit * spread[r]),
-            B=B,
-            groups=groups,
-        )
-        for r in range(df_hat.shape[0])
-    ]
+        count[g] += 1
+    return _df_estimates(*sums, sigma2)
 
 
 def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
@@ -246,15 +247,9 @@ def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
     the k-th estimate.  Support sizes a draw never visits are skipped for
     that draw.
     """
-    _, groups, _, sigma2, draws = _resampling(design, B, groups, seed, resampling)
-    n, m = design.n, design.m
+    groups, sigma2, draws = _resampling(design, B, groups, seed, resampling)
     X = design.columns
-    R = m + 1
-
-    sum_fy = np.zeros((groups, R, n))
-    sum_f = np.zeros((groups, R, n))
-    sum_y = np.zeros((groups, R, n))
-    count = np.zeros((groups, R), dtype=int)
+    sum_fy, sum_f, sum_y, count = sums = _df_sums(groups, design.m + 1, design.n)
     for g, y_star in draws:
         betas = fit_path(replace(design, response=y_star), "lasso").betas
         sizes = np.count_nonzero(betas, axis=1).tolist()
@@ -265,30 +260,7 @@ def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
             sum_f[g, k] += fits
             sum_y[g, k] += y_star
             count[g, k] += 1
-
-    out = []
-    crit = float(stdtrit(groups - 1, 0.975))
-    for k in range(R):
-        cnt = count[:, k]
-        ok = cnt >= 2
-        if ok.sum() < 2:
-            continue
-        c = cnt[ok][:, None].astype(float)
-        cov = (sum_fy[ok, k] - sum_f[ok, k] * sum_y[ok, k] / c) / (c - 1)
-        df_groups = cov.sum(axis=1) / sigma2
-        df_hat = float(df_groups.mean())
-        spread = float(df_groups.std(ddof=1)) / math.sqrt(int(ok.sum()))
-        out.append(
-            DfEstimate(
-                k=k,
-                df_hat=df_hat,
-                ci_low=df_hat - crit * spread,
-                ci_high=df_hat + crit * spread,
-                B=int(cnt.sum()),
-                groups=int(ok.sum()),
-            )
-        )
-    return out
+    return _df_estimates(*sums, sigma2)
 
 
 def hybrid_r2(path, k):
@@ -341,12 +313,16 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
     signal and refits every method.  Reports, per method and step, the mean
     and standard deviation over replicates of the proportion of true-signal
     variance explained, plus the average nonzero count per step.  At least
-    two replications are needed for the standard deviations.
+    two replications are needed for the standard deviations, and forward
+    selection needs ``n_steps`` within the variables a walk can hold.
     """
     replications = as_integer(replications, "replications", minimum=2)
     n_steps = as_integer(n_steps, "n_steps", minimum=0)
     Xq, labels = quadratic_expand(raw_columns, binary_column)
     design = standardize(Xq, raw_response, labels)
+    limit = _max_active(design)
+    if n_steps > limit:
+        raise DimensionMismatch(f"n_steps={n_steps} outside 0..{limit}")
     base = fit_path(design, "lars", stop_after=10)
     mu = design.columns @ base.steps[-1].beta
     eps = design.response - mu

@@ -4,7 +4,7 @@ path variants."""
 
 import numpy as np
 
-from .core import Path, PathStep, _GramCache
+from .core import _GramCache, _max_active, _record_path
 from .errors import DimensionMismatch, as_integer
 from .linalg import CholeskyFactor, cholesky_append, solve_gram
 
@@ -15,14 +15,13 @@ def forward_selection(design, k_max):
     """Greedy orthogonal-projection selection, reported in path form.
 
     Each round picks the column most correlated with the current residual
-    and refits least squares on the selected set.  The returned
-    :class:`Path` uses ``gamma = 0`` and ``A = 0`` placeholders since the
-    walk is not piecewise linear.
+    and refits least squares on the selected set.  The rounds are recorded
+    as the path engine records its moves, with ``gamma = 0`` and ``A = 0``
+    placeholders since the walk is not piecewise linear.  ``k_max`` may
+    not exceed the number of variables a walk can hold.
     """
-    X = design.columns
-    y = design.response
-    n, m = X.shape
-    limit = min(m, n - 1) if design.centered else min(m, n)
+    X, y, m = design.columns, design.response, design.m
+    limit = _max_active(design)
     k_max = as_integer(k_max, "k_max")
     if not 0 <= k_max <= limit:
         raise DimensionMismatch(f"k_max={k_max} outside 0..{limit}")
@@ -33,15 +32,9 @@ def forward_selection(design, k_max):
     beta = np.zeros(m)
     sel = np.zeros(0, dtype=int)
     factor = CholeskyFactor()
-    steps = [
-        PathStep(
-            step_index=0, action=None, variable=None, sign=None,
-            active_after=(), signs_after=(), gamma=0.0,
-            C_max=float(np.abs(c0).max()) if m else 0.0, A=0.0,
-            beta=beta.copy(), rss=y_sq, T=0.0,
-        )
-    ]
-    for step in range(1, k_max + 1):
+    moves = []
+    betas = [beta]
+    for _ in range(k_max):
         c = c0 - gram.stack(sel, beta[sel]) if sel.size else c0.copy()
         c_abs = np.abs(c)
         c_abs[sel] = -np.inf
@@ -57,14 +50,8 @@ def forward_selection(design, k_max):
         beta = np.zeros(m)
         beta[sel] = coef
         rss = y_sq - float(coef @ c0[sel])
-        steps.append(
-            PathStep(
-                step_index=step, action="add", variable=j,
-                sign=int(signs[-1]),
-                active_after=tuple(sel.tolist()),
-                signs_after=tuple(signs.tolist()),
-                gamma=0.0, C_max=float(c_abs[j]), A=0.0,
-                beta=beta.copy(), rss=float(rss), T=float(np.abs(beta).sum()),
-            )
-        )
-    return Path(variant="forward-selection", steps=tuple(steps), design=design)
+        moves.append(("add", j, int(signs[-1]), tuple(sel.tolist()),
+                      tuple(signs.tolist()), 0.0, float(c_abs[j]), 0.0, rss, ()))
+        betas.append(beta)
+    C0 = float(np.abs(c0).max()) if m else 0.0
+    return _record_path("forward-selection", design, C0, y_sq, moves, betas)

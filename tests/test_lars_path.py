@@ -11,6 +11,7 @@ import larspath
 from larspath import core
 from larspath.core import (
     TIE_RTOL,
+    VARIANTS,
     Path,
     _direction,
     _GramCache,
@@ -590,18 +591,33 @@ def _stacked(path):
 def test_vertices_own_their_data(quad_design, quad_paths):
     """The walk keeps its active set and coefficients in buffers it
     overwrites; every recorded vertex holds copies: Python ints in the
-    tuples, and a coefficient array of its own that no other vertex shares."""
+    tuples, and a read-only row of ``path.betas`` as its coefficients, a
+    row that no other vertex overlaps."""
     paths = dict(quad_paths, **{"positive-lasso": fit_path(quad_design, "positive-lasso")})
     for variant, path in paths.items():
         betas = [s.beta for s in path.steps]
-        for s in path.steps:
+        for i, s in enumerate(path.steps):
             for field in (s.active_after, s.signs_after):
                 assert type(field) is tuple
                 assert all(type(v) is int for v in field), variant
             assert set(s.signs_after) <= {-1, 1}
-            assert s.beta.base is None and s.beta.flags.owndata, variant
+            assert s.beta.base is path.betas and not s.beta.flags.writeable, variant
+            assert np.shares_memory(s.beta, path.betas[i]), variant
         for i, b in enumerate(betas):
             assert not any(np.shares_memory(b, other) for other in betas[i + 1:]), variant
+
+
+def test_every_vertex_beta_is_stored_once(design, quad_design):
+    """A recorded path holds its coefficients once: every vertex's beta
+    lies in ``path.betas``, the array the vertices were recorded in, so
+    reading it stacks nothing."""
+    paths = [fit_path(d, v) for d in (design, quad_design) for v in VARIANTS] + [
+        forward_selection(design, design.m), forward_selection(quad_design, 20)]
+    for path in paths:
+        recorded = path.steps[0].beta.base
+        assert path.betas is recorded, path.variant
+        for s in path.steps:
+            assert np.shares_memory(s.beta, path.betas), path.variant
 
 
 def test_path_betas_stack_the_vertices(design, diabetes_paths):

@@ -1,6 +1,7 @@
 """Risk-estimation layer: Cp, bootstrap df, hybrid refits, simulation."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -147,6 +148,24 @@ def test_df_estimators_take_numpy_integers_and_solve_the_full_fit_once(
     assert got == want[1]
 
 
+@pytest.mark.parametrize("shapes", [
+    [(2, 5)], [(2, 3, 442)], [()], [(443,)], [(1, 441)], [(3, 442), (2, 442)],
+    [(2, 442), (1, 442)],
+], ids=["2x5", "3-d", "scalar", "long-vector", "short-rows", "R-changes", "R-drops-to-one"])
+def test_bootstrap_df_refuses_malformed_estimator_output(design, shapes):
+    """An estimator returns ``(n,)`` or ``(R, n)`` with one ``R`` for every
+    draw; any other output is refused with its shape named, not with a raw
+    broadcasting error."""
+    outputs = iter(shapes + shapes[-1:] * 20)
+
+    def estimator(y_star):
+        return np.zeros(next(outputs))
+
+    bad = shapes[-1]
+    with pytest.raises(DimensionMismatch, match=re.escape(f"shape {bad}")):
+        bootstrap_df(design, estimator, B=20, groups=2)
+
+
 def test_lars_fitted_values_shape_and_padding():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(25, 3))
@@ -264,6 +283,28 @@ def test_simulation_study_refuses_fewer_than_two_replications(diabetes,
         with pytest.raises(DimensionMismatch, match="replications"):
             run_simulation_study(matrix, response, replications=replications,
                                  n_steps=4)
+
+
+def test_simulation_study_checks_n_steps_before_any_fit(diabetes, monkeypatch):
+    """``n_steps`` beyond the 64 variables forward selection can take is
+    refused by its own name before any path is fitted."""
+    import larspath.model_select as ms
+
+    matrix, response, _ = diabetes
+    fits = []
+
+    def no_fit(*args, **kwargs):
+        fits.append(args)
+        raise RuntimeError("fitted")
+
+    monkeypatch.setattr(ms, "fit_path", no_fit)
+    with pytest.raises(DimensionMismatch, match=r"n_steps=100 outside 0\.\.64"):
+        run_simulation_study(matrix, response, replications=2, n_steps=100)
+    with pytest.raises(DimensionMismatch, match="n_steps=65"):
+        run_simulation_study(matrix, response, replications=2, n_steps=65)
+    assert fits == []
+    with pytest.raises(RuntimeError, match="fitted"):
+        run_simulation_study(matrix, response, replications=2, n_steps=64)
 
 
 def test_simulation_study_structure(diabetes):
