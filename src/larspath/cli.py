@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .core import VARIANTS, fit_path, interpolate
+from .core import VARIANTS, _max_active, fit_path, interpolate
 from .dataio import json_summary, read_csv, write_path_csv
 from .errors import DimensionMismatch, LarsError
 from .model_select import (
@@ -117,7 +117,7 @@ def _cmd_cp(args):
 
 def _cmd_bootstrap_df(args):
     design, *_ = _load_design(args)
-    estimator = lars_fitted_values(design, design.m)
+    estimator = lars_fitted_values(design, _max_active(design))
     estimates = bootstrap_df(design, estimator, B=args.B, groups=args.groups,
                              seed=args.seed)
     lines = ["k,df_hat,ci_low,ci_high"]

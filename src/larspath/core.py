@@ -37,11 +37,18 @@ Numerical conventions that the step counts depend on:
   ordering; exact recomputation removes the drift entirely.  It costs
   O(m * k) per move from the materialized Gram matrix of a tall design and
   O(n * m) through X on a wide one, the same order as the equiangular
-  products a = G[:, A] (s * w).  Both products read one gather per move:
-  the active set's rows of G (its columns of X on a wide design) are
-  gathered for the rates and read again for the refresh, because the
-  support of a lars, lasso or positive-lasso path lies in its active set.
-  A stagewise support also holds the coefficients that cone projections
+  products a = G[:, A] (s * w).  Both products read one block per move,
+  for the rates and again for the refresh, because the support of a lars,
+  lasso or positive-lasso path lies in its active set.  On a tall design
+  the block is carried across moves: the active set's rows of G sit in a
+  buffer that changes with the same edits as the active set (a join copies
+  one row in, a drop shifts the rows after it down, a cone projection
+  gathers the retained rows to the front), so no move copies the k x m
+  block again.  A wide design still gathers its active columns of X on
+  every move: carried in a buffer of their own they would reach BLAS with
+  another leading dimension, which changes the rounding of the products,
+  and the gather is small next to the two products through X.  A
+  stagewise support also holds the coefficients that cone projections
   froze, so that variant refreshes over its sorted support with a gather
   of its own.
 * A variable that leaves the active set at the current vertex (coefficient
@@ -57,6 +64,7 @@ Numerical conventions that the step counts depend on:
 import math
 import warnings
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -148,13 +156,86 @@ class PathStep:
     projection_dropped: tuple = ()
 
 
+# The fields a walk records for each vertex, in :class:`PathStep` order
+# after ``step_index``; ``beta`` and ``T`` are kept apart, as the stacked
+# ``Path.betas`` and the budgets reduced from it.
+_MOVE_FIELDS = ("action", "variable", "sign", "active_after", "signs_after",
+                "gamma", "C_max", "A", "rss", "projection_dropped")
+
+# The starting vertex's active set and signs.
+_NO_VARS = np.empty(0, dtype=int)
+_NO_VARS.flags.writeable = False
+
+
+class _Vertices(Sequence):
+    """The vertices of a walk, recorded as columns, read as
+    :class:`PathStep` objects.
+
+    ``betas`` is the read-only ``(K + 1, m)`` stack of vertex coefficients
+    and ``T`` the list of their budgets.  The other fields are one tuple
+    per name of ``_MOVE_FIELDS``, with each vertex's active set and signs
+    as arrays.  The first item access builds every :class:`PathStep` and
+    drops those columns, so the vertices are never held twice; ``len``
+    builds nothing.
+    """
+
+    def __init__(self, columns, betas, T):
+        self.betas = betas
+        self.T = T
+        self._columns = columns
+        self._steps = None
+
+    def __len__(self):
+        return len(self.T)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def column(self, name):
+        """Every vertex's ``name`` field, built or not."""
+        if name == "T":
+            return self.T
+        if self._steps is None:
+            return self._columns[name]
+        return [getattr(s, name) for s in self._steps]
+
+    def _built(self):
+        if self._steps is None:
+            rows = zip(*self._columns.values(), self.betas, self.T)
+            self._steps = tuple(
+                PathStep(i, action, var, sign, tuple(act.tolist()), tuple(signs.tolist()),
+                         gamma, C_max, A, beta, rss, T, proj)
+                for i, (action, var, sign, act, signs, gamma, C_max, A, rss, proj, beta, T)
+                in enumerate(rows))
+            self._columns = None
+        return self._steps
+
+
 @dataclass(frozen=True)
 class Path:
-    """A fitted coefficient path: the starting vertex plus one per move."""
+    """A fitted coefficient path: the starting vertex plus one per move.
+
+    ``steps`` holds the vertices.  A fitted path records them as columns
+    and builds its :class:`PathStep` objects when ``steps`` is first
+    indexed or iterated; ``n_steps``, ``t_max``, ``betas``, ``entry_order``
+    and :func:`interpolate` read the columns.  A copy made with
+    ``dataclasses.replace(path, steps=...)`` reads the steps it was given.
+    """
 
     variant: str
-    steps: tuple
+    steps: Sequence
     design: StandardizedDesign = field(repr=False)
+
+    def _field(self, name):
+        """Every vertex's ``name`` field, from the recorded columns or from
+        the given steps."""
+        steps = self.steps
+        if isinstance(steps, _Vertices):
+            return steps.column(name)
+        return [getattr(s, name) for s in steps]
 
     @property
     def n_steps(self):
@@ -162,16 +243,19 @@ class Path:
 
     @property
     def entry_order(self):
-        return [s.variable for s in self.steps if s.action == "add"]
+        return [v for a, v in zip(self._field("action"), self._field("variable"))
+                if a == "add"]
 
     @property
     def t_max(self):
-        return self.steps[-1].T
+        return self._field("T")[-1]
 
     @cached_property
     def betas(self):
         """The read-only ``(n_steps + 1, m)`` vertex coefficients: recorded
         with the vertices, or stacked once from a path's replaced steps."""
+        if isinstance(self.steps, _Vertices):
+            return self.steps.betas
         betas = np.array([s.beta for s in self.steps])
         betas.flags.writeable = False
         return betas
@@ -180,7 +264,7 @@ class Path:
     def _budget_table(self):
         """The vertex budgets and rows as ``interpolate`` reads them, built
         once."""
-        Ts = [float(s.T) for s in self.steps]
+        Ts = [float(t) for t in self._field("T")]
         rows = list(self.betas)
         t_end = Ts[-1]
         slack = 1e-12 * max(1.0, t_end)
@@ -198,20 +282,17 @@ def _max_active(design):
 
 
 def _record_path(variant, design, C_max0, rss0, moves, betas):
-    """The :class:`Path` of a walk from each move's :class:`PathStep` fields
-    but ``beta`` and ``T`` (``moves``) and every vertex's coefficients
-    (``betas``), stacked once into the read-only ``Path.betas``: its rows
-    are the vertices' ``beta``, and one reduction over it gives every T."""
+    """The :class:`Path` of a walk from each move's fields in the order of
+    ``_MOVE_FIELDS`` (``moves``, with the active set and signs as arrays
+    that nothing else holds) and every vertex's coefficients (``betas``),
+    stacked once into the read-only ``Path.betas``; one reduction over it
+    gives every T."""
     stacked = np.array(betas)
     stacked.flags.writeable = False
     Ts = np.add.reduce(np.abs(stacked), axis=1).tolist()
-    start = (None, None, None, (), (), 0.0, C_max0, 0.0, rss0, ())
-    steps = tuple(PathStep(i, *head, stacked[i], rss, T, proj)
-                  for i, ((*head, rss, proj), T) in enumerate(zip([start, *moves], Ts)))
-    path = Path(variant=variant, steps=steps, design=design)
-    # Seeds the cached ``betas``, so reading it stacks nothing again.
-    vars(path)["betas"] = stacked
-    return path
+    start = (None, None, None, _NO_VARS, _NO_VARS, 0.0, C_max0, 0.0, rss0, ())
+    columns = dict(zip(_MOVE_FIELDS, zip(start, *moves)))
+    return Path(variant=variant, steps=_Vertices(columns, stacked, Ts), design=design)
 
 
 class _TieRestart(Exception):
@@ -226,12 +307,43 @@ class _GramCache:
     where a column gather is strided.  A wide design neither forms G nor
     caches its columns: every product is two matrix-vector products with X,
     O(n m) per move as in the paper's cost argument.
+
+    After ``carry``, a tall design also carries the walk's active rows of G
+    in a buffer that ``join``, ``drop`` and ``keep`` change as the walk
+    changes its active set, and ``active_block`` reads them in place.
     """
 
     def __init__(self, X):
         self.X = X
         n, m = X.shape
         self._full = X.T @ X if n >= m else None
+
+    def carry(self, capacity):
+        """Start carrying up to ``capacity`` active rows of a materialized G."""
+        self._rows = None if self._full is None else np.empty((capacity, self._full.shape[0]))
+
+    def join(self, k, col):
+        """Carry the entering variable's Gram row ``col`` in slot ``k``."""
+        if self._rows is not None:
+            self._rows[k] = col
+
+    def drop(self, pos, k):
+        """Remove carried row ``pos`` of ``k``; the rows after it move down."""
+        if self._rows is not None:
+            self._rows[pos : k - 1] = self._rows[pos + 1 : k]
+
+    def keep(self, retained):
+        """Keep the carried rows at positions ``retained``, in that order."""
+        if self._rows is not None:
+            self._rows[: retained.size] = self._rows[retained]
+
+    def active_block(self, act_idx):
+        """The ``block`` of the active set ``act_idx``: the carried rows on a
+        tall design, in the same layout as a gather, and a gather of X's
+        columns on a wide one."""
+        if self._rows is not None:
+            return self._rows[: act_idx.size]
+        return self.block(act_idx)
 
     def column(self, j):
         """Column j of G: the Gram row of an entering variable."""
@@ -395,6 +507,7 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     cone = variant == "stagewise"
 
     gram = _GramCache(X)
+    gram.carry(max_active + 1)
     c0 = X.T @ y
     c = c0.copy()
     beta = np.zeros(m)
@@ -405,8 +518,9 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     # weights).  The active set is their first ``k`` entries, read through
     # the views ``act_idx`` and ``s_vec``: a join writes entry ``k``, a drop
     # shifts the entries after it down by one, and a cone projection gathers
-    # the retained entries to the front.  Nothing recorded on the path is a
-    # view of them.
+    # the retained entries to the front; ``gram`` carries the active Gram
+    # rows through the same edits.  Nothing recorded on the path is a view
+    # of them.
     act_buf = np.empty(max_active + 1, dtype=int)
     s_buf = np.empty(max_active + 1)
     k = 0
@@ -469,10 +583,12 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
             if event_sign < 0:
                 np.negative(cross, out=cross)
             cholesky_append(factor, cross, float(col[event_var]))
+            gram.join(k, col)
             s_buf[k] = event_sign
             active_mask[event_var] = True
         else:
             cholesky_drop(factor, pos)
+            gram.drop(pos, k)
             s_buf[pos : k - 1] = s_buf[pos + 1 : k]
             active_mask[event_var] = False
             left_signs[event_var] = event_sign
@@ -490,6 +606,7 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
             proj = tuple(sorted(proj_vars.tolist()))
             act_buf[: retained.size] = act_idx[retained]
             s_buf[: retained.size] = s_vec[retained]
+            gram.keep(retained)
             k = retained.size
             act_idx = act_buf[:k]
             s_vec = s_buf[:k]
@@ -498,9 +615,9 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
         gamma_bar = C_hat / A
         floor = 1e-12 * gamma_bar
         tie_tol = TIE_RTOL * max(1.0, C_hat)
-        # One gather of the active block serves the rates a = G_A sw here
-        # and the refresh after the move.
-        block = gram.block(act_idx)
+        # One active block serves the rates a = G_A sw here and the refresh
+        # after the move.
+        block = gram.active_block(act_idx)
         a = gram.times(block, sw)
 
         g_join = np.inf
@@ -545,9 +662,9 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
             rss = y_sq - float((c0[nz] + c[nz]) @ b_nz)
         else:
             c, rss = _refresh(gram, c0, y_sq, beta, block, beta_A)
-        moves.append((action, event_var, event_sign, tuple(act_idx.tolist()),
-                      tuple(s_vec.astype(int).tolist()), float(gamma), C_hat,
-                      float(A), float(rss), proj))
+        moves.append((action, event_var, event_sign, act_idx.copy(),
+                      s_vec.astype(np.int8), float(gamma), C_hat, float(A),
+                      float(rss), proj))
         betas.append(beta.copy())
         if event == "drop":
             pending = ("drop", j_drop, int(s_vec[p_drop]), p_drop)

@@ -145,35 +145,38 @@ def read_csv(path, response_column):
     return table[:, keep], table[:, y_col], labels
 
 
-# Report tokens of PathStep.action; the starting vertex has none.
+# Report tokens of a vertex's action; the starting vertex has none.
 _ACTION_TOKENS = {None: "", "add": "ADD", "drop": "DROP"}
 
 
 def write_path_csv(path, standardized=False):
     """CSV report of a fitted path: header, starting vertex, one row per move.
 
-    Each row holds a vertex's step fields and its coefficients, read from
-    ``path.steps`` and ``path.betas``.  Coefficients are reported in the
-    original units of the raw columns, divided by the column scales as
-    :func:`~larspath.preprocess.to_original_units` does, unless
-    ``standardized`` is set, in which case the internal unit-norm scale is
-    kept.  ``T`` is the unit-norm sum |beta_j| in both modes.
+    Each row holds a vertex's step fields, read from the path's vertex
+    columns, and its coefficients, read from ``path.betas``.  Coefficients
+    are reported in the original units of the raw columns, divided by the
+    column scales as :func:`~larspath.preprocess.to_original_units` does,
+    unless ``standardized`` is set, in which case the internal unit-norm
+    scale is kept.  ``T`` is the unit-norm sum |beta_j| in both modes.
     """
     design = path.design
     names = column_names(design)
     scales = 1.0 if standardized else design.column_scales
     row = ",".join(["%d", "%s", "%s", "%s"] + ["%.17g"] * (4 + len(names)))
     lines = [",".join(FIXED_COLUMNS + tuple(names))]
-    for s, beta in zip(path.steps, path.betas):
+    f = path._field
+    vertices = zip(f("action"), f("variable"), f("sign"), f("gamma"), f("C_max"),
+                   f("T"), f("rss"), path.betas)
+    for step, (action, var, sign, gamma, C_max, T, rss, beta) in enumerate(vertices):
         lines.append(row % (
-            s.step_index,
-            _ACTION_TOKENS[s.action],
-            "" if s.variable is None else names[s.variable],
-            "" if s.sign is None else int(s.sign),
-            s.gamma,
-            s.C_max,
-            s.T,
-            s.rss,
+            step,
+            _ACTION_TOKENS[action],
+            "" if var is None else names[var],
+            "" if sign is None else int(sign),
+            gamma,
+            C_max,
+            T,
+            rss,
             *(beta / scales).tolist(),
         ))
     return "\n".join(lines) + "\n"

@@ -36,7 +36,8 @@ class ConstantColumn(LarsError):
 
 
 class DimensionMismatch(LarsError, ValueError):
-    """Array shapes are inconsistent with each other."""
+    """Array shapes are inconsistent with each other, or a size or option
+    argument is outside the values it takes."""
 
 
 class WrongColumnCount(LarsError, ValueError):

@@ -112,7 +112,7 @@ def cp_curve(path, sigma2, *, allow_variant=False):
     n = path.design.n
     K = path.n_steps
     df_used = np.arange(K + 1, dtype=float)
-    rss = np.array([s.rss for s in path.steps])
+    rss = np.array(path._field("rss"))
     cp = rss / sigma2 - n + 2.0 * df_used
     return CpReport(
         sigma2_bar=sigma2,
@@ -133,9 +133,13 @@ def lars_fitted_values(design, k_max, variant="lars"):
 
     Returns a callable mapping a response vector to the ``(k_max + 1, n)``
     matrix of fitted values at every vertex 0..k_max, padding with the final
-    vertex when the path terminates early.
+    vertex when the path terminates early.  ``k_max`` may not exceed the
+    number of variables a walk can hold.
     """
-    k_max = as_integer(k_max, "k_max", minimum=0)
+    k_max = as_integer(k_max, "k_max")
+    limit = _max_active(design)
+    if not 0 <= k_max <= limit:
+        raise DimensionMismatch(f"k_max={k_max} outside 0..{limit}")
     X = design.columns
 
     def estimator(y_star):
@@ -158,9 +162,10 @@ def _resampling(design, B, groups, seed, resampling):
         raise DimensionMismatch(
             f"B={B} must be a multiple of groups={groups}, at least 2 per group"
         )
-    mu_bar, residuals, sigma2 = _full_ols(design)
     if resampling not in ("normal", "residual"):
-        raise ValueError(f"unknown resampling {resampling!r}")
+        raise DimensionMismatch(
+            f"unknown resampling {resampling!r}; expected 'normal' or 'residual'")
+    mu_bar, residuals, sigma2 = _full_ols(design)
     sigma = math.sqrt(sigma2)
     n = design.n
 
@@ -275,14 +280,15 @@ def hybrid_r2(path, k):
     k = as_integer(k, "k")
     if not 1 <= k <= path.n_steps:
         raise DimensionMismatch(f"k={k} outside 1..{path.n_steps}")
-    tss = path.steps[0].rss
-    step = path.steps[k]
-    r2_path = 1.0 - step.rss / tss
-    cols = path.design.columns[:, list(step.active_after)]
+    rss = path._field("rss")
+    tss = rss[0]
+    r2_path = 1.0 - rss[k] / tss
+    cols = path.design.columns[:, list(path._field("active_after")[k])]
     coef, *_ = np.linalg.lstsq(cols, path.design.response, rcond=None)
     rss_refit = float(np.sum((path.design.response - cols @ coef) ** 2))
     r2_refit = 1.0 - rss_refit / tss
-    rho = step.gamma / (step.C_max / step.A)
+    gamma, C_max, A = (path._field(name)[k] for name in ("gamma", "C_max", "A"))
+    rho = gamma / (C_max / A)
     return r2_path, r2_refit, float(rho)
 
 
@@ -296,9 +302,9 @@ def main_effects_first(design_main, path, k, interaction_columns, names=None,
     path.  The residual of a saturating fit gives an empty path.
     """
     k = as_integer(k, "k", IndexOutOfRange)
-    if not 0 <= k < len(path.steps):
-        raise IndexOutOfRange(f"k={k} outside the fitted path (0..{len(path.steps) - 1})")
-    beta_k = path.steps[k].beta
+    if not 0 <= k <= path.n_steps:
+        raise IndexOutOfRange(f"k={k} outside the fitted path (0..{path.n_steps})")
+    beta_k = path.betas[k]
     residual = design_main.response - design_main.columns @ beta_k
     inner = standardize(interaction_columns, residual, names)
     return fit_path(inner, variant)
@@ -324,7 +330,7 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
     if n_steps > limit:
         raise DimensionMismatch(f"n_steps={n_steps} outside 0..{limit}")
     base = fit_path(design, "lars", stop_after=10)
-    mu = design.columns @ base.steps[-1].beta
+    mu = design.columns @ base.betas[-1]
     eps = design.response - mu
     mu_sq = float(mu @ mu)
     true_R2 = mu_sq / (mu_sq + float(eps @ eps))

@@ -50,8 +50,8 @@ def forward_selection(design, k_max):
         beta = np.zeros(m)
         beta[sel] = coef
         rss = y_sq - float(coef @ c0[sel])
-        moves.append(("add", j, int(signs[-1]), tuple(sel.tolist()),
-                      tuple(signs.tolist()), 0.0, float(c_abs[j]), 0.0, rss, ()))
+        moves.append(("add", j, int(signs[-1]), sel, signs, 0.0, float(c_abs[j]),
+                      0.0, rss, ()))
         betas.append(beta)
     C0 = float(np.abs(c0).max()) if m else 0.0
     return _record_path("forward-selection", design, C0, y_sq, moves, betas)

@@ -19,6 +19,8 @@ from larspath.core import (
     fit_path,
     interpolate,
 )
+from larspath.dataio import write_path_csv
+from larspath.datasets import load_diabetes
 from larspath.errors import (
     DegenerateColumn,
     LarsError,
@@ -29,6 +31,16 @@ from larspath.errors import (
     VariantMismatch,
 )
 from larspath.linalg import CholeskyFactor
+from larspath.model_select import (
+    bootstrap_df,
+    cp_curve,
+    hybrid_r2,
+    lars_fitted_values,
+    lasso_df_by_support,
+    main_effects_first,
+    run_simulation_study,
+    sigma2_full_ols,
+)
 from larspath.oracles import forward_selection
 from larspath.preprocess import from_unit_columns, standardize
 
@@ -447,6 +459,46 @@ def test_refresh_from_the_active_block_matches_a_separate_product(monkeypatch,
                              [(core, "_refresh", _refresh_over_support)])
 
 
+def _fresh_gather(self, act_idx):
+    """The active block gathered afresh from G (from X on a wide design)."""
+    return self.block(act_idx)
+
+
+def test_carried_gram_rows_match_a_fresh_gather_per_move(monkeypatch, quad_design):
+    """A tall design carries its active Gram rows across moves through
+    joins, drops and cone projections; gathering ``G[act_idx]`` afresh on
+    every move instead gives byte-equal events and vertices (diabetes 64
+    and 12 tall random designs, every variant)."""
+    designs = [quad_design] + [random_design(120, 40, 1500 + i) for i in range(12)]
+    calls = {"active_block": 0}
+
+    def fits():
+        out = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TieWarning)
+            for d in designs:
+                for v in VARIANTS:
+                    try:
+                        path = fit_path(d, v)
+                    except LarsError as exc:
+                        out.append((type(exc), str(exc)))
+                        continue
+                    events = [(s.action, s.variable, s.sign, s.active_after,
+                               s.projection_dropped) for s in path.steps]
+                    out.append((events, path.betas.tobytes()))
+        return out
+
+    carried = fits()
+    monkeypatch.setattr(_GramCache, "active_block",
+                        _counted(_fresh_gather, calls, "active_block"))
+    gathered = fits()
+    assert calls["active_block"] > 0
+    assert carried == gathered
+    events = [e for fit in carried if isinstance(fit[0], list) for e in fit[0]]
+    assert any(e[0] == "drop" for e in events)
+    assert any(e[4] for e in events)
+
+
 class _DenseFactor:
     """Reference factor: the active Gram matrix itself, solved densely, and
     replaced in place by the append, drop and cone projection below."""
@@ -634,6 +686,39 @@ def test_path_betas_stack_the_vertices(design, diabetes_paths):
         with pytest.raises(ValueError):
             betas[0, 0] = 1.0
         assert path.betas is betas
+
+
+def test_vertex_objects_are_built_only_when_steps_are_read(design, quad_design,
+                                                            monkeypatch):
+    """A fit records its vertices as columns: fitting, the path's own
+    properties, interpolation and the model-selection routines build no
+    PathStep.  The first read of ``steps`` builds one per vertex and drops
+    the per-move columns they came from."""
+    calls = {"PathStep": 0}
+    monkeypatch.setattr(core, "PathStep", _counted(core.PathStep, calls, "PathStep"))
+    paths = [fit_path(d, v) for d in (design, quad_design) for v in VARIANTS]
+    paths.append(forward_selection(design, design.m))
+    lars = paths[0]
+    for path in paths:
+        path.n_steps, path.t_max, path.betas, path.entry_order
+        interpolate(path, 0.5 * path.t_max)
+        write_path_csv(path)
+    sigma2 = sigma2_full_ols(design)
+    cp_curve(lars, sigma2)
+    hybrid_r2(lars, 3)
+    main_effects_first(design, lars, 2, quad_design.columns[:, 10:14])
+    bootstrap_df(design, lars_fitted_values(design, 3), B=4, groups=2)
+    lasso_df_by_support(design, B=4, groups=2)
+    raw, response, _ = load_diabetes()
+    run_simulation_study(raw, response, replications=2, n_steps=3)
+    assert calls["PathStep"] == 0
+    for path in paths:
+        built = calls["PathStep"]
+        assert path.steps[0].step_index == 0
+        assert calls["PathStep"] - built == len(path.steps) == path.n_steps + 1
+        assert path.steps._columns is None
+        list(path.steps)
+        assert calls["PathStep"] - built == len(path.steps)
 
 
 def test_a_replaced_path_reads_its_own_steps(diabetes_paths):

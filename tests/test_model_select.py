@@ -167,16 +167,50 @@ def test_bootstrap_df_refuses_malformed_estimator_output(design, shapes):
 
 
 def test_lars_fitted_values_shape_and_padding():
+    """A walk that ends before ``k_max`` moves is padded with its last
+    vertex: y lies in the span of two of the three columns, so the
+    correlations vanish after two moves."""
     rng = np.random.default_rng(9)
     X = rng.normal(size=(25, 3))
-    y = X @ np.array([2.0, -1.0, 0.5]) + 0.2 * rng.normal(size=25)
-    d = standardize(X, y)
-    est = lars_fitted_values(d, 6)
+    d = standardize(X, X @ np.array([2.0, -1.0, 0.0]))
+    assert fit_path(d, "lars").n_steps == 2
+    est = lars_fitted_values(d, 3)
     fits = est(d.response)
-    assert fits.shape == (7, 25)
+    assert fits.shape == (4, 25)
     assert np.all(fits[0] == 0.0)
-    # the walk has at most 3 moves, so the tail rows repeat the last vertex
-    assert np.array_equal(fits[3], fits[6])
+    assert np.array_equal(fits[2], fits[3])
+
+
+def test_lars_fitted_values_refuses_steps_no_walk_can_take(design):
+    """``k_max`` above the variables a walk can hold is refused, naming
+    ``k_max``, instead of padding rows for moves no walk takes: on the
+    10-column diabetes design, k = 11..50 would repeat k = 10."""
+    assert len(bootstrap_df(design, lars_fitted_values(design, 10), B=4, groups=2)) == 11
+    for k_max in (11, 50):
+        with pytest.raises(DimensionMismatch, match=f"k_max={k_max}"):
+            lars_fitted_values(design, k_max)
+    wide = standardize(np.random.default_rng(4).normal(size=(6, 9)),
+                       np.arange(6.0))
+    lars_fitted_values(wide, 5)
+    with pytest.raises(DimensionMismatch, match="k_max=6 outside 0..5"):
+        lars_fitted_values(wide, 6)
+
+
+def test_unknown_resampling_is_refused_before_the_solve(design, monkeypatch):
+    """An unknown ``resampling`` raises a LarsError that is a ValueError,
+    for both estimators, before the full least squares solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the resampling name")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+    for call in (
+        lambda: bootstrap_df(design, lars_fitted_values(design, 2), B=20, groups=2,
+                             resampling="wild"),
+        lambda: lasso_df_by_support(design, B=20, groups=2, resampling="wild"),
+    ):
+        with pytest.raises(LarsError, match="unknown resampling 'wild'") as info:
+            call()
+        assert isinstance(info.value, ValueError)
 
 
 def test_lasso_df_by_support_tracks_support_size():
