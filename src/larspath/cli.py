@@ -190,7 +190,7 @@ def _cmd_main_effects_first(args):
     base = fit_path(design, "lars")
     if not 0 <= args.k <= base.n_steps:
         raise DimensionMismatch(f"--k must be in 0..{base.n_steps}")
-    chosen = sorted(base.steps[args.k].active_after)
+    chosen = np.sort(base._field("active_after")[args.k]).tolist()
     if len(chosen) < 2:
         raise DimensionMismatch("need at least two selected variables "
                                 "to form interactions")

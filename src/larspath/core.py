@@ -39,18 +39,19 @@ Numerical conventions that the step counts depend on:
   O(n * m) through X on a wide one, the same order as the equiangular
   products a = G[:, A] (s * w).  Both products read one block per move,
   for the rates and again for the refresh, because the support of a lars,
-  lasso or positive-lasso path lies in its active set.  On a tall design
-  the block is carried across moves: the active set's rows of G sit in a
-  buffer that changes with the same edits as the active set (a join copies
-  one row in, a drop shifts the rows after it down, a cone projection
-  gathers the retained rows to the front), so no move copies the k x m
-  block again.  A wide design still gathers its active columns of X on
-  every move: carried in a buffer of their own they would reach BLAS with
-  another leading dimension, which changes the rounding of the products,
-  and the gather is small next to the two products through X.  A
-  stagewise support also holds the coefficients that cone projections
-  froze, so that variant refreshes over its sorted support with a gather
-  of its own.
+  lasso or positive-lasso path lies in its active set.  The block is
+  carried across moves in a buffer that changes with the same edits as the
+  active set (a join writes one row, a drop shifts the rows after it down,
+  a cone projection gathers the retained rows to the front), so no move
+  gathers it again: the active rows of G on a tall design, and on a wide
+  one the active columns of X, stored as rows and read through a
+  transpose.  Either view has the layout of the gather it replaces, rows
+  of a C-ordered G or columns of X in Fortran order, so the rates and the
+  refresh make the same BLAS calls on the same bytes as a gather.  A join takes the entering
+  variable's cross products with the active set from the carried rows:
+  k products through X on a wide design, not m.  A stagewise support also
+  holds the coefficients that cone projections froze, so that variant
+  refreshes over its sorted support with a gather of its own.
 * A variable that leaves the active set at the current vertex (coefficient
   sign crossing, or cone projection under the stagewise variant) sits
   exactly on the correlation envelope.  Its same-sign join ratio is 0/0 and
@@ -114,7 +115,7 @@ _BRANCH_SIGNS = np.array([[1.0], [-1.0]])
 
 class _BudgetTable(NamedTuple):
     """Vertex budgets T as Python floats, the rows of ``Path.betas``, and
-    the end budget and its slack.
+    the largest budget and its slack.
 
     ``low`` and ``high`` bound each segment's T range, widened by the slack;
     they are built only when T decreases somewhere (``monotone`` False).
@@ -122,7 +123,7 @@ class _BudgetTable(NamedTuple):
 
     Ts: list
     rows: list
-    t_end: float
+    t_top: float
     slack: float
     monotone: bool
     low: object
@@ -266,14 +267,14 @@ class Path:
         once."""
         Ts = [float(t) for t in self._field("T")]
         rows = list(self.betas)
-        t_end = Ts[-1]
-        slack = 1e-12 * max(1.0, t_end)
+        t_top = max(Ts)
+        slack = 1e-12 * max(1.0, t_top)
         T = np.array(Ts)
         if np.all(np.diff(T) >= 0):
-            return _BudgetTable(Ts, rows, t_end, slack, True, None, None)
+            return _BudgetTable(Ts, rows, t_top, slack, True, None, None)
         low = np.minimum(T[:-1], T[1:]) - slack
         high = np.maximum(T[:-1], T[1:]) + slack
-        return _BudgetTable(Ts, rows, t_end, slack, False, low, high)
+        return _BudgetTable(Ts, rows, t_top, slack, False, low, high)
 
 
 def _max_active(design):
@@ -308,9 +309,10 @@ class _GramCache:
     caches its columns: every product is two matrix-vector products with X,
     O(n m) per move as in the paper's cost argument.
 
-    After ``carry``, a tall design also carries the walk's active rows of G
-    in a buffer that ``join``, ``drop`` and ``keep`` change as the walk
-    changes its active set, and ``active_block`` reads them in place.
+    After ``carry``, the walk's active set is carried in a buffer of rows
+    that ``join``, ``drop`` and ``keep`` change as the walk changes its
+    active set: rows of G on a tall design, columns of X on a wide one.
+    ``active_block`` reads them in place, with the layout of ``block``.
     """
 
     def __init__(self, X):
@@ -319,37 +321,37 @@ class _GramCache:
         self._full = X.T @ X if n >= m else None
 
     def carry(self, capacity):
-        """Start carrying up to ``capacity`` active rows of a materialized G."""
-        self._rows = None if self._full is None else np.empty((capacity, self._full.shape[0]))
+        """Start carrying up to ``capacity`` active rows: rows of G when it
+        is materialized, columns of X otherwise."""
+        n, m = self.X.shape
+        self._rows = np.empty((capacity, n if self._full is None else m))
 
-    def join(self, k, col):
-        """Carry the entering variable's Gram row ``col`` in slot ``k``."""
-        if self._rows is not None:
+    def join(self, k, j, act_idx):
+        """Carry variable j's row in slot ``k`` and return its Gram cross
+        products with the ``k`` active variables ``act_idx`` (a new array)
+        and its squared norm."""
+        if self._full is not None:
+            col = self._full[j]
             self._rows[k] = col
+            return col[act_idx], float(col[j])
+        row = self._rows[k]
+        row[:] = self.X[:, j]
+        products = self._rows[: k + 1] @ row
+        return products[:k], float(products[k])
 
     def drop(self, pos, k):
         """Remove carried row ``pos`` of ``k``; the rows after it move down."""
-        if self._rows is not None:
-            self._rows[pos : k - 1] = self._rows[pos + 1 : k]
+        self._rows[pos : k - 1] = self._rows[pos + 1 : k]
 
     def keep(self, retained):
         """Keep the carried rows at positions ``retained``, in that order."""
-        if self._rows is not None:
-            self._rows[: retained.size] = self._rows[retained]
+        self._rows[: retained.size] = self._rows[retained]
 
     def active_block(self, act_idx):
-        """The ``block`` of the active set ``act_idx``: the carried rows on a
-        tall design, in the same layout as a gather, and a gather of X's
-        columns on a wide one."""
-        if self._rows is not None:
-            return self._rows[: act_idx.size]
-        return self.block(act_idx)
-
-    def column(self, j):
-        """Column j of G: the Gram row of an entering variable."""
-        if self._full is not None:
-            return self._full[j]
-        return self.X.T @ self.X[:, j]
+        """The ``block`` of the active set ``act_idx``, read from the
+        carried rows."""
+        rows = self._rows[: act_idx.size]
+        return rows if self._full is not None else rows.T
 
     def block(self, indices):
         """The block that products with ``G[:, indices]`` read: those rows
@@ -518,9 +520,9 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     # weights).  The active set is their first ``k`` entries, read through
     # the views ``act_idx`` and ``s_vec``: a join writes entry ``k``, a drop
     # shifts the entries after it down by one, and a cone projection gathers
-    # the retained entries to the front; ``gram`` carries the active Gram
-    # rows through the same edits.  Nothing recorded on the path is a view
-    # of them.
+    # the retained entries to the front; ``gram`` carries the active rows
+    # of G (of X', on a wide design) through the same edits.  Nothing
+    # recorded on the path is a view of them.
     act_buf = np.empty(max_active + 1, dtype=int)
     s_buf = np.empty(max_active + 1)
     k = 0
@@ -574,16 +576,14 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
         left_signs = {}
         proj = ()
         if action == "add":
-            col = gram.column(event_var)
+            cross, norm_sq = gram.join(k, event_var, act_idx)
             # The entering column's signed cross products, event_sign * s_vec
-            # * col[act_idx], formed in place: the signs are +-1, so the
-            # products are exact in any order.
-            cross = col[act_idx]
+            # * cross, formed in place: the signs are +-1, so the products
+            # are exact in any order.
             cross *= s_vec
             if event_sign < 0:
                 np.negative(cross, out=cross)
-            cholesky_append(factor, cross, float(col[event_var]))
-            gram.join(k, col)
+            cholesky_append(factor, cross, norm_sq)
             s_buf[k] = event_sign
             active_mask[event_var] = True
         else:
@@ -717,21 +717,20 @@ def interpolate(path, t):
     """Coefficients at coefficient-magnitude budget ``t``.
 
     Linear interpolation in T = sum |beta_j| between the two bracketing
-    vertices; exact at vertices.  ``t`` must be a number in [0, path.t_max]
-    up to a small slack, otherwise (NaN included) :class:`TOutOfRange` is
-    raised.
-    Where T decreases somewhere along the path, the bracketing segment is
-    the first one whose T range, widened by the slack, holds ``t``; budgets
-    above ``path.t_max`` are refused even where such a path passes them.
+    vertices; exact at vertices.  ``t`` must be a number in [0, max T] up
+    to a small slack, otherwise (NaN included) :class:`TOutOfRange` is
+    raised; max T is ``path.t_max`` unless T decreases somewhere, as on a
+    lars path whose last move lowers it.  There the bracketing segment is
+    the first one whose T range, widened by the slack, holds ``t``.
     """
-    Ts, rows, t_end, slack, monotone, low, high = path._budget_table
+    Ts, rows, t_top, slack, monotone, low, high = path._budget_table
     try:
         t = float(t)
     except (TypeError, ValueError):
         raise TOutOfRange(f"t={t!r} is not a number") from None
-    if not -slack <= t <= t_end + slack:
-        raise TOutOfRange(f"t={t!r} outside [0, {t_end!r}]")
-    t = min(max(t, 0.0), t_end)
+    if not -slack <= t <= t_top + slack:
+        raise TOutOfRange(f"t={t!r} outside [0, {t_top!r}]")
+    t = min(max(t, 0.0), t_top)
     if monotone:
         hi = bisect_left(Ts, t)
         if hi == 0:

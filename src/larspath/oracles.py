@@ -27,6 +27,7 @@ def forward_selection(design, k_max):
         raise DimensionMismatch(f"k_max={k_max} outside 0..{limit}")
 
     gram = _GramCache(X)
+    gram.carry(k_max)
     c0 = X.T @ y
     y_sq = float(y @ y)
     beta = np.zeros(m)
@@ -35,14 +36,13 @@ def forward_selection(design, k_max):
     moves = []
     betas = [beta]
     for _ in range(k_max):
-        c = c0 - gram.stack(sel, beta[sel]) if sel.size else c0.copy()
+        c = c0 - gram.times(gram.active_block(sel), beta[sel]) if sel.size else c0.copy()
         c_abs = np.abs(c)
         c_abs[sel] = -np.inf
         j = int(np.argmax(c_abs))
         if c_abs[j] < 1e-10:
             break
-        col = gram.column(j)
-        cholesky_append(factor, col[sel], float(col[j]))
+        cholesky_append(factor, *gram.join(sel.size, j, sel))
         sel = np.append(sel, j)
         coef = solve_gram(factor, c0[sel])
         # Zero (of either sign) counts as positive.

@@ -3,7 +3,8 @@
 The budget table and the bisection must return the same bytes as the
 per-call ``searchsorted`` and segment loop they replaced, at vertices, at
 both ends, inside the slack, at random budgets, and on a path whose T
-decreases at its last move.
+decreases at its last move up to that path's ``t_max``; above it, such a
+path takes the first segment that reaches the budget.
 """
 
 import numpy as np
@@ -121,9 +122,20 @@ def test_decreasing_budget_takes_the_first_bracketing_segment():
     assert table.low is not None and len(table.low) == path.n_steps
     ts = np.random.default_rng(20).uniform(0.0, path.t_max, 2000)
     assert_same_bytes(path, [*ts.tolist(), *T[T <= path.t_max], path.t_max])
-    # The path passes through (t_max, max T], but the contract stops at t_max.
-    with pytest.raises(TOutOfRange):
-        interpolate(path, (T[-2] + T[-1]) / 2)
+    # The path passes through (t_max, max T] twice, rising to T[-2] and
+    # falling back to t_max; a budget there takes the first segment that
+    # holds it, on the rise.
+    t_top = T[-2]
+    assert np.all(np.diff(T[:-1]) >= 0) and T.max() == t_top
+    above = np.random.default_rng(21).uniform(path.t_max, t_top, 200)
+    for t in [*above.tolist(), (T[-2] + T[-1]) / 2, t_top]:
+        hi = int(np.argmax(T >= t))
+        assert hi < path.n_steps
+        theta = (t - T[hi - 1]) / (T[hi] - T[hi - 1])
+        want = (1.0 - theta) * path.betas[hi - 1] + theta * path.betas[hi]
+        assert interpolate(path, t).tobytes() == want.tobytes(), t
+    with pytest.raises(TOutOfRange, match="outside"):
+        interpolate(path, t_top * (1 + 1e-9))
 
 
 def test_monotone_path_builds_no_segment_ranges(reference_paths):

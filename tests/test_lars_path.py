@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import nnls
 
 import larspath
 from larspath import core
+from larspath.cli import cli_main
 from larspath.core import (
     TIE_RTOL,
     VARIANTS,
@@ -354,13 +356,23 @@ def test_wide_design_saturates():
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)])
 def test_gram_products_match_dense(shape):
     """Through X (n < m) or from the materialized Gram (n >= m), the Gram
-    products equal the dense X'X ones."""
+    products equal the dense X'X ones: each join's cross products with the
+    carried active set and its squared norm, products with the carried
+    block, and products with any gathered block."""
     r = np.random.default_rng(shape[1])
     X = r.normal(size=shape)
     G = X.T @ X
     gram = _GramCache(X)
-    for j in (0, 7, shape[1] - 1):
-        assert np.allclose(gram.column(j), G[:, j], rtol=1e-12, atol=1e-12)
+    order = np.array([0, 7, shape[1] - 1, 3, 11])
+    gram.carry(order.size)
+    for k, j in enumerate(order):
+        cross, norm_sq = gram.join(k, j, order[:k])
+        assert cross.shape == (k,)
+        assert np.allclose(cross, G[j, order[:k]], rtol=1e-12, atol=1e-12)
+        assert math.isclose(norm_sq, G[j, j], rel_tol=1e-12)
+    v = r.normal(size=order.size)
+    assert np.allclose(gram.times(gram.active_block(order), v), G[:, order] @ v,
+                       rtol=1e-12, atol=1e-12)
     for idx in ([], [3], [0, 7, 2], list(range(shape[1]))):
         idx = np.array(idx, dtype=int)
         v = r.normal(size=idx.size)
@@ -465,11 +477,14 @@ def _fresh_gather(self, act_idx):
 
 
 def test_carried_gram_rows_match_a_fresh_gather_per_move(monkeypatch, quad_design):
-    """A tall design carries its active Gram rows across moves through
-    joins, drops and cone projections; gathering ``G[act_idx]`` afresh on
-    every move instead gives byte-equal events and vertices (diabetes 64
-    and 12 tall random designs, every variant)."""
-    designs = [quad_design] + [random_design(120, 40, 1500 + i) for i in range(12)]
+    """The walk carries its active block across moves through joins, drops
+    and cone projections: rows of G on a tall design, columns of X on a
+    wide one.  Gathering ``G[act_idx]`` or ``X[:, act_idx]`` afresh on every
+    move instead gives byte-equal events and vertices (diabetes 64, 12 tall
+    and 12 wide random designs, every variant)."""
+    designs = ([quad_design] + [random_design(120, 40, 1500 + i) for i in range(12)]
+               + [random_design(30, 80, 1600 + i) for i in range(6)]
+               + [random_design(40, 150, 1650 + i) for i in range(6)])
     calls = {"active_block": 0}
 
     def fits():
@@ -497,6 +512,24 @@ def test_carried_gram_rows_match_a_fresh_gather_per_move(monkeypatch, quad_desig
     events = [e for fit in carried if isinstance(fit[0], list) for e in fit[0]]
     assert any(e[0] == "drop" for e in events)
     assert any(e[4] for e in events)
+
+
+def _join_from_a_whole_gram_column(self, k, j, act_idx):
+    """A join that forms all m products ``X' x_j`` and reads the active
+    ones from them."""
+    self._rows[k] = self.X[:, j]
+    col = self.X.T @ self.X[:, j]
+    return col[act_idx], float(col[j])
+
+
+def test_join_products_from_the_carried_columns_match_a_whole_gram_column(monkeypatch):
+    """On a wide design a join takes its k cross products from the carried
+    active columns of X; forming all m products ``X' x_j`` instead gives the
+    same events and, to rounding, the same vertices (30 wide designs)."""
+    designs = ([random_design(30, 80, 1800 + i) for i in range(15)]
+               + [random_design(40, 150, 1850 + i) for i in range(15)])
+    _assert_same_paths_under(monkeypatch, designs,
+                             [(_GramCache, "join", _join_from_a_whole_gram_column)])
 
 
 class _DenseFactor:
@@ -691,11 +724,15 @@ def test_path_betas_stack_the_vertices(design, diabetes_paths):
 def test_vertex_objects_are_built_only_when_steps_are_read(design, quad_design,
                                                             monkeypatch):
     """A fit records its vertices as columns: fitting, the path's own
-    properties, interpolation and the model-selection routines build no
-    PathStep.  The first read of ``steps`` builds one per vertex and drops
-    the per-move columns they came from."""
+    properties, interpolation, the model-selection routines and the CLI's
+    ``main-effects-first`` build no PathStep.  The first read of ``steps``
+    builds one per vertex and drops the per-move columns they came from."""
     calls = {"PathStep": 0}
     monkeypatch.setattr(core, "PathStep", _counted(core.PathStep, calls, "PathStep"))
+    data = str(resources.files("larspath").joinpath("data/diabetes.csv"))
+    assert cli_main(["main-effects-first", "--input", data, "--response", "Y",
+                     "--k", "4", "--json"]) == 0
+    assert calls["PathStep"] == 0
     paths = [fit_path(d, v) for d in (design, quad_design) for v in VARIANTS]
     paths.append(forward_selection(design, design.m))
     lars = paths[0]
