@@ -68,6 +68,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -114,20 +115,15 @@ _BRANCH_SIGNS = np.array([[1.0], [-1.0]])
 
 
 class _BudgetTable(NamedTuple):
-    """Vertex budgets T as Python floats, the rows of ``Path.betas``, and
-    the largest budget and its slack.
+    """What :func:`interpolate` reads of a path, built once: the vertex
+    budgets T, their running maximum ``reach``, the rows of ``Path.betas``,
+    and the largest budget and its slack."""
 
-    ``low`` and ``high`` bound each segment's T range, widened by the slack;
-    they are built only when T decreases somewhere (``monotone`` False).
-    """
-
-    Ts: list
+    Ts: Sequence
+    reach: list
     rows: list
     t_top: float
     slack: float
-    monotone: bool
-    low: object
-    high: object
 
 
 @dataclass(frozen=True)
@@ -158,8 +154,8 @@ class PathStep:
 
 
 # The fields a walk records for each vertex, in :class:`PathStep` order
-# after ``step_index``; ``beta`` and ``T`` are kept apart, as the stacked
-# ``Path.betas`` and the budgets reduced from it.
+# after ``step_index``; ``beta`` is kept apart, as the stacked
+# ``Path.betas``, and ``T`` is reduced from it.
 _MOVE_FIELDS = ("action", "variable", "sign", "active_after", "signs_after",
                 "gamma", "C_max", "A", "rss", "projection_dropped")
 
@@ -169,74 +165,69 @@ _NO_VARS.flags.writeable = False
 
 
 class _Vertices(Sequence):
-    """The vertices of a walk, recorded as columns, read as
+    """The vertices of a path, recorded as columns, read as
     :class:`PathStep` objects.
 
-    ``betas`` is the read-only ``(K + 1, m)`` stack of vertex coefficients
-    and ``T`` the list of their budgets.  The other fields are one tuple
-    per name of ``_MOVE_FIELDS``, with each vertex's active set and signs
-    as arrays.  The first item access builds every :class:`PathStep` and
-    drops those columns, so the vertices are never held twice; ``len``
-    builds nothing.
+    ``betas`` is the read-only ``(K + 1, m)`` stack of vertex coefficients.
+    ``columns`` holds one sequence per other :class:`PathStep` field, by
+    name (``_MOVE_FIELDS`` and ``T``), with each vertex's active set and
+    signs as arrays.  Every index or slice builds its :class:`PathStep`
+    objects from the columns again; nothing built is kept.
     """
 
-    def __init__(self, columns, betas, T):
+    def __init__(self, columns, betas):
+        self.columns = columns
         self.betas = betas
-        self.T = T
-        self._columns = columns
-        self._steps = None
+
+    @classmethod
+    def of(cls, steps):
+        """The columns of the given :class:`PathStep` objects."""
+        steps = tuple(steps)
+        columns = {name: tuple(getattr(s, name) for s in steps)
+                   for name in (*_MOVE_FIELDS, "T")}
+        for name, dtype in (("active_after", int), ("signs_after", np.int8)):
+            columns[name] = tuple(np.array(v, dtype=dtype) for v in columns[name])
+        betas = np.array([s.beta for s in steps])
+        betas.flags.writeable = False
+        return cls(columns, betas)
 
     def __len__(self):
-        return len(self.T)
+        return len(self.columns["T"])
 
     def __getitem__(self, i):
-        return self._built()[i]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def column(self, name):
-        """Every vertex's ``name`` field, built or not."""
-        if name == "T":
-            return self.T
-        if self._steps is None:
-            return self._columns[name]
-        return [getattr(s, name) for s in self._steps]
-
-    def _built(self):
-        if self._steps is None:
-            rows = zip(*self._columns.values(), self.betas, self.T)
-            self._steps = tuple(
-                PathStep(i, action, var, sign, tuple(act.tolist()), tuple(signs.tolist()),
-                         gamma, C_max, A, beta, rss, T, proj)
-                for i, (action, var, sign, act, signs, gamma, C_max, A, rss, proj, beta, T)
-                in enumerate(rows))
-            self._columns = None
-        return self._steps
+        """The vertex at index ``i``, or a tuple of those in slice ``i``."""
+        picked = range(len(self))[i]
+        if isinstance(i, slice):
+            return tuple(self[j] for j in picked)
+        fields = {name: column[picked] for name, column in self.columns.items()}
+        for name in ("active_after", "signs_after"):
+            fields[name] = tuple(fields[name].tolist())
+        return PathStep(picked, beta=self.betas[picked], **fields)
 
 
 @dataclass(frozen=True)
 class Path:
     """A fitted coefficient path: the starting vertex plus one per move.
 
-    ``steps`` holds the vertices.  A fitted path records them as columns
-    and builds its :class:`PathStep` objects when ``steps`` is first
-    indexed or iterated; ``n_steps``, ``t_max``, ``betas``, ``entry_order``
-    and :func:`interpolate` read the columns.  A copy made with
-    ``dataclasses.replace(path, steps=...)`` reads the steps it was given.
+    ``steps`` holds the vertices as recorded columns and builds each
+    :class:`PathStep` when it is read; ``n_steps``, ``t_max``, ``betas``,
+    ``entry_order`` and :func:`interpolate` read the columns.  Steps given
+    in another form, as by ``Path(variant, steps, design)`` or
+    ``dataclasses.replace(path, steps=...)``, are recorded as columns once,
+    when the path is made.
     """
 
     variant: str
     steps: Sequence
     design: StandardizedDesign = field(repr=False)
 
+    def __post_init__(self):
+        if not isinstance(self.steps, _Vertices):
+            object.__setattr__(self, "steps", _Vertices.of(self.steps))
+
     def _field(self, name):
-        """Every vertex's ``name`` field, from the recorded columns or from
-        the given steps."""
-        steps = self.steps
-        if isinstance(steps, _Vertices):
-            return steps.column(name)
-        return [getattr(s, name) for s in steps]
+        """Every vertex's ``name`` field, as recorded."""
+        return self.steps.columns[name]
 
     @property
     def n_steps(self):
@@ -251,30 +242,19 @@ class Path:
     def t_max(self):
         return self._field("T")[-1]
 
-    @cached_property
+    @property
     def betas(self):
-        """The read-only ``(n_steps + 1, m)`` vertex coefficients: recorded
-        with the vertices, or stacked once from a path's replaced steps."""
-        if isinstance(self.steps, _Vertices):
-            return self.steps.betas
-        betas = np.array([s.beta for s in self.steps])
-        betas.flags.writeable = False
-        return betas
+        """The read-only ``(n_steps + 1, m)`` vertex coefficients."""
+        return self.steps.betas
 
     @cached_property
     def _budget_table(self):
         """The vertex budgets and rows as ``interpolate`` reads them, built
         once."""
-        Ts = [float(t) for t in self._field("T")]
-        rows = list(self.betas)
-        t_top = max(Ts)
-        slack = 1e-12 * max(1.0, t_top)
-        T = np.array(Ts)
-        if np.all(np.diff(T) >= 0):
-            return _BudgetTable(Ts, rows, t_top, slack, True, None, None)
-        low = np.minimum(T[:-1], T[1:]) - slack
-        high = np.maximum(T[:-1], T[1:]) + slack
-        return _BudgetTable(Ts, rows, t_top, slack, False, low, high)
+        Ts = self._field("T")
+        reach = list(accumulate(Ts, max))
+        t_top = reach[-1]
+        return _BudgetTable(Ts, reach, list(self.betas), t_top, 1e-12 * max(1.0, t_top))
 
 
 def _max_active(design):
@@ -292,8 +272,8 @@ def _record_path(variant, design, C_max0, rss0, moves, betas):
     stacked.flags.writeable = False
     Ts = np.add.reduce(np.abs(stacked), axis=1).tolist()
     start = (None, None, None, _NO_VARS, _NO_VARS, 0.0, C_max0, 0.0, rss0, ())
-    columns = dict(zip(_MOVE_FIELDS, zip(start, *moves)))
-    return Path(variant=variant, steps=_Vertices(columns, stacked, Ts), design=design)
+    columns = dict(zip(_MOVE_FIELDS, zip(start, *moves)), T=Ts)
+    return Path(variant=variant, steps=_Vertices(columns, stacked), design=design)
 
 
 class _TieRestart(Exception):
@@ -683,8 +663,9 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None,
     (sign-consistency drops), "stagewise" (cone projections), or
     "positive-lasso".  ``max_steps`` bounds the move count (default ``8 m``;
     exceeding it raises :class:`MaxStepsExceeded`).  ``stop_after``
-    truncates the walk after that many moves without error.  A count that
-    is not a non-negative integer raises :class:`DimensionMismatch`.
+    truncates the walk after that many moves without error.  A count, or a
+    ``jitter_seed``, that is not a non-negative integer raises
+    :class:`DimensionMismatch`.
 
     Ties are resolved to the lowest variable index with a
     :class:`TieWarning` unless ``jitter_seed`` is given, in which case the
@@ -699,7 +680,7 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None,
         stop_after = as_integer(stop_after, "stop_after", minimum=0)
     if jitter_seed is None:
         return _fit_once(design, variant, max_steps, stop_after, tie_mode="warn")
-    rng = np.random.default_rng(jitter_seed)
+    rng = np.random.default_rng(as_integer(jitter_seed, "jitter_seed", minimum=0))
     scale = 1e-9 * float(np.linalg.norm(design.response))
     work = design
     for _ in range(3):
@@ -716,14 +697,15 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None,
 def interpolate(path, t):
     """Coefficients at coefficient-magnitude budget ``t``.
 
-    Linear interpolation in T = sum |beta_j| between the two bracketing
-    vertices; exact at vertices.  ``t`` must be a number in [0, max T] up
-    to a small slack, otherwise (NaN included) :class:`TOutOfRange` is
-    raised; max T is ``path.t_max`` unless T decreases somewhere, as on a
-    lars path whose last move lowers it.  There the bracketing segment is
-    the first one whose T range, widened by the slack, holds ``t``.
+    Linear interpolation in T = sum |beta_j| between the two vertices of
+    the first segment that reaches ``t``: its end is the first vertex whose
+    T is ``t`` or more, found by one bisection of the running maximum of T,
+    whether or not T falls somewhere before it, as on a lars path whose
+    last move lowers it.  Exact at vertices.  ``t`` must be a number in
+    [0, max T] up to a small slack, otherwise (NaN included)
+    :class:`TOutOfRange` is raised; max T is ``path.t_max`` unless T falls.
     """
-    Ts, rows, t_top, slack, monotone, low, high = path._budget_table
+    Ts, reach, rows, t_top, slack = path._budget_table
     try:
         t = float(t)
     except (TypeError, ValueError):
@@ -731,18 +713,9 @@ def interpolate(path, t):
     if not -slack <= t <= t_top + slack:
         raise TOutOfRange(f"t={t!r} outside [0, {t_top!r}]")
     t = min(max(t, 0.0), t_top)
-    if monotone:
-        hi = bisect_left(Ts, t)
-        if hi == 0:
-            return rows[0].copy()
-    else:
-        # T falls on some lars moves, such as a last, saturating one; no
-        # lasso path tried has a falling T.  Take the first bracketing
-        # segment.
-        inside = (low <= t) & (t <= high)
-        hi = int(inside.argmax()) + 1
-        if not inside[hi - 1]:
-            raise TOutOfRange(f"t={t!r} not bracketed by any path segment")
+    hi = bisect_left(reach, t)
+    if hi == 0:
+        return rows[0].copy()
     lo = hi - 1
     span = Ts[hi] - Ts[lo]
     theta = 0.0 if span == 0 else (t - Ts[lo]) / span

@@ -143,10 +143,7 @@ def lars_fitted_values(design, k_max, variant="lars"):
     X = design.columns
 
     def estimator(y_star):
-        p = fit_path(
-            replace(design, response=y_star), variant,
-            stop_after=k_max, max_steps=8 * design.m + k_max,
-        )
+        p = fit_path(replace(design, response=y_star), variant, stop_after=k_max)
         return _vertex_betas(p, k_max) @ X.T
 
     return estimator
@@ -158,6 +155,7 @@ def _resampling(design, B, groups, seed, resampling):
     the full fit's residual variance, and an iterator over the ``B`` draws
     around the full fit, each as ``(group, y_star)``."""
     B, groups = as_integer(B, "B"), as_integer(groups, "groups", minimum=2)
+    seed = as_integer(seed, "seed", minimum=0)
     if B % groups != 0 or B < 2 * groups:
         raise DimensionMismatch(
             f"B={B} must be a multiple of groups={groups}, at least 2 per group"
@@ -324,6 +322,7 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
     """
     replications = as_integer(replications, "replications", minimum=2)
     n_steps = as_integer(n_steps, "n_steps", minimum=0)
+    seed = as_integer(seed, "seed", minimum=0)
     Xq, labels = quadratic_expand(raw_columns, binary_column)
     design = standardize(Xq, raw_response, labels)
     limit = _max_active(design)
@@ -349,8 +348,7 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
             if name == "forward-selection":
                 p = forward_selection(d_star, n_steps)
             else:
-                p = fit_path(d_star, name, stop_after=n_steps,
-                             max_steps=8 * design.m + n_steps)
+                p = fit_path(d_star, name, stop_after=n_steps)
             betas = _vertex_betas(p, n_steps)
             fitted = betas @ design.columns.T
             pe[name][b] = 1.0 - np.sum((fitted - mu) ** 2, axis=1) / mu_sq

@@ -249,6 +249,17 @@ def test_simulate_refuses_fewer_than_two_replications(capsys, replications):
     assert err.startswith("error:") and "replications" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["fit", "--jitter-seed", "-5"], "jitter_seed"),
+    (["bootstrap-df", "--B", "20", "--groups", "5", "--seed", "-1"], "seed"),
+    (["simulate", "--replications", "2", "--steps", "2", "--seed", "-1"], "seed"),
+], ids=["fit", "bootstrap-df", "simulate"])
+def test_negative_seed_is_a_usage_error(capsys, argv, name):
+    rc, out, err = run(capsys, argv[0], "--input", DATA, "--response", "Y", *argv[1:])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and f"{name}=-" in err
+
+
 def test_simulate_small_run(capsys):
     rc, out, _ = run(capsys, "simulate", "--input", DATA, "--response", "Y",
                      "--replications", "3", "--steps", "4", "--json")

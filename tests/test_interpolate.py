@@ -4,7 +4,8 @@ The budget table and the bisection must return the same bytes as the
 per-call ``searchsorted`` and segment loop they replaced, at vertices, at
 both ends, inside the slack, at random budgets, and on a path whose T
 decreases at its last move up to that path's ``t_max``; above it, such a
-path takes the first segment that reaches the budget.
+path takes the first segment that reaches the budget, and so does a
+forward-selection path whose T falls and climbs again.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from larspath.core import fit_path, interpolate
 from larspath.errors import TOutOfRange
+from larspath.oracles import forward_selection
 from larspath.preprocess import standardize
 
 from test_lars_path import random_design
@@ -94,6 +96,7 @@ def test_zero_response_path_is_one_vertex(reference_paths):
 def test_interpolate_is_byte_identical_to_reference(reference_paths):
     for seed, path in enumerate(reference_paths.values()):
         assert_same_bytes(path, budgets_of(path, seed))
+        assert all(type(T) is float for T in path._budget_table.Ts)
 
 
 def test_interpolate_refuses_what_the_reference_refuses(reference_paths):
@@ -111,15 +114,21 @@ def test_interpolate_refuses_what_the_reference_refuses(reference_paths):
                 interpolate(path, t)
 
 
+def first_reaching_blend(path, t):
+    """The blend on the segment that ends at the first vertex whose T
+    reaches ``t``."""
+    T = np.array([s.T for s in path.steps])
+    hi = int(np.argmax(T >= t))
+    theta = (t - T[hi - 1]) / (T[hi] - T[hi - 1])
+    return (1.0 - theta) * path.betas[hi - 1] + theta * path.betas[hi]
+
+
 def test_decreasing_budget_takes_the_first_bracketing_segment():
     # The last lars move of this design, the saturating one, lowers T from
     # about 185.1 to t_max of about 167.2.
     path = fit_path(random_design(20, 100, 1), "lars")
     T = np.array([s.T for s in path.steps])
     assert path.n_steps == 19 and T[-2] > T[-1] == path.t_max
-    table = path._budget_table
-    assert not table.monotone
-    assert table.low is not None and len(table.low) == path.n_steps
     ts = np.random.default_rng(20).uniform(0.0, path.t_max, 2000)
     assert_same_bytes(path, [*ts.tolist(), *T[T <= path.t_max], path.t_max])
     # The path passes through (t_max, max T] twice, rising to T[-2] and
@@ -129,16 +138,28 @@ def test_decreasing_budget_takes_the_first_bracketing_segment():
     assert np.all(np.diff(T[:-1]) >= 0) and T.max() == t_top
     above = np.random.default_rng(21).uniform(path.t_max, t_top, 200)
     for t in [*above.tolist(), (T[-2] + T[-1]) / 2, t_top]:
-        hi = int(np.argmax(T >= t))
-        assert hi < path.n_steps
-        theta = (t - T[hi - 1]) / (T[hi] - T[hi - 1])
-        want = (1.0 - theta) * path.betas[hi - 1] + theta * path.betas[hi]
-        assert interpolate(path, t).tobytes() == want.tobytes(), t
+        assert int(np.argmax(T >= t)) < path.n_steps
+        assert interpolate(path, t).tobytes() == first_reaching_blend(path, t).tobytes(), t
     with pytest.raises(TOutOfRange, match="outside"):
         interpolate(path, t_top * (1 + 1e-9))
 
 
-def test_monotone_path_builds_no_segment_ranges(reference_paths):
-    table = reference_paths["diabetes64", "lasso"]._budget_table
-    assert table.monotone and table.low is None and table.high is None
-    assert all(type(T) is float for T in table.Ts)
+def test_budget_above_a_peak_takes_the_segment_that_reaches_it():
+    """Forward selection on this design lowers T after vertices 15, 18 and
+    19, and T climbs past the first two peaks later.  A budget just above a
+    peak, within the slack, lies on the later segment that reaches it, not
+    on the earlier one extended past its end."""
+    path = forward_selection(random_design(30, 80, 502), 29)
+    T = np.array([s.T for s in path.steps])
+    peaks = np.flatnonzero(T[1:-1] > T[2:]) + 1
+    assert peaks.tolist() == [15, 18, 19]
+    slack = 1e-12 * max(1.0, float(T.max()))
+    ts = np.random.default_rng(22).uniform(0.0, T.max(), 300)
+    budgets = [*ts.tolist(), *T[1:].tolist(), *(T[peaks] + slack / 2).tolist()]
+    for t in budgets:
+        assert interpolate(path, t).tobytes() == first_reaching_blend(path, t).tobytes(), t
+    # Past peaks 15 and 18 the segment that reaches the budget ends two and
+    # four vertices later; past peak 19, which lies below peak 18, it ends
+    # at vertex 18.
+    for peak, end in ((15, 17), (18, 22), (19, 18)):
+        assert int(np.argmax(T >= T[peak] + slack / 2)) == end

@@ -21,7 +21,7 @@ from larspath.core import (
     fit_path,
     interpolate,
 )
-from larspath.dataio import write_path_csv
+from larspath.dataio import json_summary, write_path_csv
 from larspath.datasets import load_diabetes
 from larspath.errors import (
     DegenerateColumn,
@@ -664,6 +664,12 @@ def test_export_surface():
         assert not hasattr(CholeskyFactor, name), name
     assert not hasattr(larspath.linalg, "_Storage")
     assert not hasattr(larspath.StandardizedDesign, "gram")
+    # A path holds its vertices one way, as columns, and interpolation
+    # makes one search.
+    for name in ("_built", "_steps", "column"):
+        assert not hasattr(core._Vertices, name), name
+    for name in ("monotone", "low", "high"):
+        assert name not in core._BudgetTable._fields, name
 
 
 # ------------------------------------------------------- vertex coefficients
@@ -725,8 +731,8 @@ def test_vertex_objects_are_built_only_when_steps_are_read(design, quad_design,
                                                             monkeypatch):
     """A fit records its vertices as columns: fitting, the path's own
     properties, interpolation, the model-selection routines and the CLI's
-    ``main-effects-first`` build no PathStep.  The first read of ``steps``
-    builds one per vertex and drops the per-move columns they came from."""
+    ``main-effects-first`` build no PathStep.  Reading ``steps`` builds one
+    per vertex read, on every read, and keeps none."""
     calls = {"PathStep": 0}
     monkeypatch.setattr(core, "PathStep", _counted(core.PathStep, calls, "PathStep"))
     data = str(resources.files("larspath").joinpath("data/diabetes.csv"))
@@ -749,18 +755,52 @@ def test_vertex_objects_are_built_only_when_steps_are_read(design, quad_design,
     raw, response, _ = load_diabetes()
     run_simulation_study(raw, response, replications=2, n_steps=3)
     assert calls["PathStep"] == 0
+
+    def built(read):
+        before = calls["PathStep"]
+        read()
+        return calls["PathStep"] - before
+
     for path in paths:
-        built = calls["PathStep"]
-        assert path.steps[0].step_index == 0
-        assert calls["PathStep"] - built == len(path.steps) == path.n_steps + 1
-        assert path.steps._columns is None
-        list(path.steps)
-        assert calls["PathStep"] - built == len(path.steps)
+        steps = path.steps
+        K = len(steps)
+        assert K == path.n_steps + 1
+        assert built(lambda: steps[0]) == 1
+        assert built(lambda: steps[0]) == 1
+        assert steps[0].step_index == 0 and steps[-1].step_index == K - 1
+        assert steps[-1].beta is not steps[-1].beta
+        assert np.array_equal(steps[-K].beta, steps[0].beta)
+        assert built(lambda: steps[1:3]) == len(steps[1:3]) == min(2, K - 1)
+        assert [s.step_index for s in steps[::-2]] == list(range(K))[::-2]
+        assert built(lambda: list(steps)) == K
+        for i in (K, -K - 1):
+            with pytest.raises(IndexError):
+                steps[i]
 
 
-def test_a_replaced_path_reads_its_own_steps(diabetes_paths):
-    """A copy made with ``dataclasses.replace(path, steps=...)`` builds its
-    own vertex coefficients, and interpolation reads them."""
+def _path_outputs(path):
+    """Everything a caller reads off a path, as comparable values."""
+    cp = cp_curve(path, sigma2_full_ols(path.design), allow_variant=True)
+    outputs = {
+        "n_steps": path.n_steps,
+        "t_max": path.t_max,
+        "entry_order": path.entry_order,
+        "betas": path.betas.tobytes(),
+        "interpolate": [interpolate(path, t).tobytes()
+                        for t in [*(s.T for s in path.steps), 0.37 * path.t_max]],
+        "csv": write_path_csv(path),
+        "json": json_summary(path),
+        "cp": (cp.cp.tobytes(), cp.argmin_k, cp.df_used.tobytes()),
+    }
+    if path.variant == "lars":
+        outputs["hybrid_r2"] = [hybrid_r2(path, k) for k in range(1, path.n_steps + 1)]
+    return outputs
+
+
+def test_a_replaced_path_reads_its_own_steps(design, diabetes_paths):
+    """A copy made with ``dataclasses.replace(path, steps=...)`` records
+    the steps it was given, and interpolation reads them; a path made from
+    another path's steps reads exactly as that path does."""
     path = diabetes_paths["lasso"]
     original = path.betas.copy()
     last = path.steps[-1]
@@ -773,6 +813,17 @@ def test_a_replaced_path_reads_its_own_steps(diabetes_paths):
     assert np.array_equal(interpolate(copy, copy.t_max), beta)
     assert np.array_equal(path.betas, original)
     assert np.array_equal(interpolate(path, path.t_max), last.beta)
+    for p in [*diabetes_paths.values(), forward_selection(design, design.m)]:
+        rebuilt = Path(p.variant, list(p.steps), p.design)
+        assert _path_outputs(rebuilt) == _path_outputs(p), p.variant
+        for a, b in zip(rebuilt.steps, p.steps, strict=True):
+            assert _same_step(a, b), (p.variant, b.step_index)
+
+
+def _same_step(a, b):
+    fields = [f.name for f in dataclasses.fields(a) if f.name != "beta"]
+    return (all(getattr(a, f) == getattr(b, f) for f in fields)
+            and a.beta.tobytes() == b.beta.tobytes())
 
 
 # ----------------------------------------------------------- interpolation

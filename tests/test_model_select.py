@@ -294,15 +294,29 @@ def test_hybrid_r2_refuses_a_step_that_is_not_an_integer(diabetes_paths, k):
     ("binary_column", lambda d, p, X, y: run_simulation_study(
         X, y, replications=2, n_steps=2, binary_column=1.5)),
     ("binary_column", lambda d, p, X, y: quadratic_expand(X, 1.5)),
+    ("jitter_seed", lambda d, p, X, y: fit_path(d, "lars", jitter_seed=-5)),
+    ("jitter_seed", lambda d, p, X, y: fit_path(d, "lars", jitter_seed=1.5)),
+    ("jitter_seed", lambda d, p, X, y: fit_path(d, "lars", jitter_seed="a")),
+    ("jitter_seed", lambda d, p, X, y: fit_path(d, "lars", jitter_seed=[1, 2])),
+    ("seed", lambda d, p, X, y: bootstrap_df(
+        d, lars_fitted_values(d, 2), B=4, groups=2, seed=-1)),
+    ("seed", lambda d, p, X, y: lasso_df_by_support(d, B=4, groups=2, seed=1.5)),
+    ("seed", lambda d, p, X, y: lasso_df_by_support(d, B=4, groups=2, seed="a")),
+    ("seed", lambda d, p, X, y: run_simulation_study(
+        X, y, seed=-1, replications=2, n_steps=2)),
 ], ids=["stop_after=1.5", "stop_after=-1", "max_steps=2.5", "max_steps=-1",
         "forward_selection", "main_effects_first", "lars_fitted_values=2.5",
         "lars_fitted_values=-1", "simulation_n_steps", "simulation_replications",
-        "simulation_binary_column", "quadratic_expand"])
+        "simulation_binary_column", "quadratic_expand", "jitter_seed=-5",
+        "jitter_seed=1.5", "jitter_seed=str", "jitter_seed=list",
+        "bootstrap_seed=-1", "df_by_support_seed=1.5", "df_by_support_seed=str",
+        "simulation_seed=-1"])
 def test_count_and_position_arguments_must_be_integers(design, diabetes_paths,
                                                        diabetes, name, call):
-    """A count or position that is not an integer, even a whole float, and
-    a negative move count are refused with a LarsError naming the argument,
-    rather than rounded, read as some other count or left to fail inside."""
+    """A count, position or seed that is not an integer, even a whole
+    float, and a negative move count or seed are refused with a LarsError
+    naming the argument, rather than rounded, read as some other count or
+    left to fail inside NumPy."""
     matrix, response, _ = diabetes
     with pytest.raises(LarsError, match=name):
         call(design, diabetes_paths["lars"], matrix, response)
