@@ -37,21 +37,13 @@ Numerical conventions that the step counts depend on:
   ordering; exact recomputation removes the drift entirely.  It costs
   O(m * k) per move from the materialized Gram matrix of a tall design and
   O(n * m) through X on a wide one, the same order as the equiangular
-  products a = G[:, A] (s * w).  Both products read one block per move,
-  for the rates and again for the refresh, because the support of a lars,
-  lasso or positive-lasso path lies in its active set.  The block is
-  carried across moves in a buffer that changes with the same edits as the
-  active set (a join writes one row, a drop shifts the rows after it down,
-  a cone projection gathers the retained rows to the front), so no move
-  gathers it again: the active rows of G on a tall design, and on a wide
-  one the active columns of X, stored as rows and read through a
-  transpose.  Either view has the layout of the gather it replaces, rows
-  of a C-ordered G or columns of X in Fortran order, so the rates and the
-  refresh make the same BLAS calls on the same bytes as a gather.  A join takes the entering
-  variable's cross products with the active set from the carried rows:
-  k products through X on a wide design, not m.  A stagewise support also
-  holds the coefficients that cone projections froze, so that variant
-  refreshes over its sorted support with a gather of its own.
+  products a = G[:, A] (s * w).  Both products read the active block of
+  G, for the rates and again for the refresh, because the support of a
+  lars, lasso or positive-lasso path lies in its active set; the block is
+  carried across moves with the active set (see ``_ActiveSet``).  A
+  stagewise support also holds the coefficients that cone projections
+  froze, so that variant refreshes over its sorted support with a gather
+  of its own.
 * A variable that leaves the active set at the current vertex (coefficient
   sign crossing, or cone projection under the stagewise variant) sits
   exactly on the correlation envelope.  Its same-sign join ratio is 0/0 and
@@ -59,7 +51,8 @@ Numerical conventions that the step counts depend on:
   departing sign branch at that vertex only.  The opposite sign branch
   stays live, which is what allows a dropped variable to re-enter later.
 * Join/drop events are carried explicitly from one vertex to the next
-  (``pending`` state) instead of being re-derived from correlations.
+  (``pending`` state) instead of being re-derived from correlations, and
+  the active set applies them (``_ActiveSet``).
 """
 
 import math
@@ -74,6 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     MaxStepsExceeded,
     StalledPath,
     TieWarning,
@@ -205,7 +199,7 @@ class _Vertices(Sequence):
         return PathStep(picked, beta=self.betas[picked], **fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Path:
     """A fitted coefficient path: the starting vertex plus one per move.
 
@@ -287,51 +281,15 @@ class _GramCache:
     which equal its columns (G is symmetric): a row gather is contiguous
     where a column gather is strided.  A wide design neither forms G nor
     caches its columns: every product is two matrix-vector products with X,
-    O(n m) per move as in the paper's cost argument.
-
-    After ``carry``, the walk's active set is carried in a buffer of rows
-    that ``join``, ``drop`` and ``keep`` change as the walk changes its
-    active set: rows of G on a tall design, columns of X on a wide one.
-    ``active_block`` reads them in place, with the layout of ``block``.
+    O(n m) per move as in the paper's cost argument.  The walk carries its
+    active set's block across moves instead of gathering it (see
+    ``_ActiveSet``).
     """
 
     def __init__(self, X):
         self.X = X
         n, m = X.shape
         self._full = X.T @ X if n >= m else None
-
-    def carry(self, capacity):
-        """Start carrying up to ``capacity`` active rows: rows of G when it
-        is materialized, columns of X otherwise."""
-        n, m = self.X.shape
-        self._rows = np.empty((capacity, n if self._full is None else m))
-
-    def join(self, k, j, act_idx):
-        """Carry variable j's row in slot ``k`` and return its Gram cross
-        products with the ``k`` active variables ``act_idx`` (a new array)
-        and its squared norm."""
-        if self._full is not None:
-            col = self._full[j]
-            self._rows[k] = col
-            return col[act_idx], float(col[j])
-        row = self._rows[k]
-        row[:] = self.X[:, j]
-        products = self._rows[: k + 1] @ row
-        return products[:k], float(products[k])
-
-    def drop(self, pos, k):
-        """Remove carried row ``pos`` of ``k``; the rows after it move down."""
-        self._rows[pos : k - 1] = self._rows[pos + 1 : k]
-
-    def keep(self, retained):
-        """Keep the carried rows at positions ``retained``, in that order."""
-        self._rows[: retained.size] = self._rows[retained]
-
-    def active_block(self, act_idx):
-        """The ``block`` of the active set ``act_idx``, read from the
-        carried rows."""
-        rows = self._rows[: act_idx.size]
-        return rows if self._full is not None else rows.T
 
     def block(self, indices):
         """The block that products with ``G[:, indices]`` read: those rows
@@ -351,16 +309,133 @@ class _GramCache:
         return self.times(self.block(indices), weights)
 
 
-def _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol):
+class _ActiveSet:
+    """The active set of a walk, and all that changes with it: ``idx``, the
+    variables in factor order; ``signs``, as floats ready to scale weights;
+    ``inactive``, the other variables; ``factor``, the Cholesky factor of
+    the signed Gram matrix; ``block``, the ``_GramCache.block`` of ``idx``.
+    ``stage`` writes the variables that the next add or drop leaves, for
+    the walk's stopping tests to read before ``add`` or ``drop`` makes the
+    edit; ``keep`` applies a cone projection.
+
+    Each part is the first k entries of a buffer allocated once: an add
+    writes entry k, a drop shifts the entries after it down, a keep gathers
+    the retained ones to the front, and nothing recorded on a path is a
+    view of them.  So the block is carried across moves, not gathered: the
+    active rows of G on a tall design, the active columns of X stored as
+    rows on a wide one.  Either has the layout of the gather it replaces,
+    so products with it make the same BLAS calls on the same bytes.  An add
+    takes its cross products from the carried rows: k products through X
+    on a wide design, not m.
+    """
+
+    __slots__ = ("_tall", "_source", "_vars", "_signs", "_rows", "_staged",
+                 "inactive", "factor", "k", "idx", "signs", "block")
+
+    def __init__(self, gram, capacity):
+        # The rows that the carried rows copy: those of G on a tall design,
+        # and on a wide one those of X', the columns of X.
+        self._tall = gram._full is not None
+        self._source = gram._full if self._tall else gram.X.T
+        m, width = self._source.shape
+        self._vars = np.empty(capacity, dtype=int)
+        self._signs = np.empty(capacity)
+        self._rows = np.empty((capacity, width))
+        self.inactive = np.ones(m, dtype=bool)
+        self.factor = CholeskyFactor()
+        self._resize(self._vars[:0])
+
+    def _resize(self, idx):
+        """Make ``idx``, a prefix of the variables, the active set."""
+        self.idx = idx
+        self.k = k = idx.size
+        self.signs = self._signs[:k]
+        rows = self._rows[:k]
+        self.block = rows if self._tall else rows.T
+
+    def stage(self, j, pos):
+        """Write and return the variables after adding ``j`` (``pos`` None)
+        or dropping the one at ``pos``, which ``drop`` finds right after."""
+        k = self.k
+        v = self._vars
+        if pos is None:
+            v[k] = j
+            self._staged = v[: k + 1]
+        else:
+            j = v[pos]
+            v[pos : k - 1] = v[pos + 1 : k]
+            v[k - 1] = j
+            self._staged = v[: k - 1]
+        return self._staged
+
+    def add(self, j, s):
+        """Complete the staged add of ``j`` with sign ``s``
+        (:class:`DegenerateColumn` when j depends on the active set)."""
+        k = self.k
+        rows = self._rows
+        row = self._source[j]
+        rows[k] = row
+        if self._tall:
+            cross, norm_sq = row[self.idx], row[j]
+        else:
+            products = rows[: k + 1] @ rows[k]
+            cross, norm_sq = products[:k], products[k]
+        # The signed cross products, s * signs * G[A, j], formed in place:
+        # the signs are +-1, so the products are exact in any order.
+        cross *= self.signs
+        if s < 0:
+            np.negative(cross, out=cross)
+        cholesky_append(self.factor, cross, float(norm_sq))
+        self._signs[k] = s
+        self.inactive[j] = False
+        self._resize(self._staged)
+
+    def drop(self, pos):
+        """Complete the staged drop at position ``pos``; return the
+        variable and its sign, as arrays."""
+        k = self.k - 1
+        left = self._vars[k : k + 1].copy(), self._signs[pos : pos + 1].copy()
+        cholesky_drop(self.factor, pos)
+        for buf in (self._signs, self._rows):
+            buf[pos:k] = buf[pos + 1 : k + 1]
+        self.inactive[self._vars[k]] = True
+        self._resize(self._staged)
+        return left
+
+    def keep(self, retained):
+        """Keep the positions ``retained``, to which the cone projection has
+        cut the factor; return the variables that left and their signs, as
+        arrays."""
+        gone = np.ones(self.k, dtype=bool)
+        gone[retained] = False
+        left = self.idx[gone], self.signs[gone]
+        k = retained.size
+        for buf in (self._vars, self._signs, self._rows):
+            buf[:k] = buf[retained]
+        self.inactive[left[0]] = True
+        self._resize(self._vars[:k])
+        return left
+
+
+def _response_sq(y):
+    """y'y, or :class:`DimensionMismatch` when it overflows."""
+    # vdot returns inf on overflow without warning, and the same bytes as y @ y.
+    y_sq = float(np.vdot(y, y))
+    if y_sq == math.inf:
+        raise DimensionMismatch("response too large: its sum of squares overflows")
+    return y_sq
+
+
+def _scan_join(c, C_hat, A, a, cand_idx, left_vars, left_signs, positive, tie_tol):
     """Smallest travel distance at which a candidate ties the envelope.
 
     Works on both sign branches (one for the positive variant).  A branch
     whose correlation gap is within ``tie_tol`` of zero ties immediately
-    (distance 0); this includes the exactly-parallel 0/0 case.  Returns
-    ``(gamma, variable, sign, n_tied)`` or None when nothing can tie.
+    (distance 0); this includes the exactly-parallel 0/0 case.  The
+    departing branches of ``left_vars`` (signs ``left_signs``) are barred.
+    Returns ``(gamma, variable, sign, n_tied)`` or None when nothing ties.
     """
-    n = cand_idx.size
-    if n == 0:
+    if cand_idx.size == 0:
         return None
     # Row 0 is the positive sign branch; row 1, the negative branch (absent
     # for the positive variant), sees -c and -a.
@@ -375,13 +450,12 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol):
     if not gap.all():
         # Tied now: no gap, and the candidate is not falling behind.
         r[(np.abs(num) <= tie_tol) & (den >= -PARALLEL_TOL)] = 0.0
-    for var, s in left_signs.items():
-        p = int(cand_idx.searchsorted(var))
-        if p < n and cand_idx[p] == var:
-            if s == 1:
-                r[0, p] = np.inf
-            elif not positive:
-                r[1, p] = np.inf
+    if left_vars.size:
+        # A departing branch is row 0 for sign +1 and row 1 for sign -1,
+        # which the positive variant does not scan.
+        for var, s in zip(left_vars.tolist(), left_signs.tolist()):
+            if s > 0 or not positive:
+                r[int(s < 0), int(cand_idx.searchsorted(var))] = np.inf
     best = r[0] if positive else np.minimum(r[0], r[1])
 
     p = int(best.argmin())
@@ -488,28 +562,12 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
     drops = positive or variant == "lasso"
     cone = variant == "stagewise"
 
+    y_sq = _response_sq(y)
     gram = _GramCache(X)
-    gram.carry(max_active + 1)
+    active = _ActiveSet(gram, max_active + 1)
     c0 = X.T @ y
     c = c0.copy()
     beta = np.zeros(m)
-    y_sq = float(y @ y)
-    # The active set lives in two buffers allocated once, with room for
-    # ``max_active + 1`` entries: ``act_buf`` holds the active variables in
-    # factor order and ``s_buf`` their signs (as floats, ready to scale
-    # weights).  The active set is their first ``k`` entries, read through
-    # the views ``act_idx`` and ``s_vec``: a join writes entry ``k``, a drop
-    # shifts the entries after it down by one, and a cone projection gathers
-    # the retained entries to the front; ``gram`` carries the active rows
-    # of G (of X', on a wide design) through the same edits.  Nothing
-    # recorded on the path is a view of them.
-    act_buf = np.empty(max_active + 1, dtype=int)
-    s_buf = np.empty(max_active + 1)
-    k = 0
-    act_idx = act_buf[:0]
-    s_vec = s_buf[:0]
-    active_mask = np.zeros(m, dtype=bool)
-    factor = CholeskyFactor()
 
     C0 = float(np.abs(c).max()) if m else 0.0
     # Per move, the fields ``_record_path`` reads, and the vertex's beta.
@@ -534,17 +592,11 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
 
     while True:
         # The envelope is the mean |c| over the active set after the pending
-        # event; it is computed once per move (again only after a cone
-        # projection) and ends the walk when the correlations have vanished.
+        # event, staged before any edit to the factor; it is computed once per
+        # move (again only after a cone projection) and ends the walk when
+        # the correlations have vanished.
         action, event_var, event_sign, pos = pending
-        if action == "add":
-            act_buf[k] = event_var
-            k_next = k + 1
-        else:
-            act_buf[pos : k - 1] = act_buf[pos + 1 : k]
-            k_next = k - 1
-        new_idx = act_buf[:k_next]
-        C_hat = _envelope(c, new_idx)
+        C_hat = _envelope(c, active.stage(event_var, pos))
         if C_hat < ENVELOPE_FLOOR:
             break
         n_moves = len(moves)
@@ -553,57 +605,33 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
         if n_moves >= budget:
             raise MaxStepsExceeded(f"path incomplete after {n_moves} moves")
 
-        left_signs = {}
+        left_vars = left_signs = _NO_VARS
         proj = ()
-        if action == "add":
-            cross, norm_sq = gram.join(k, event_var, act_idx)
-            # The entering column's signed cross products, event_sign * s_vec
-            # * cross, formed in place: the signs are +-1, so the products
-            # are exact in any order.
-            cross *= s_vec
-            if event_sign < 0:
-                np.negative(cross, out=cross)
-            cholesky_append(factor, cross, norm_sq)
-            s_buf[k] = event_sign
-            active_mask[event_var] = True
+        if pos is None:
+            active.add(event_var, event_sign)
         else:
-            cholesky_drop(factor, pos)
-            gram.drop(pos, k)
-            s_buf[pos : k - 1] = s_buf[pos + 1 : k]
-            active_mask[event_var] = False
-            left_signs[event_var] = event_sign
-        k = k_next
-        act_idx = new_idx
-        s_vec = s_buf[:k]
-
-        retained, A, sw = _direction(factor, s_vec, cone)
+            left_vars, left_signs = active.drop(pos)
+        retained, A, sw = _direction(active.factor, active.signs, cone)
         if retained is not None:
-            gone = np.ones(k, dtype=bool)
-            gone[retained] = False
-            proj_vars = act_idx[gone]
-            left_signs.update(zip(proj_vars.tolist(), s_vec[gone].astype(int).tolist()))
-            active_mask[proj_vars] = False
-            proj = tuple(sorted(proj_vars.tolist()))
-            act_buf[: retained.size] = act_idx[retained]
-            s_buf[: retained.size] = s_vec[retained]
-            gram.keep(retained)
-            k = retained.size
-            act_idx = act_buf[:k]
-            s_vec = s_buf[:k]
-            C_hat = _envelope(c, act_idx)
+            left_vars, left_signs = active.keep(retained)
+            proj = tuple(sorted(left_vars.tolist()))
+            C_hat = _envelope(c, active.idx)
+        act_idx = active.idx
+        s_vec = active.signs
 
         gamma_bar = C_hat / A
         floor = 1e-12 * gamma_bar
         tie_tol = TIE_RTOL * max(1.0, C_hat)
         # One active block serves the rates a = G_A sw here and the refresh
         # after the move.
-        block = gram.active_block(act_idx)
+        block = active.block
         a = gram.times(block, sw)
 
         g_join = np.inf
-        if k < max_active:
-            cand_idx = (~active_mask).nonzero()[0]
-            found = _scan_join(c, C_hat, A, a, cand_idx, left_signs, positive, tie_tol)
+        if act_idx.size < max_active:
+            cand_idx = active.inactive.nonzero()[0]
+            found = _scan_join(c, C_hat, A, a, cand_idx, left_vars, left_signs,
+                               positive, tie_tol)
             if found is not None:
                 g_join, j_next, s_next, n_tied = found
                 if n_tied > 1:
@@ -615,8 +643,6 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
         beta_A = beta[act_idx]
         g_drop, p_drop = _scan_drop(beta_A, sw, floor) if drops else (np.inf, None)
         gamma, event = _next_event(g_join, gamma_bar, g_drop)
-        if event == "drop":
-            j_drop = int(act_idx[p_drop])
 
         if gamma <= floor:
             zero_run += 1
@@ -647,7 +673,7 @@ def _fit_once(design, variant, max_steps, stop_after, tie_mode):
                       float(rss), proj))
         betas.append(beta.copy())
         if event == "drop":
-            pending = ("drop", j_drop, int(s_vec[p_drop]), p_drop)
+            pending = ("drop", int(act_idx[p_drop]), int(s_vec[p_drop]), p_drop)
         elif event == "join":
             pending = ("add", j_next, s_next, None)
         else:

@@ -4,9 +4,9 @@ path variants."""
 
 import numpy as np
 
-from .core import _GramCache, _max_active, _record_path
+from .core import _ActiveSet, _GramCache, _max_active, _record_path, _response_sq
 from .errors import DimensionMismatch, as_integer
-from .linalg import CholeskyFactor, cholesky_append, solve_gram
+from .linalg import solve_gram
 
 __all__ = ["forward_selection"]
 
@@ -26,25 +26,25 @@ def forward_selection(design, k_max):
     if not 0 <= k_max <= limit:
         raise DimensionMismatch(f"k_max={k_max} outside 0..{limit}")
 
+    y_sq = _response_sq(y)
     gram = _GramCache(X)
-    gram.carry(k_max)
+    active = _ActiveSet(gram, k_max)
     c0 = X.T @ y
-    y_sq = float(y @ y)
     beta = np.zeros(m)
-    sel = np.zeros(0, dtype=int)
-    factor = CholeskyFactor()
     moves = []
     betas = [beta]
     for _ in range(k_max):
-        c = c0 - gram.times(gram.active_block(sel), beta[sel]) if sel.size else c0.copy()
+        sel = active.idx
+        c = c0 - gram.times(active.block, beta[sel]) if sel.size else c0.copy()
         c_abs = np.abs(c)
         c_abs[sel] = -np.inf
         j = int(np.argmax(c_abs))
         if c_abs[j] < 1e-10:
             break
-        cholesky_append(factor, *gram.join(sel.size, j, sel))
-        sel = np.append(sel, j)
-        coef = solve_gram(factor, c0[sel])
+        # Signs +1 leave the cross products exact.
+        sel = active.stage(j, None).copy()
+        active.add(j, 1)
+        coef = solve_gram(active.factor, c0[sel])
         # Zero (of either sign) counts as positive.
         signs = np.where(coef < 0, -1, 1)
         beta = np.zeros(m)

@@ -15,6 +15,7 @@ from larspath.core import (
     TIE_RTOL,
     VARIANTS,
     Path,
+    _ActiveSet,
     _direction,
     _GramCache,
     _scan_join,
@@ -25,6 +26,7 @@ from larspath.dataio import json_summary, write_path_csv
 from larspath.datasets import load_diabetes
 from larspath.errors import (
     DegenerateColumn,
+    DimensionMismatch,
     LarsError,
     MaxStepsExceeded,
     StalledPath,
@@ -32,7 +34,7 @@ from larspath.errors import (
     TOutOfRange,
     VariantMismatch,
 )
-from larspath.linalg import CholeskyFactor
+from larspath.linalg import CholeskyFactor, nnls_inner_loop
 from larspath.model_select import (
     bootstrap_df,
     cp_curve,
@@ -65,12 +67,19 @@ def equiangular(design, active, signs):
     return A, sw, u, design.columns.T @ u
 
 
+def departed(left_signs):
+    """The variables and signs of ``left_signs`` ({variable: sign}) as
+    ``_scan_join`` takes them: two arrays."""
+    return (np.array(list(left_signs), dtype=int),
+            np.array(list(left_signs.values()), dtype=float))
+
+
 def scan_join(c, C_hat, A, a, candidates):
     """``_scan_join`` on both sign branches, nothing leaving, with the
     walk's tie tolerance."""
     cand_idx = np.asarray(candidates, dtype=int)
-    return _scan_join(np.asarray(c, dtype=float), C_hat, A, a, cand_idx, {},
-                      False, TIE_RTOL * max(1.0, C_hat))
+    return _scan_join(np.asarray(c, dtype=float), C_hat, A, a, cand_idx,
+                      *departed({}), False, TIE_RTOL * max(1.0, C_hat))
 
 
 def random_design(n, m, seed):
@@ -171,7 +180,8 @@ def scan_leaving(values, left_signs, positive=False):
     for j, (cj, aj) in values.items():
         c[j], a[j] = cj, aj
     cand_idx = np.array(sorted(values))
-    return _scan_join(c, 1.0, 0.5, a, cand_idx, left_signs, positive, TIE_RTOL)
+    return _scan_join(c, 1.0, 0.5, a, cand_idx, *departed(left_signs), positive,
+                      TIE_RTOL)
 
 
 def test_leaver_same_sign_branch_is_barred():
@@ -356,7 +366,7 @@ def test_wide_design_saturates():
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)])
 def test_gram_products_match_dense(shape):
     """Through X (n < m) or from the materialized Gram (n >= m), the Gram
-    products equal the dense X'X ones: each join's cross products with the
+    products equal the dense X'X ones: each add's cross products with the
     carried active set and its squared norm, products with the carried
     block, and products with any gathered block."""
     r = np.random.default_rng(shape[1])
@@ -364,14 +374,17 @@ def test_gram_products_match_dense(shape):
     G = X.T @ X
     gram = _GramCache(X)
     order = np.array([0, 7, shape[1] - 1, 3, 11])
-    gram.carry(order.size)
+    active = _ActiveSet(gram, order.size)
     for k, j in enumerate(order):
-        cross, norm_sq = gram.join(k, j, order[:k])
+        active.stage(j, None)
+        active.add(j, 1)
+        # With sign +1 the factor's new Gram column is the products as formed.
+        cross, norm_sq = active.factor.gram[:k, k], active.factor.gram[k, k]
         assert cross.shape == (k,)
         assert np.allclose(cross, G[j, order[:k]], rtol=1e-12, atol=1e-12)
         assert math.isclose(norm_sq, G[j, j], rel_tol=1e-12)
     v = r.normal(size=order.size)
-    assert np.allclose(gram.times(gram.active_block(order), v), G[:, order] @ v,
+    assert np.allclose(gram.times(active.block, v), G[:, order] @ v,
                        rtol=1e-12, atol=1e-12)
     for idx in ([], [3], [0, 7, 2], list(range(shape[1]))):
         idx = np.array(idx, dtype=int)
@@ -379,6 +392,81 @@ def test_gram_products_match_dense(shape):
         got = gram.stack(idx, v)
         assert got.shape == (shape[1],)
         assert np.allclose(got, G[:, idx] @ v, rtol=1e-12, atol=1e-12)
+
+
+def _assert_active_set_is(active, gram, model):
+    """``active`` holds the variables and signs of ``model`` ([(variable,
+    sign)] in factor order): its variables, signs, inactive mask and
+    carried block equal a fresh gather, and its factor that of the signed
+    Gram block."""
+    idx = np.array([j for j, _ in model], dtype=int)
+    s = np.array([sign for _, sign in model], dtype=float)
+    k = idx.size
+    assert active.k == active.factor.active_dim == k
+    assert np.array_equal(active.idx, idx)
+    assert np.array_equal(active.signs, s)
+    inactive = np.ones(gram.X.shape[1], dtype=bool)
+    inactive[idx] = False
+    assert np.array_equal(active.inactive, inactive)
+    assert np.array_equal(active.block, gram.block(idx))
+    signed = np.outer(s, s) * (gram.X[:, idx].T @ gram.X[:, idx])
+    upper = np.triu_indices(k)
+    scale = np.abs(signed).max()
+    assert np.allclose(active.factor.gram[:k, :k][upper], signed[upper],
+                       rtol=1e-12, atol=1e-12 * scale)
+    fresh = CholeskyFactor.from_gram(signed)
+    packed = k * (k + 1) // 2
+    assert np.allclose(active.factor.ap[:packed], fresh.ap[:packed],
+                       rtol=1e-9, atol=1e-9 * math.sqrt(scale))
+
+
+@pytest.mark.parametrize("shape, seed", [((120, 40), 2100), ((30, 80), 2200)])
+def test_active_set_edits_keep_every_part_in_step(shape, seed):
+    """A seeded run of adds, drops and cone-projection keeps: after each
+    edit the active set's variables, signs, inactive mask and carried block
+    equal a fresh gather, its factor's Gram block is the signed Gram block, and
+    its factor is that block's ``from_gram``; a drop or keep hands back
+    the variables that left and their signs."""
+    d = random_design(*shape, seed)
+    gram = _GramCache(d.columns)
+    r = np.random.default_rng(seed)
+    capacity = 12
+    active = _ActiveSet(gram, capacity + 1)
+    model = []
+    edits = {"add": 0, "drop": 0, "keep": 0}
+    for _ in range(80):
+        k = len(model)
+        if k < 2 or (k < capacity and r.random() < 0.6):
+            j = int(r.choice(np.flatnonzero(active.inactive)))
+            sign = int(r.choice([-1, 1]))
+            assert active.stage(j, None).tolist() == [v for v, _ in model] + [j]
+            active.add(j, sign)
+            model.append((j, sign))
+            edits["add"] += 1
+        elif r.random() < 0.5:
+            pos = int(r.integers(k))
+            gone = model.pop(pos)
+            assert active.stage(gone[0], pos).tolist() == [v for v, _ in model]
+            left_vars, left_signs = active.drop(pos)
+            assert (left_vars.tolist(), left_signs.tolist()) == ([gone[0]], [gone[1]])
+            edits["drop"] += 1
+        else:
+            # A cone projection of a target with one negative weight
+            # refactorizes the factor to a face, as the stagewise walk's
+            # does before its keep.
+            target = 1.0 + r.random(k)
+            target[r.integers(k)] = -1.0
+            _, retained = nnls_inner_loop(active.factor, target)
+            if retained.size == k:
+                continue
+            kept = set(retained.tolist())
+            gone = [model[i] for i in range(k) if i not in kept]
+            model = [model[i] for i in retained]
+            left_vars, left_signs = active.keep(retained)
+            assert list(zip(left_vars.tolist(), left_signs.tolist())) == gone
+            edits["keep"] += 1
+        _assert_active_set_is(active, gram, model)
+    assert min(edits.values()) >= 3, edits
 
 
 def _events_and_vertices(design, variant):
@@ -471,21 +559,28 @@ def test_refresh_from_the_active_block_matches_a_separate_product(monkeypatch,
                              [(core, "_refresh", _refresh_over_support)])
 
 
-def _fresh_gather(self, act_idx):
-    """The active block gathered afresh from G (from X on a wide design)."""
-    return self.block(act_idx)
+def _regathered(edit, calls):
+    """The active-set edit ``edit``, then its carried block replaced by a
+    fresh gather from G (from X on a wide design)."""
+    def edited(self, *args):
+        calls["regather"] += 1
+        out = edit(self, *args)
+        src = self._source
+        self.block = src[self.idx] if self._tall else src.T[:, self.idx]
+        return out
+    return edited
 
 
 def test_carried_gram_rows_match_a_fresh_gather_per_move(monkeypatch, quad_design):
-    """The walk carries its active block across moves through joins, drops
+    """The walk carries its active block across moves through adds, drops
     and cone projections: rows of G on a tall design, columns of X on a
-    wide one.  Gathering ``G[act_idx]`` or ``X[:, act_idx]`` afresh on every
-    move instead gives byte-equal events and vertices (diabetes 64, 12 tall
-    and 12 wide random designs, every variant)."""
+    wide one.  Gathering ``G[act_idx]`` or ``X[:, act_idx]`` afresh after
+    every edit instead gives byte-equal events and vertices (diabetes 64,
+    12 tall and 12 wide random designs, every variant)."""
     designs = ([quad_design] + [random_design(120, 40, 1500 + i) for i in range(12)]
                + [random_design(30, 80, 1600 + i) for i in range(6)]
                + [random_design(40, 150, 1650 + i) for i in range(6)])
-    calls = {"active_block": 0}
+    calls = {"regather": 0}
 
     def fits():
         out = []
@@ -504,32 +599,42 @@ def test_carried_gram_rows_match_a_fresh_gather_per_move(monkeypatch, quad_desig
         return out
 
     carried = fits()
-    monkeypatch.setattr(_GramCache, "active_block",
-                        _counted(_fresh_gather, calls, "active_block"))
+    for name in ("add", "drop", "keep"):
+        monkeypatch.setattr(_ActiveSet, name,
+                            _regathered(getattr(_ActiveSet, name), calls))
     gathered = fits()
-    assert calls["active_block"] > 0
+    assert calls["regather"] > 0
     assert carried == gathered
     events = [e for fit in carried if isinstance(fit[0], list) for e in fit[0]]
     assert any(e[0] == "drop" for e in events)
     assert any(e[4] for e in events)
 
 
-def _join_from_a_whole_gram_column(self, k, j, act_idx):
-    """A join that forms all m products ``X' x_j`` and reads the active
-    ones from them."""
-    self._rows[k] = self.X[:, j]
-    col = self.X.T @ self.X[:, j]
-    return col[act_idx], float(col[j])
-
-
 def test_join_products_from_the_carried_columns_match_a_whole_gram_column(monkeypatch):
-    """On a wide design a join takes its k cross products from the carried
+    """On a wide design an add takes its k cross products from the carried
     active columns of X; forming all m products ``X' x_j`` instead gives the
     same events and, to rounding, the same vertices (30 wide designs)."""
     designs = ([random_design(30, 80, 1800 + i) for i in range(15)]
                + [random_design(40, 150, 1850 + i) for i in range(15)])
-    _assert_same_paths_under(monkeypatch, designs,
-                             [(_GramCache, "join", _join_from_a_whole_gram_column)])
+    adding = []
+    add, append = _ActiveSet.add, core.cholesky_append
+
+    def add_noted(self, j, s):
+        adding.append((self, j, s))
+        return add(self, j, s)
+
+    def append_from_a_whole_gram_column(factor, cross, norm_sq):
+        """The append of the add in progress, with its signed cross
+        products read from all m products ``X' x_j``."""
+        active, j, s = adding.pop()
+        X = active._source.T
+        col = X.T @ X[:, j]
+        return append(factor, s * active.signs * col[active.idx], float(col[j]))
+
+    _assert_same_paths_under(monkeypatch, designs, [
+        (_ActiveSet, "add", add_noted),
+        (core, "cholesky_append", append_from_a_whole_gram_column),
+    ])
 
 
 class _DenseFactor:
@@ -619,6 +724,34 @@ def test_cold_start_uses_the_walks_envelope_floor():
         assert fit_path(below, variant).n_steps == 0, variant
     negative = from_unit_columns(np.eye(2), [-1.0, 0.0])
     assert [fit_path(negative, v).n_steps for v in core.VARIANTS] == [1, 1, 1, 0]
+
+
+def _every_fit(design):
+    """Each variant's walk, and forward selection, on ``design``."""
+    fits = {v: (lambda v=v: fit_path(design, v)) for v in VARIANTS}
+    fits["forward-selection"] = lambda: forward_selection(design, 2)
+    return fits
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e160])
+def test_a_response_whose_sum_of_squares_overflows_is_refused(scale):
+    """y'y overflows to inf: every walk and forward selection refuse the
+    response by name, without the overflow's RuntimeWarning (an error
+    under the test suite's filters)."""
+    d = from_unit_columns(np.eye(2), np.array([scale, scale]))
+    for name, fit in _every_fit(d).items():
+        with pytest.raises(DimensionMismatch, match="response"):
+            fit()
+
+
+def test_a_large_response_with_a_finite_sum_of_squares_still_fits():
+    y = np.array([2e150, 1e150])
+    d = from_unit_columns(np.eye(2), y)
+    for name, fit in _every_fit(d).items():
+        path = fit()
+        assert path.n_steps == 2, name
+        assert all(math.isfinite(s.rss) for s in path.steps), name
+        assert np.allclose(path.betas[-1], y, rtol=1e-12), name
 
 
 def test_unknown_variant(design):
@@ -795,6 +928,19 @@ def _path_outputs(path):
     if path.variant == "lars":
         outputs["hybrid_r2"] = [hybrid_r2(path, k) for k in range(1, path.n_steps + 1)]
     return outputs
+
+
+def test_comparing_paths_does_not_raise(design):
+    """Paths compare by identity: a path equals itself, and comparing two
+    fits, or a fit with a Path over an equal but distinct design, returns
+    without raising."""
+    path = fit_path(design, "lasso")
+    assert path == path
+    assert path != fit_path(design, "lasso")
+    twin = dataclasses.replace(design, columns=design.columns.copy(),
+                               response=design.response.copy())
+    rebuilt = Path(path.variant, path.steps, twin)
+    assert (path == rebuilt) is False and (path != rebuilt) is True
 
 
 def test_a_replaced_path_reads_its_own_steps(design, diabetes_paths):

@@ -43,8 +43,8 @@ def direction(design, active, signs, factor, cone):
 def positive_scan(c, C_hat, A, a, candidates):
     """``_scan_join`` on the positive branch, nothing leaving."""
     return _scan_join(np.asarray(c, dtype=float), C_hat, A, a,
-                      np.asarray(candidates, dtype=int), {}, True,
-                      TIE_RTOL * max(1.0, C_hat))
+                      np.asarray(candidates, dtype=int), np.empty(0, dtype=int),
+                      np.empty(0), True, TIE_RTOL * max(1.0, C_hat))
 
 
 def test_drop_candidate_none_when_moving_away():
