@@ -21,7 +21,7 @@ from .model_select import (
     run_simulation_study,
     sigma2_full_ols,
 )
-from .preprocess import quadratic_expand, standardize, to_original_units
+from .preprocess import _interactions, quadratic_expand, standardize, to_original_units
 
 __all__ = ["cli_main", "main"]
 
@@ -194,13 +194,7 @@ def _cmd_main_effects_first(args):
     if len(chosen) < 2:
         raise DimensionMismatch("need at least two selected variables "
                                 "to form interactions")
-    centered = matrix - matrix.mean(axis=0)
-    cols, names = [], []
-    for i_pos in range(len(chosen)):
-        for j_pos in range(i_pos + 1, len(chosen)):
-            i, j = chosen[i_pos], chosen[j_pos]
-            cols.append(centered[:, i] * centered[:, j])
-            names.append(f"{labels[i]}:{labels[j]}")
+    cols, names = _interactions(matrix - matrix.mean(axis=0), chosen, labels)
     inner = main_effects_first(design, base, args.k, np.column_stack(cols),
                                names, variant=args.variant)
     text = write_path_csv(inner, standardized=args.standardized)

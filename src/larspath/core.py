@@ -40,7 +40,7 @@ Numerical conventions that the step counts depend on:
   products a = G[:, A] (s * w).  Both products read the active block of
   G, for the rates and again for the refresh, because the support of a
   lars, lasso or positive-lasso path lies in its active set; the block is
-  carried across moves with the active set (see ``_ActiveSet``).  A
+  carried across moves with the active set (see ``_GramCache``).  A
   stagewise support also holds the coefficients that cone projections
   froze, so that variant refreshes over its sorted support with a gather
   of its own.
@@ -275,45 +275,46 @@ class _TieRestart(Exception):
 
 
 class _GramCache:
-    """Products with G = X'X: materialized when n >= m, through X otherwise.
+    """Products with G = X'X, read from ``rows``, a table with one row per
+    variable: the one place that knows whether a design is tall or wide.
 
-    A tall design (n >= m) keeps the m x m Gram matrix and reads its rows,
-    which equal its columns (G is symmetric): a row gather is contiguous
-    where a column gather is strided.  A wide design neither forms G nor
-    caches its columns: every product is two matrix-vector products with X,
-    O(n m) per move as in the paper's cost argument.  The walk carries its
-    active set's block across moves instead of gathering it (see
-    ``_ActiveSet``).
+    On a tall design (n >= m) ``rows`` is G, whose rows equal its columns,
+    so a product with the columns ``indices`` of G reads the contiguous
+    rows ``rows[indices]``.  A wide design never forms G: ``rows`` is the
+    view ``X'``, and ``_X`` finishes each product, two passes over X, O(n m)
+    per move as in the paper's cost argument.  The walk carries its active
+    set's rows across moves instead of gathering them (see ``_ActiveSet``).
     """
 
     def __init__(self, X):
-        self.X = X
-        n, m = X.shape
-        self._full = X.T @ X if n >= m else None
+        self._X = None if X.shape[0] >= X.shape[1] else X
+        self.rows = X.T @ X if self._X is None else X.T
 
-    def block(self, indices):
-        """The block that products with ``G[:, indices]`` read: those rows
-        of G on a tall design, those columns of X on a wide one."""
-        if self._full is not None:
-            return self._full[indices]
-        return self.X[:, indices]
-
-    def times(self, block, weights):
-        """``G[:, indices] @ weights`` from the ``block`` of ``indices``."""
-        if self._full is not None:
-            return weights @ block
-        return self.X.T @ (block @ weights)
+    def times(self, rows, weights):
+        """``G[:, indices] @ weights`` from the ``rows`` of ``indices``."""
+        out = weights @ rows
+        return out if self._X is None else self._X.T @ out
 
     def stack(self, indices, weights):
         """``G[:, indices] @ weights``."""
-        return self.times(self.block(indices), weights)
+        return self.times(self.rows[indices], weights)
+
+    def cross(self, rows, k, idx, j):
+        """``G[idx, j]`` and ``G[j, j]``, where the first k of ``rows`` are
+        those of ``idx`` and row k is that of ``j``: a gather from the row
+        of ``j`` on a tall design, k + 1 products through X on a wide one."""
+        if self._X is None:
+            row = rows[k]
+            return row[idx], row[j]
+        products = rows[: k + 1] @ rows[k]
+        return products[:k], products[k]
 
 
 class _ActiveSet:
     """The active set of a walk, and all that changes with it: ``idx``, the
     variables in factor order; ``signs``, as floats ready to scale weights;
     ``inactive``, the other variables; ``factor``, the Cholesky factor of
-    the signed Gram matrix; ``block``, the ``_GramCache.block`` of ``idx``.
+    the signed Gram matrix; ``block``, the ``_GramCache.rows`` of ``idx``.
     ``stage`` writes the variables that the next add or drop leaves, for
     the walk's stopping tests to read before ``add`` or ``drop`` makes the
     edit; ``keep`` applies a cone projection.
@@ -321,23 +322,18 @@ class _ActiveSet:
     Each part is the first k entries of a buffer allocated once: an add
     writes entry k, a drop shifts the entries after it down, a keep gathers
     the retained ones to the front, and nothing recorded on a path is a
-    view of them.  So the block is carried across moves, not gathered: the
-    active rows of G on a tall design, the active columns of X stored as
-    rows on a wide one.  Either has the layout of the gather it replaces,
-    so products with it make the same BLAS calls on the same bytes.  An add
-    takes its cross products from the carried rows: k products through X
-    on a wide design, not m.
+    view of them.  So the block is carried across moves, not gathered, and
+    has the layout of the gather it replaces: products with it make the
+    same BLAS calls on the same bytes.  An add takes its cross products
+    from the carried rows (``_GramCache.cross``).
     """
 
-    __slots__ = ("_tall", "_source", "_vars", "_signs", "_rows", "_staged",
+    __slots__ = ("_gram", "_vars", "_signs", "_rows", "_staged",
                  "inactive", "factor", "k", "idx", "signs", "block")
 
     def __init__(self, gram, capacity):
-        # The rows that the carried rows copy: those of G on a tall design,
-        # and on a wide one those of X', the columns of X.
-        self._tall = gram._full is not None
-        self._source = gram._full if self._tall else gram.X.T
-        m, width = self._source.shape
+        self._gram = gram
+        m, width = gram.rows.shape
         self._vars = np.empty(capacity, dtype=int)
         self._signs = np.empty(capacity)
         self._rows = np.empty((capacity, width))
@@ -350,8 +346,7 @@ class _ActiveSet:
         self.idx = idx
         self.k = k = idx.size
         self.signs = self._signs[:k]
-        rows = self._rows[:k]
-        self.block = rows if self._tall else rows.T
+        self.block = self._rows[:k]
 
     def stage(self, j, pos):
         """Write and return the variables after adding ``j`` (``pos`` None)
@@ -372,14 +367,8 @@ class _ActiveSet:
         """Complete the staged add of ``j`` with sign ``s``
         (:class:`DegenerateColumn` when j depends on the active set)."""
         k = self.k
-        rows = self._rows
-        row = self._source[j]
-        rows[k] = row
-        if self._tall:
-            cross, norm_sq = row[self.idx], row[j]
-        else:
-            products = rows[: k + 1] @ rows[k]
-            cross, norm_sq = products[:k], products[k]
+        self._rows[k] = self._gram.rows[j]
+        cross, norm_sq = self._gram.cross(self._rows, k, self.idx, j)
         # The signed cross products, s * signs * G[A, j], formed in place:
         # the signs are +-1, so the products are exact in any order.
         cross *= self.signs

@@ -106,7 +106,10 @@ def cp_curve(path, sigma2, *, allow_variant=False):
         raise VariantMismatch(
             f"df = k rule is calibrated for the plain variant, got {path.variant!r}"
         )
-    sigma2 = float(sigma2)
+    try:
+        sigma2 = float(sigma2)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"sigma2={sigma2!r} is not a number") from None
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise DimensionMismatch(f"sigma2={sigma2!r} must be finite and positive")
     n = path.design.n

@@ -4,7 +4,8 @@ path variants."""
 
 import numpy as np
 
-from .core import _ActiveSet, _GramCache, _max_active, _record_path, _response_sq
+from .core import (ENVELOPE_FLOOR, _ActiveSet, _GramCache, _max_active,
+                   _record_path, _response_sq)
 from .errors import DimensionMismatch, as_integer
 from .linalg import solve_gram
 
@@ -35,11 +36,11 @@ def forward_selection(design, k_max):
     betas = [beta]
     for _ in range(k_max):
         sel = active.idx
-        c = c0 - gram.times(active.block, beta[sel]) if sel.size else c0.copy()
+        c = c0 - gram.times(active.block, beta[sel])
         c_abs = np.abs(c)
         c_abs[sel] = -np.inf
         j = int(np.argmax(c_abs))
-        if c_abs[j] < 1e-10:
+        if c_abs[j] < ENVELOPE_FLOOR:
             break
         # Signs +1 leave the cross products exact.
         sel = active.stage(j, None).copy()

@@ -5,7 +5,9 @@ Euclidean length, with a centered response.  ``StandardizedDesign`` carries
 the metadata needed to map fitted coefficients back to the original units.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -66,44 +68,71 @@ def _default_names(m):
     return tuple(f"x{j + 1}" for j in range(m))
 
 
-def _require_finite(X, names, y=None):
-    """Raise :class:`NonNumericCell` at the first NaN or infinite cell.
+def _floats(value, what):
+    """``value`` as floats, NaN at each cell that is not a number, or
+    :class:`DimensionMismatch` for ragged or complex input."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise DimensionMismatch(f"{what} is ragged: rows differ in length") from None
+    if np.iscomplexobj(arr):
+        raise DimensionMismatch(f"{what} is complex; only real values are fitted")
+    try:
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        # Only a failed bulk conversion pays for a scan by cell.
+        out = np.full(arr.shape, np.nan)
+        for at, cell in np.ndenumerate(arr):
+            with suppress(TypeError, ValueError):
+                out[at] = cell
+        return out
 
-    Rows are numbered from 1, as in the CSV reader; a bad response cell is
-    reported in column ``"response"``.
-    """
+
+def _require_finite(X, names):
+    """Raise :class:`NonNumericCell` at the first NaN or infinite cell of
+    ``X``, whose columns are ``names``, numbering rows from 1 as the CSV reader does."""
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         raise NonNumericCell(int(bad[0, 0]) + 1, names[bad[0, 1]])
-    if y is not None:
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            raise NonNumericCell(int(bad[0]) + 1, "response")
+
+
+def _raw_design(columns, response, names, what):
+    """The matrix, response and names of a raw design, as floats, after the
+    checks that :func:`standardize` and :func:`from_unit_columns` share."""
+    X, y = _floats(columns, what), _floats(response, "response")
+    if X.ndim != 2:
+        raise DimensionMismatch(f"{what} must be 2-D")
+    n, m = X.shape
+    if y.shape != (n,):
+        raise DimensionMismatch(f"response has shape {y.shape}, expected ({n},)")
+    names = _default_names(m) if names is None else tuple(names)
+    if len(names) != m:
+        raise DimensionMismatch(f"{len(names)} names for {m} columns")
+    _require_finite(X, names)
+    _require_finite(y[:, None], ("response",))
+    return X, y, names
+
+
+def _interactions(centered, columns, names):
+    """The centered product of each pair of ``columns``, the earlier one
+    first, and its ``a:b`` label."""
+    pairs = list(combinations(columns, 2))
+    return ([centered[:, i] * centered[:, j] for i, j in pairs],
+            [f"{names[i]}:{names[j]}" for i, j in pairs])
 
 
 def standardize(raw_columns, raw_response, names=None):
     """Center and rescale a raw design to mean-0, unit-length columns.
 
     Returns a :class:`StandardizedDesign`.  Raises :class:`ConstantColumn`
-    for any zero-variance predictor, :class:`NonNumericCell` for a NaN or
-    infinite cell and :class:`DimensionMismatch` when the response length
-    does not match the matrix.
+    for any zero-variance predictor, :class:`NonNumericCell` for a cell
+    that is not a finite number and :class:`DimensionMismatch` for ragged
+    or complex input or a response length that does not match the matrix.
     """
-    X = np.asarray(raw_columns, dtype=float)
-    y = np.asarray(raw_response, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("raw_columns must be 2-D")
-    n, m = X.shape
-    if y.shape != (n,):
-        raise DimensionMismatch(
-            f"response has shape {y.shape}, expected ({n},)"
-        )
+    X, y, names = _raw_design(raw_columns, raw_response, names, "raw_columns")
+    n = X.shape[0]
     if n < 2:
         raise DimensionMismatch("need at least two observations")
-    names = _default_names(m) if names is None else tuple(names)
-    if len(names) != m:
-        raise DimensionMismatch(f"{len(names)} names for {m} columns")
-    _require_finite(X, names, y)
 
     means = X.mean(axis=0)
     centered = X - means
@@ -134,19 +163,8 @@ def from_unit_columns(columns, response, names=None):
     1e-9 and every cell must be finite; means and scales are recorded as 0
     and 1 so the original-units back-transform is the identity.
     """
-    X = np.asarray(columns, dtype=float)
-    y = np.asarray(response, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("columns must be 2-D")
-    n, m = X.shape
-    if y.shape != (n,):
-        raise DimensionMismatch(
-            f"response has shape {y.shape}, expected ({n},)"
-        )
-    names = _default_names(m) if names is None else tuple(names)
-    if len(names) != m:
-        raise DimensionMismatch(f"{len(names)} names for {m} columns")
-    _require_finite(X, names, y)
+    X, y, names = _raw_design(columns, response, names, "columns")
+    m = X.shape[1]
     norms = (X**2).sum(axis=0)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise DimensionMismatch("columns must have unit squared norm")
@@ -196,7 +214,7 @@ def quadratic_expand(raw_columns, binary_column, names=None):
     Returns ``(matrix, labels)`` with labels following the patterns
     ``name_i``, ``name_i:name_j`` and ``name_i^2``.
     """
-    X = np.asarray(raw_columns, dtype=float)
+    X = _floats(raw_columns, "raw_columns")
     if X.ndim != 2 or X.shape[1] < 2:
         raise WrongColumnCount(
             f"need at least 2 columns, got {X.shape[1] if X.ndim == 2 else 'n/a'}"
@@ -213,15 +231,9 @@ def quadratic_expand(raw_columns, binary_column, names=None):
     _require_finite(X, names)
     centered = X - X.mean(axis=0)
 
-    cols = [X[:, j] for j in range(m)]
-    labels = list(names)
-    for i in range(m):
-        for j in range(i + 1, m):
-            cols.append(centered[:, i] * centered[:, j])
-            labels.append(f"{names[i]}:{names[j]}")
-    for j in range(m):
-        if j == binary_column:
-            continue
-        cols.append(centered[:, j] ** 2)
-        labels.append(f"{names[j]}^2")
+    products, pair_labels = _interactions(centered, range(m), names)
+    squared = [j for j in range(m) if j != binary_column]
+    cols = ([X[:, j] for j in range(m)] + products
+            + [centered[:, j] ** 2 for j in squared])
+    labels = [*names, *pair_labels, *(f"{names[j]}^2" for j in squared)]
     return np.column_stack(cols), labels

@@ -109,9 +109,9 @@ def lasso_at_t(design, t, tol=1e-8):
     if t <= tol:
         return np.zeros(m)
 
-    beta_full, *_ = np.linalg.lstsq(X, y, rcond=None)
-    if t >= float(np.abs(beta_full).sum()) - tol:
-        return beta_full
+    beta_ls, *_ = np.linalg.lstsq(X, y, rcond=None)
+    if t >= float(np.abs(beta_ls).sum()) - tol:
+        return beta_ls
 
     G = _gram(design)
     c0 = X.T @ y

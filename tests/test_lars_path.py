@@ -366,14 +366,23 @@ def test_wide_design_saturates():
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)])
 def test_gram_products_match_dense(shape):
     """Through X (n < m) or from the materialized Gram (n >= m), the Gram
-    products equal the dense X'X ones: each add's cross products with the
-    carried active set and its squared norm, products with the carried
-    block, and products with any gathered block."""
+    products equal the dense X'X ones: ``cross`` from a table of rows,
+    each add's cross products with the carried active set and its squared
+    norm, products with the carried block, and products with any gathered
+    block."""
     r = np.random.default_rng(shape[1])
     X = r.normal(size=shape)
     G = X.T @ X
     gram = _GramCache(X)
     order = np.array([0, 7, shape[1] - 1, 3, 11])
+    # Every row of ``order`` is in the table, so a cross that reads a row
+    # other than the first k + 1 gets a wrong answer, not an empty one.
+    rows = gram.rows[order]
+    for k, j in enumerate(order):
+        cross, norm_sq = gram.cross(rows, k, order[:k], j)
+        assert cross.shape == (k,)
+        assert np.allclose(cross, G[order[:k], j], rtol=1e-12, atol=1e-12)
+        assert math.isclose(norm_sq, G[j, j], rel_tol=1e-12)
     active = _ActiveSet(gram, order.size)
     for k, j in enumerate(order):
         active.stage(j, None)
@@ -394,22 +403,22 @@ def test_gram_products_match_dense(shape):
         assert np.allclose(got, G[:, idx] @ v, rtol=1e-12, atol=1e-12)
 
 
-def _assert_active_set_is(active, gram, model):
+def _assert_active_set_is(active, gram, X, model):
     """``active`` holds the variables and signs of ``model`` ([(variable,
     sign)] in factor order): its variables, signs, inactive mask and
-    carried block equal a fresh gather, and its factor that of the signed
-    Gram block."""
+    carried block equal a fresh gather from ``gram.rows``, and its factor
+    that of the signed Gram block of the design ``X``."""
     idx = np.array([j for j, _ in model], dtype=int)
     s = np.array([sign for _, sign in model], dtype=float)
     k = idx.size
     assert active.k == active.factor.active_dim == k
     assert np.array_equal(active.idx, idx)
     assert np.array_equal(active.signs, s)
-    inactive = np.ones(gram.X.shape[1], dtype=bool)
+    inactive = np.ones(X.shape[1], dtype=bool)
     inactive[idx] = False
     assert np.array_equal(active.inactive, inactive)
-    assert np.array_equal(active.block, gram.block(idx))
-    signed = np.outer(s, s) * (gram.X[:, idx].T @ gram.X[:, idx])
+    assert np.array_equal(active.block, gram.rows[idx])
+    signed = np.outer(s, s) * (X[:, idx].T @ X[:, idx])
     upper = np.triu_indices(k)
     scale = np.abs(signed).max()
     assert np.allclose(active.factor.gram[:k, :k][upper], signed[upper],
@@ -465,7 +474,7 @@ def test_active_set_edits_keep_every_part_in_step(shape, seed):
             left_vars, left_signs = active.keep(retained)
             assert list(zip(left_vars.tolist(), left_signs.tolist())) == gone
             edits["keep"] += 1
-        _assert_active_set_is(active, gram, model)
+        _assert_active_set_is(active, gram, d.columns, model)
     assert min(edits.values()) >= 3, edits
 
 
@@ -519,8 +528,8 @@ def test_lazy_gram_path_matches_materialized_gram(monkeypatch):
     """A wide design's Gram products go through X; materializing X'X instead
     gives the same events and, to rounding, the same vertices."""
     def materialized(self, X):
-        self.X = X
-        self._full = X.T @ X
+        self._X = None
+        self.rows = X.T @ X
 
     designs = [random_design(30, 80, 500 + i) for i in range(30)]
     _assert_same_paths_under(monkeypatch, designs, [(_GramCache, "__init__", materialized)])
@@ -531,8 +540,8 @@ def test_materialized_gram_path_matches_products_through_x(monkeypatch):
     taking them through X instead gives the same events and, to rounding,
     the same vertices."""
     def through_x(self, X):
-        self.X = X
-        self._full = None
+        self._X = X
+        self.rows = X.T
 
     designs = [random_design(120, 40, 700 + i) for i in range(30)]
     _assert_same_paths_under(monkeypatch, designs, [(_GramCache, "__init__", through_x)])
@@ -561,12 +570,12 @@ def test_refresh_from_the_active_block_matches_a_separate_product(monkeypatch,
 
 def _regathered(edit, calls):
     """The active-set edit ``edit``, then its carried block replaced by a
-    fresh gather from G (from X on a wide design)."""
+    fresh gather from the Gram cache's rows (of G, or of X' on a wide
+    design)."""
     def edited(self, *args):
         calls["regather"] += 1
         out = edit(self, *args)
-        src = self._source
-        self.block = src[self.idx] if self._tall else src.T[:, self.idx]
+        self.block = self._gram.rows[self.idx]
         return out
     return edited
 
@@ -627,7 +636,7 @@ def test_join_products_from_the_carried_columns_match_a_whole_gram_column(monkey
         """The append of the add in progress, with its signed cross
         products read from all m products ``X' x_j``."""
         active, j, s = adding.pop()
-        X = active._source.T
+        X = active._gram._X
         col = X.T @ X[:, j]
         return append(factor, s * active.signs * col[active.idx], float(col[j]))
 

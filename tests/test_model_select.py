@@ -263,7 +263,10 @@ def test_hybrid_argument_validation(diabetes_paths):
         hybrid_r2(diabetes_paths["lasso"], 1)
 
 
-@pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan"), float("inf")])
+# A value that is not a number is refused by name too, as ``interpolate``
+# refuses such a budget.
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan"), float("inf"),
+                                    None, "x", [1.0]], ids=repr)
 def test_cp_curve_refuses_a_variance_that_is_not_finite_and_positive(diabetes_paths,
                                                                     sigma2):
     with warnings.catch_warnings():

@@ -84,6 +84,66 @@ def test_non_finite_cells_are_rejected_by_row_and_column():
         quadratic_expand(X, 0, names=("a",))
 
 
+# Each raw-design entry point, on a matrix with columns a, b and c and,
+# where it takes one, a response.
+RAW_BUILDERS = {
+    "standardize": lambda X, y: standardize(X, y, names=("a", "b", "c")),
+    "from_unit_columns": lambda X, y: from_unit_columns(X, y, names=("a", "b", "c")),
+    "quadratic_expand": lambda X, y: quadratic_expand(X, 0, names=("a", "b", "c")),
+}
+WITH_RESPONSE = ("standardize", "from_unit_columns")
+
+
+@pytest.mark.parametrize("build", RAW_BUILDERS)
+def test_an_object_cell_that_is_not_a_number_is_named(build):
+    """The first cell that no float conversion takes is refused at its row
+    and column, not with NumPy's conversion error."""
+    X = np.eye(6)[:, :3].astype(object)
+    X[3, 1] = "a"
+    X[4, 0] = "b"
+    with pytest.raises(NonNumericCell) as exc:
+        RAW_BUILDERS[build](X, np.ones(6))
+    assert (exc.value.row, exc.value.column_name) == (4, "b")
+
+
+@pytest.mark.parametrize("build", WITH_RESPONSE)
+def test_a_string_response_is_refused_at_its_first_non_number(build):
+    y = np.array(["0.5", "1", "x", "2", "y", "3"])
+    with pytest.raises(NonNumericCell) as exc:
+        RAW_BUILDERS[build](np.eye(6)[:, :3], y)
+    assert (exc.value.row, exc.value.column_name) == (3, "response")
+
+
+@pytest.mark.parametrize("build", RAW_BUILDERS)
+def test_a_ragged_matrix_is_a_dimension_mismatch(build):
+    ragged = [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        RAW_BUILDERS[build](ragged, np.ones(3))
+
+
+@pytest.mark.parametrize("build", WITH_RESPONSE)
+def test_a_ragged_response_is_a_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        RAW_BUILDERS[build](np.eye(3), [1.0, [2.0, 3.0], 4.0])
+
+
+@pytest.mark.parametrize("build", RAW_BUILDERS)
+def test_a_complex_matrix_is_a_dimension_mismatch(build):
+    """Refused, where NumPy would drop the imaginary part with a warning."""
+    X = np.eye(6)[:, :3] + 0j
+    X[2, 1] = 1j
+    with pytest.raises(DimensionMismatch, match="complex"):
+        RAW_BUILDERS[build](X, np.ones(6))
+
+
+@pytest.mark.parametrize("build", WITH_RESPONSE)
+def test_a_complex_response_is_a_dimension_mismatch(build):
+    y = np.ones(6) + 0j
+    y[1] = 2 + 1j
+    with pytest.raises(DimensionMismatch, match="complex"):
+        RAW_BUILDERS[build](np.eye(6)[:, :3], y)
+
+
 def test_standardize_shape_errors():
     X = rng.normal(size=(20, 3))
     with pytest.raises(DimensionMismatch):
