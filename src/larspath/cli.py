@@ -96,8 +96,7 @@ def _emit(args, text, summary):
 
 def _cmd_fit(args):
     design, *_ = _load_design(args)
-    path = fit_path(design, args.variant, max_steps=args.max_steps,
-                    jitter_seed=args.jitter_seed)
+    path = fit_path(design, args.variant, max_steps=args.max_steps)
     text = write_path_csv(path, standardized=args.standardized)
     return _emit(args, text, json_summary(path))
 
@@ -162,8 +161,7 @@ def _cmd_simulate(args):
 
 def _cmd_interpolate(args):
     design, *_ = _load_design(args)
-    path = fit_path(design, args.variant, max_steps=args.max_steps,
-                    jitter_seed=args.jitter_seed)
+    path = fit_path(design, args.variant, max_steps=args.max_steps)
     beta = interpolate(path, args.t)
     if args.standardized:
         coef, intercept = beta, 0.0
@@ -214,7 +212,6 @@ def _build_parser():
     _add_data_options(sp)
     sp.add_argument("--variant", default="lars", choices=VARIANTS)
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--jitter-seed", type=int, default=None)
     _add_output_options(sp)
     sp.set_defaults(handler=_cmd_fit)
 
@@ -246,7 +243,6 @@ def _build_parser():
     sp.add_argument("--variant", default="lasso", choices=VARIANTS)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--jitter-seed", type=int, default=None)
     _add_output_options(sp)
     sp.set_defaults(handler=_cmd_interpolate)
 

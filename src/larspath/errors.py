@@ -53,7 +53,8 @@ class MaxStepsExceeded(LarsError):
 
 
 class StalledPath(LarsError):
-    """Two consecutive zero-length steps; the input needs jitter."""
+    """A run of zero-length moves came back to an active set and signs it
+    had already been in, so the walk would cycle."""
 
 
 class TOutOfRange(LarsError, ValueError):

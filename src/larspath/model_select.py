@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import stdtrit
 
-from .core import _max_active, fit_path
+from .core import ENVELOPE_RTOL, _max_active, fit_path
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -300,7 +300,9 @@ def main_effects_first(design_main, path, k, interaction_columns, names=None,
     ``interaction_columns`` holds the raw (unstandardized) interaction
     candidates; they are standardized against the residual
     ``y - X beta_k`` and a fresh path is fitted on them.  Returns the new
-    path.  The residual of a saturating fit gives an empty path.
+    path.  A residual whose norm is not above ``ENVELOPE_RTOL`` times the
+    main response's, as a saturating fit leaves, gives an empty path: it is
+    rounding noise, which the walk would fit like any other response.
     """
     k = as_integer(k, "k", IndexOutOfRange)
     if not 0 <= k <= path.n_steps:
@@ -308,7 +310,9 @@ def main_effects_first(design_main, path, k, interaction_columns, names=None,
     beta_k = path.betas[k]
     residual = design_main.response - design_main.columns @ beta_k
     inner = standardize(interaction_columns, residual, names)
-    return fit_path(inner, variant)
+    negligible = not (np.linalg.norm(residual)
+                      > ENVELOPE_RTOL * np.linalg.norm(design_main.response))
+    return fit_path(inner, variant, stop_after=0 if negligible else None)
 
 
 def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,

@@ -4,7 +4,7 @@ path variants."""
 
 import numpy as np
 
-from .core import (ENVELOPE_FLOOR, _ActiveSet, _GramCache, _max_active,
+from .core import (ENVELOPE_RTOL, _ActiveSet, _GramCache, _max_active,
                    _record_path, _response_sq)
 from .errors import DimensionMismatch, as_integer
 from .linalg import solve_gram
@@ -19,7 +19,9 @@ def forward_selection(design, k_max):
     and refits least squares on the selected set.  The rounds are recorded
     as the path engine records its moves, with ``gamma = 0`` and ``A = 0``
     placeholders since the walk is not piecewise linear.  ``k_max`` may
-    not exceed the number of variables a walk can hold.
+    not exceed the number of variables a walk can hold.  The rounds stop
+    early when the largest correlation is not above ``ENVELOPE_RTOL`` times
+    its value before the first round, the walk's relative floor.
     """
     X, y, m = design.columns, design.response, design.m
     limit = _max_active(design)
@@ -32,6 +34,7 @@ def forward_selection(design, k_max):
     active = _ActiveSet(gram, k_max)
     c0 = X.T @ y
     beta = np.zeros(m)
+    C0 = float(np.abs(c0).max()) if m else 0.0
     moves = []
     betas = [beta]
     for _ in range(k_max):
@@ -40,7 +43,7 @@ def forward_selection(design, k_max):
         c_abs = np.abs(c)
         c_abs[sel] = -np.inf
         j = int(np.argmax(c_abs))
-        if c_abs[j] < ENVELOPE_FLOOR:
+        if not c_abs[j] > ENVELOPE_RTOL * C0:
             break
         # Signs +1 leave the cross products exact.
         sel = active.stage(j, None).copy()
@@ -54,5 +57,4 @@ def forward_selection(design, k_max):
         moves.append(("add", j, int(signs[-1]), sel, signs, 0.0, float(c_abs[j]),
                       0.0, rss, ()))
         betas.append(beta)
-    C0 = float(np.abs(c0).max()) if m else 0.0
     return _record_path("forward-selection", design, C0, y_sq, moves, betas)

@@ -186,12 +186,17 @@ def to_original_units(design, beta_standardized):
 
         X_raw @ beta_original + intercept == X_std @ beta_standardized
                                              + response_mean.
+
+    ``beta_standardized`` is refused as the data are: complex or ragged
+    input is a :class:`DimensionMismatch`, and a cell that is not a finite
+    number is a :class:`NonNumericCell` naming its variable.
     """
-    beta = np.asarray(beta_standardized, dtype=float)
+    beta = _floats(beta_standardized, "beta")
     if beta.shape != (design.m,):
         raise DimensionMismatch(
             f"beta has shape {beta.shape}, expected ({design.m},)"
         )
+    _require_finite(beta[None, :], design.column_names)
     beta_original = beta / design.column_scales
     intercept = design.response_mean - float(
         design.column_means @ beta_original

@@ -250,10 +250,9 @@ def test_simulate_refuses_fewer_than_two_replications(capsys, replications):
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["fit", "--jitter-seed", "-5"], "jitter_seed"),
     (["bootstrap-df", "--B", "20", "--groups", "5", "--seed", "-1"], "seed"),
     (["simulate", "--replications", "2", "--steps", "2", "--seed", "-1"], "seed"),
-], ids=["fit", "bootstrap-df", "simulate"])
+], ids=["bootstrap-df", "simulate"])
 def test_negative_seed_is_a_usage_error(capsys, argv, name):
     rc, out, err = run(capsys, argv[0], "--input", DATA, "--response", "Y", *argv[1:])
     assert rc == 2 and out == ""

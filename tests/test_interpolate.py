@@ -22,12 +22,14 @@ VARIANTS = ("lars", "lasso", "stagewise", "positive-lasso")
 
 
 def reference_interpolate(path, t):
-    """The earlier ``interpolate``, kept verbatim as the byte reference."""
+    """The earlier ``interpolate``, kept verbatim as the byte reference but
+    for its slack, which is now relative to the end T as in ``interpolate``
+    (the two slacks differ only when that T is below 1)."""
     betas = path.betas
     Ts = np.array([s.T for s in path.steps])
     monotone = bool(np.all(np.diff(Ts) >= 0))
     t_end = float(Ts[-1])
-    slack = 1e-12 * max(1.0, t_end)
+    slack = 1e-12 * t_end
     t = float(t)
     if not -slack <= t <= t_end + slack:
         raise TOutOfRange(f"t={t!r} outside [0, {t_end!r}]")
@@ -55,7 +57,7 @@ def budgets_of(path, seed):
     """Every vertex T, both ends, the end plus half its slack, and 200
     random budgets in [0, t_max]."""
     t_max = path.t_max
-    slack = 1e-12 * max(1.0, t_max)
+    slack = 1e-12 * t_max
     random = np.random.default_rng(seed).uniform(0.0, t_max, 200)
     return ([s.T for s in path.steps] + [0.0, t_max, t_max + slack / 2]
             + random.tolist())

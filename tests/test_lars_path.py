@@ -79,7 +79,7 @@ def scan_join(c, C_hat, A, a, candidates):
     walk's tie tolerance."""
     cand_idx = np.asarray(candidates, dtype=int)
     return _scan_join(np.asarray(c, dtype=float), C_hat, A, a, cand_idx,
-                      *departed({}), False, TIE_RTOL * max(1.0, C_hat))
+                      *departed({}), False, TIE_RTOL * C_hat)
 
 
 def random_design(n, m, seed):
@@ -325,27 +325,40 @@ def test_tied_pair_joins_at_zero_distance():
     assert np.allclose(path.steps[-1].beta, [1.0, 1.0])
 
 
-def test_triple_tie_stalls():
-    d = from_unit_columns(np.eye(3), np.ones(3))
-    with pytest.raises(StalledPath), warnings.catch_warnings():
-        warnings.simplefilter("ignore", TieWarning)
-        fit_path(d)
+def test_k_way_ties_give_the_orthogonal_design_path():
+    """k orthonormal columns tie with y = 1: under every variant the tied
+    variables join one at a time through zero-length moves, and the path is
+    the paper's orthogonal-design answer, beta(t) = (t / k) 1."""
+    for k in (3, 4):
+        d = from_unit_columns(np.eye(k), np.ones(k))
+        for variant in VARIANTS:
+            with pytest.warns(TieWarning):
+                path = fit_path(d, variant)
+            assert path.n_steps == k, (k, variant)
+            assert [s.gamma for s in path.steps[1:k]] == [0.0] * (k - 1)
+            assert np.allclose(path.betas[-1], 1.0, rtol=0, atol=1e-12)
+            for t in np.linspace(0.0, k, 9):
+                assert np.allclose(interpolate(path, t), t / k, rtol=0, atol=1e-12), \
+                    (k, variant, t)
 
 
-def test_jitter_rescues_a_stalled_walk():
-    d = from_unit_columns(np.eye(3), np.ones(3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no TieWarning may escape
-        path = fit_path(d, jitter_seed=0)
-    assert path.n_steps == 3
-    assert np.abs(path.steps[-1].beta - 1.0).max() < 1e-6
+def test_zero_length_moves_that_return_to_a_state_stall(monkeypatch):
+    """The walk refuses a run of zero-length moves only when it comes back
+    to an active set and signs it has been in.  Here every scan fires at
+    distance 0: the lowest candidate joins, and a pair drops its first
+    member, so the run goes {0}, {0, 1}, {1}, {1, 0}: the fourth state is
+    the second."""
+    def join_lowest(c, C_hat, A, a, cand_idx, *rest):
+        return 0.0, int(cand_idx[0]), 1, 1
 
+    def drop_first_of_a_pair(beta_active, direction, floor):
+        return (0.0, 0) if beta_active.size == 2 else (np.inf, None)
 
-def test_jitter_leaves_untied_walks_alone(design, diabetes_paths):
-    path = fit_path(design, "lars", jitter_seed=123)
-    ref = diabetes_paths["lars"]
-    assert path.entry_order == ref.entry_order
-    assert np.array_equal(path.steps[-1].beta, ref.steps[-1].beta)
+    monkeypatch.setattr(core, "_scan_join", join_lowest)
+    monkeypatch.setattr(core, "_scan_drop", drop_first_of_a_pair)
+    d = from_unit_columns(np.eye(3), np.array([3.0, 2.0, 1.0]))
+    with pytest.raises(StalledPath, match="step 4"):
+        fit_path(d, "lasso")
 
 
 # ----------------------------------------------------------- wide problems
@@ -722,17 +735,59 @@ def test_stop_after_truncates(design, diabetes_paths):
 
 
 def test_cold_start_uses_the_walks_envelope_floor():
-    """Every variant starts when its top score reaches the envelope floor
-    and stops at once below it: the score is c for positive-lasso and |c|
-    otherwise, and the test is the walk's own ``< ENVELOPE_FLOOR``."""
-    floor = core.ENVELOPE_FLOOR
-    at = from_unit_columns(np.eye(2), [floor, 0.0])
-    below = from_unit_columns(np.eye(2), [0.5 * floor, 0.0])
-    for variant in core.VARIANTS:
-        assert fit_path(at, variant).n_steps == 1, variant
-        assert fit_path(below, variant).n_steps == 0, variant
+    """Every variant starts unless its top score is negligible against |y|,
+    that is not above ``ENVELOPE_RTOL`` times |y|: the score is c for
+    positive-lasso and |c| otherwise.  The rule is relative, so a response
+    scaled by 2**k starts exactly where the unscaled one does."""
+    rtol = core.ENVELOPE_RTOL
+    # Two unit columns that see only the first entry of y = (t, 0, 1).
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    for k in (-60, -40, -1, 0, 1, 30):
+        scale = 2.0**k
+        start = from_unit_columns(X, [2 * rtol * scale, 0.0, scale])
+        empty = from_unit_columns(X, [0.5 * rtol * scale, 0.0, scale])
+        for variant in core.VARIANTS:
+            assert fit_path(start, variant).n_steps == 1, (k, variant)
+            assert fit_path(empty, variant).n_steps == 0, (k, variant)
     negative = from_unit_columns(np.eye(2), [-1.0, 0.0])
     assert [fit_path(negative, v).n_steps for v in core.VARIANTS] == [1, 1, 1, 0]
+
+
+def _events(path):
+    """Every recorded field of a path but its numbers."""
+    return {name: path.steps.columns[name] for name in
+            ("action", "variable", "sign", "projection_dropped")} | {
+        name: [a.tolist() for a in path.steps.columns[name]]
+        for name in ("active_after", "signs_after")}
+
+
+@pytest.mark.parametrize("which", ["design", "quad_design"])
+def test_paths_scale_with_the_response(request, which):
+    """y -> 2**k y keeps every event and scales every vertex by exactly
+    2**k, for each variant and forward selection, from k = -40 to 30: the
+    walk's tolerances are relative, so no decision depends on the units of
+    y.  The scaled designs share the reference's columns."""
+    d = request.getfixturevalue(which)
+    fits = {v: (lambda d, v=v: fit_path(d, v)) for v in VARIANTS}
+    fits["forward-selection"] = lambda d: forward_selection(d, 10)
+    for name, fit in fits.items():
+        ref = fit(d)
+        for k in (-40, -23, -9, -1, 1, 12, 30):
+            scaled = fit(dataclasses.replace(d, response=d.response * 2.0**k))
+            assert _events(scaled) == _events(ref), (name, k)
+            assert np.array_equal(scaled.betas, ref.betas * 2.0**k), (name, k)
+
+
+def test_a_tiny_response_gives_the_scaled_path():
+    """y = (1e-300, 2e-300) on two orthonormal columns walks the y = (1, 2)
+    path, scaled."""
+    tiny = from_unit_columns(np.eye(2), np.array([1e-300, 2e-300]))
+    unit = from_unit_columns(np.eye(2), np.array([1.0, 2.0]))
+    for variant in VARIANTS:
+        got, want = fit_path(tiny, variant), fit_path(unit, variant)
+        assert want.n_steps == 2
+        assert _events(got) == _events(want), variant
+        assert np.allclose(got.betas, want.betas * 1e-300, rtol=1e-12, atol=0), variant
 
 
 def _every_fit(design):

@@ -172,6 +172,19 @@ def test_original_units_wrong_length():
         to_original_units(d, np.zeros(4))
 
 
+def test_original_units_refuses_a_complex_beta():
+    d = standardize(rng.normal(size=(10, 3)), rng.normal(size=10))
+    with pytest.raises(DimensionMismatch, match="complex"):
+        to_original_units(d, np.array([1.0, 2.0, 3.0 + 1j]))
+
+
+def test_original_units_names_a_beta_cell_that_is_not_a_number():
+    d = standardize(rng.normal(size=(10, 3)), rng.normal(size=10), ["a", "b", "c"])
+    with pytest.raises(NonNumericCell) as exc:
+        to_original_units(d, np.array([1.0, "a", 2.0], dtype=object))
+    assert exc.value.column_name == "b"
+
+
 def test_diabetes_ols_coefficient_budget(design):
     beta, *_ = np.linalg.lstsq(design.columns, design.response, rcond=None)
     assert abs(np.abs(beta).sum() - 3460.00) < 0.5

@@ -44,7 +44,7 @@ def positive_scan(c, C_hat, A, a, candidates):
     """``_scan_join`` on the positive branch, nothing leaving."""
     return _scan_join(np.asarray(c, dtype=float), C_hat, A, a,
                       np.asarray(candidates, dtype=int), np.empty(0, dtype=int),
-                      np.empty(0), True, TIE_RTOL * max(1.0, C_hat))
+                      np.empty(0), True, TIE_RTOL * C_hat)
 
 
 def test_drop_candidate_none_when_moving_away():
@@ -285,6 +285,26 @@ def test_main_effects_first_zero_residual_gives_empty_path():
     assert base.steps[-1].rss < 1e-9 * float(y @ y)
     inner = main_effects_first(d, base, base.n_steps, X2)
     assert inner.n_steps == 0
+
+
+def test_main_effects_first_fits_a_small_but_real_residual():
+    """A residual of about 1e-6 of |y|, far above rounding noise, is
+    fitted: only a negligible residual gives the empty path."""
+    r = np.random.default_rng(6)
+    X = r.normal(size=(20, 2))
+    y = X @ np.array([1.0, -2.0])
+    noise = r.normal(size=20)
+    noise -= noise.mean()
+    y += 1e-6 * np.linalg.norm(y) / np.linalg.norm(noise) * noise
+    y -= y.mean()
+    X2 = r.normal(size=(20, 3))
+    d = standardize(X, y)
+    base = fit_path(d)
+    residual = d.response - d.columns @ base.betas[-1]
+    assert 1e-7 < np.linalg.norm(residual) / np.linalg.norm(y) < 1e-5
+    inner = main_effects_first(d, base, base.n_steps, X2)
+    assert inner.n_steps >= 1
+    assert inner.steps[-1].rss < inner.steps[0].rss
 
 
 def test_main_effects_first_bad_step_index(design, diabetes_paths):
