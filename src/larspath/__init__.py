@@ -4,8 +4,8 @@ Fits the full solution path of least-angle style active-set walks,
 including the lasso modification (coefficient sign crossings remove
 variables), the idealized forward-stagewise limit (direction projected
 into the active sign cone), and the nonnegative-coefficient restriction.
-Ships risk estimation on top of the fitted paths (Cp with the df = k rule,
-bootstrap degrees of freedom, a comparison with forward selection) and a
+Ships risk estimation on top of the fitted paths (Cp with df read from the
+path, bootstrap degrees of freedom, a comparison with forward selection) and a
 small CLI.  Everything is NumPy and SciPy: LAPACK for the Cholesky
 factors and Lawson-Hanson for the stagewise cone projection.
 """

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .core import VARIANTS, _max_active, fit_path, interpolate
-from .dataio import json_summary, read_csv, write_path_csv
+from .dataio import _csv_fields, json_summary, read_csv, write_path_csv
 from .errors import DimensionMismatch, LarsError
 from .model_select import (
     bootstrap_df,
@@ -167,10 +167,10 @@ def _cmd_interpolate(args):
         coef, intercept = beta, 0.0
     else:
         coef, intercept = to_original_units(design, beta)
-    names = list(design.column_names)
+    names = design.column_names
     lines = ["variable,coefficient", f"(intercept),{intercept:.17g}"]
-    for name, value in zip(names, coef):
-        lines.append(f"{name},{value:.17g}")
+    for field, value in zip(_csv_fields(names), coef):
+        lines.append(f"{field},{value:.17g}")
     summary = {
         "variant": path.variant,
         "steps": path.n_steps,

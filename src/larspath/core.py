@@ -270,6 +270,15 @@ def _max_active(design):
     return min(design.m, design.n - 1 if design.centered else design.n)
 
 
+def _move_count(design, value, name):
+    """``value`` as a move count in 0.._max_active(design), or DimensionMismatch."""
+    value = as_integer(value, name)
+    limit = _max_active(design)
+    if not 0 <= value <= limit:
+        raise DimensionMismatch(f"{name}={value} outside 0..{limit}")
+    return value
+
+
 def _record_path(variant, design, C_max0, rss0, moves, betas):
     """The :class:`Path` of a walk from each move's fields in the order of
     ``_MOVE_FIELDS`` (``moves``, with the active set and signs as arrays

@@ -39,12 +39,11 @@ FIXED_COLUMNS = (
 )
 
 
-def column_names(design):
-    """Labels for a design, synthesizing x1..xm when none were recorded."""
-    names = list(design.column_names)
-    if len(names) == design.m:
-        return names
-    return [f"x{j + 1}" for j in range(design.m)]
+def _csv_fields(names):
+    """Each name as one CSV field, quoted as ``csv.QUOTE_MINIMAL`` quotes it:
+    when it holds a comma, a quote mark or a line break."""
+    return ['"' + name.replace('"', '""') + '"'
+            if any(c in name for c in ',"\r\n') else name for name in names]
 
 
 def _is_blank(line):
@@ -152,15 +151,15 @@ _ACTION_TOKENS = {None: "", "add": "ADD", "drop": "DROP"}
 def write_path_csv(path, standardized=False):
     """CSV report of a fitted path: header, starting vertex, one row per move.
 
-    Each row holds a vertex's step fields, read from the path's vertex
-    columns, and its coefficients, read from ``path.betas``.  Coefficients
-    are reported in the original units of the raw columns, divided by the
-    column scales as :func:`~larspath.preprocess.to_original_units` does,
-    unless ``standardized`` is set, in which case the internal unit-norm
-    scale is kept.  ``T`` is the unit-norm sum |beta_j| in both modes.
+    Each row holds a vertex's step fields and its coefficients, read from
+    ``path.betas``; a name holding a comma, quote or line break is quoted.
+    Coefficients are in the original units of the raw columns, divided by
+    the column scales as :func:`~larspath.preprocess.to_original_units`
+    does, unless ``standardized`` is set, in which case the internal
+    unit-norm scale is kept.  ``T`` is the unit-norm sum |beta_j| in both.
     """
     design = path.design
-    names = column_names(design)
+    names = _csv_fields(design.column_names)
     scales = 1.0 if standardized else design.column_scales
     row = ",".join(["%d", "%s", "%s", "%s"] + ["%.17g"] * (4 + len(names)))
     lines = [",".join(FIXED_COLUMNS + tuple(names))]
@@ -188,7 +187,7 @@ def json_summary(path, cp_argmin=None):
     Variable references appear twice: by label and by 1-based column index,
     matching the numbering used in the CSV reports.
     """
-    names = column_names(path.design)
+    names = path.design.column_names
     summary = {
         "variant": path.variant,
         "steps": path.n_steps,

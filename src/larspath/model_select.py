@@ -1,11 +1,11 @@
 """Risk estimation: degrees of freedom, Cp curves, hybrid refits, and the
 resampled prediction-error comparison of the path variants.
 
-The bootstrap df machinery treats a fitting procedure as a black box
-``y* -> fitted values`` and estimates, per step, the sum of covariances
-between fitted and observed values.  For the plain path fitter that
-estimate tracks the step index closely, which is what justifies the
-``df = k`` rule used by the Cp curve.
+The Cp curve charges each vertex its count of nonzero coefficients as
+degrees of freedom: exact for the lasso and the positive lasso, and k on a
+lars path.  The bootstrap df machinery treats a fitting procedure as a black
+box ``y* -> fitted values`` and estimates, per step, the sum of covariances
+between fitted and observed values; stagewise and forward selection need it.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import stdtrit
 
-from .core import ENVELOPE_RTOL, _max_active, fit_path
+from .core import ENVELOPE_RTOL, _move_count, fit_path
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CpReport:
-    """Per-step risk estimates ``rss_k / sigma2 - n + 2 df_k``."""
+    """Risk per vertex, ``rss_k / sigma2 - n + 2 df_k``; df_k is ``df_used``."""
 
     sigma2_bar: float
     cp: np.ndarray
@@ -95,28 +95,25 @@ def sigma2_full_ols(design):
     return _full_ols(design)[2]
 
 
-def cp_curve(path, sigma2, *, allow_variant=False):
-    """Risk estimate per step using the df = k rule.
-
-    The rule is calibrated for the plain additive walk; applying it to a
-    path with drops mislabels the df, so other variants are rejected unless
-    ``allow_variant`` is set.  ``sigma2`` must be finite and positive.
-    """
-    if path.variant != "lars" and not allow_variant:
+def cp_curve(path, sigma2):
+    """Risk estimate ``rss_k / sigma2 - n + 2 df_k`` at every vertex, df_k the
+    number of nonzero coefficients: the exact df of the lasso and the positive
+    lasso (Zou, Hastie & Tibshirani 2007), and k on a lars path (Theorem 3).
+    Stagewise and forward selection have no closed form and raise
+    :class:`VariantMismatch`.  ``sigma2`` must be finite and positive."""
+    if path.variant not in ("lars", "lasso", "positive-lasso"):
         raise VariantMismatch(
-            f"df = k rule is calibrated for the plain variant, got {path.variant!r}"
-        )
+            f"no closed-form df for {path.variant!r}; estimate it with "
+            "bootstrap_df(design, lars_fitted_values(design, k, variant))")
     try:
         sigma2 = float(sigma2)
     except (TypeError, ValueError):
         raise DimensionMismatch(f"sigma2={sigma2!r} is not a number") from None
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise DimensionMismatch(f"sigma2={sigma2!r} must be finite and positive")
-    n = path.design.n
-    K = path.n_steps
-    df_used = np.arange(K + 1, dtype=float)
+    df_used = np.count_nonzero(path.betas, axis=1).astype(float)
     rss = np.array(path._field("rss"))
-    cp = rss / sigma2 - n + 2.0 * df_used
+    cp = rss / sigma2 - path.design.n + 2.0 * df_used
     return CpReport(
         sigma2_bar=sigma2,
         cp=cp,
@@ -139,10 +136,7 @@ def lars_fitted_values(design, k_max, variant="lars"):
     vertex when the path terminates early.  ``k_max`` may not exceed the
     number of variables a walk can hold.
     """
-    k_max = as_integer(k_max, "k_max")
-    limit = _max_active(design)
-    if not 0 <= k_max <= limit:
-        raise DimensionMismatch(f"k_max={k_max} outside 0..{limit}")
+    k_max = _move_count(design, k_max, "k_max")
     X = design.columns
 
     def estimator(y_star):
@@ -328,13 +322,10 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
     selection needs ``n_steps`` within the variables a walk can hold.
     """
     replications = as_integer(replications, "replications", minimum=2)
-    n_steps = as_integer(n_steps, "n_steps", minimum=0)
     seed = as_integer(seed, "seed", minimum=0)
     Xq, labels = quadratic_expand(raw_columns, binary_column)
     design = standardize(Xq, raw_response, labels)
-    limit = _max_active(design)
-    if n_steps > limit:
-        raise DimensionMismatch(f"n_steps={n_steps} outside 0..{limit}")
+    n_steps = _move_count(design, n_steps, "n_steps")
     base = fit_path(design, "lars", stop_after=10)
     mu = design.columns @ base.betas[-1]
     eps = design.response - mu

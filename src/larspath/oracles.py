@@ -4,9 +4,8 @@ path variants."""
 
 import numpy as np
 
-from .core import (ENVELOPE_RTOL, _ActiveSet, _GramCache, _max_active,
+from .core import (ENVELOPE_RTOL, _ActiveSet, _GramCache, _move_count,
                    _record_path, _response_sq)
-from .errors import DimensionMismatch, as_integer
 from .linalg import solve_gram
 
 __all__ = ["forward_selection"]
@@ -24,10 +23,7 @@ def forward_selection(design, k_max):
     its value before the first round, the walk's relative floor.
     """
     X, y, m = design.columns, design.response, design.m
-    limit = _max_active(design)
-    k_max = as_integer(k_max, "k_max")
-    if not 0 <= k_max <= limit:
-        raise DimensionMismatch(f"k_max={k_max} outside 0..{limit}")
+    k_max = _move_count(design, k_max, "k_max")
 
     y_sq = _response_sq(y)
     gram = _GramCache(X)

@@ -41,7 +41,7 @@ class StandardizedDesign:
         (scale = root of the centered sum of squares, not the standard
         deviation, so that each stored column has unit length).
     response_mean : scalar subtracted from the raw response.
-    column_names : labels, aligned with columns.
+    column_names : labels, aligned with columns; x1..xm when none are given.
     centered : False only for designs built by :func:`from_unit_columns`,
         e.g. identity designs used in closed-form tests, where centering
         would destroy the structure.
@@ -55,6 +55,10 @@ class StandardizedDesign:
     column_names: tuple = field(default=())
     centered: bool = True
 
+    def __post_init__(self):
+        names = _names(tuple(self.column_names) or None, self.m)
+        object.__setattr__(self, "column_names", names)
+
     @property
     def n(self):
         return self.columns.shape[0]
@@ -64,8 +68,12 @@ class StandardizedDesign:
         return self.columns.shape[1]
 
 
-def _default_names(m):
-    return tuple(f"x{j + 1}" for j in range(m))
+def _names(names, m, error=DimensionMismatch):
+    """``names`` as a tuple of m labels, x1..xm when ``names`` is None."""
+    names = tuple(f"x{j + 1}" for j in range(m)) if names is None else tuple(names)
+    if len(names) != m:
+        raise error(f"{len(names)} names for {m} columns")
+    return names
 
 
 def _floats(value, what):
@@ -105,9 +113,7 @@ def _raw_design(columns, response, names, what):
     n, m = X.shape
     if y.shape != (n,):
         raise DimensionMismatch(f"response has shape {y.shape}, expected ({n},)")
-    names = _default_names(m) if names is None else tuple(names)
-    if len(names) != m:
-        raise DimensionMismatch(f"{len(names)} names for {m} columns")
+    names = _names(names, m)
     _require_finite(X, names)
     _require_finite(y[:, None], ("response",))
     return X, y, names
@@ -230,9 +236,7 @@ def quadratic_expand(raw_columns, binary_column, names=None):
         raise WrongColumnCount(
             f"binary_column {binary_column} out of range for {m} columns"
         )
-    names = _default_names(m) if names is None else tuple(names)
-    if len(names) != m:
-        raise WrongColumnCount(f"{len(names)} names for {m} columns")
+    names = _names(names, m, WrongColumnCount)
     _require_finite(X, names)
     centered = X - X.mean(axis=0)
 

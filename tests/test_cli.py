@@ -8,6 +8,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from larspath.cli import cli_main
@@ -183,6 +184,30 @@ def test_interpolate_standardized_scale_has_no_intercept(capsys):
                      "Y", "--t", "1000", "--standardized", "--json")
     assert rc == 0
     assert json.loads(out)["intercept"] == 0.0
+
+
+def test_reports_quote_names_that_hold_csv_syntax(capsys, tmp_path):
+    """A name holding a comma or a quote mark is written as one quoted
+    field, in the ``fit`` header and rows and in ``interpolate`` rows, so
+    both reports read back with the input's names and even rows."""
+    names = ["a,b", "c", 'say "hi"']
+    rng = np.random.default_rng(3)
+    table = np.column_stack([rng.normal(size=(20, 3)), rng.normal(size=20)])
+    src = tmp_path / "named.csv"
+    with open(src, "w", newline="") as fh:
+        csv.writer(fh).writerows([[*names, "y"], *table.tolist()])
+    rc, out, _ = run(capsys, "fit", "--input", str(src), "--response", "y")
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0][8:] == names
+    assert {len(row) for row in rows} == {8 + len(names)}
+    assert sorted(row[2] for row in rows[1:]) == sorted(["", *names])
+    rc, out, _ = run(capsys, "interpolate", "--input", str(src), "--response",
+                     "y", "--t", "0.5")
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert [row[0] for row in rows[2:]] == names
+    assert {len(row) for row in rows} == {2}
 
 
 def test_interpolate_budget_out_of_range(capsys):

@@ -977,7 +977,6 @@ def test_vertex_objects_are_built_only_when_steps_are_read(design, quad_design,
 
 def _path_outputs(path):
     """Everything a caller reads off a path, as comparable values."""
-    cp = cp_curve(path, sigma2_full_ols(path.design), allow_variant=True)
     outputs = {
         "n_steps": path.n_steps,
         "t_max": path.t_max,
@@ -987,8 +986,10 @@ def _path_outputs(path):
                         for t in [*(s.T for s in path.steps), 0.37 * path.t_max]],
         "csv": write_path_csv(path),
         "json": json_summary(path),
-        "cp": (cp.cp.tobytes(), cp.argmin_k, cp.df_used.tobytes()),
     }
+    if path.variant in ("lars", "lasso", "positive-lasso"):
+        cp = cp_curve(path, sigma2_full_ols(path.design))
+        outputs["cp"] = (cp.cp.tobytes(), cp.argmin_k, cp.df_used.tobytes())
     if path.variant == "lars":
         outputs["hybrid_r2"] = [hybrid_r2(path, k) for k in range(1, path.n_steps + 1)]
     return outputs

@@ -1,5 +1,6 @@
 """Risk-estimation layer: Cp, bootstrap df, hybrid refits, simulation."""
 
+import functools
 import os
 import re
 import subprocess
@@ -29,6 +30,7 @@ from larspath.model_select import (
 )
 from larspath.oracles import forward_selection
 from larspath.preprocess import from_unit_columns, quadratic_expand, standardize
+from reference.divergence import divergence
 
 
 def test_sigma2_full_ols_diabetes(design):
@@ -61,11 +63,50 @@ def test_cp_curve_is_the_stated_formula(design, diabetes_paths):
 
 
 def test_cp_curve_rejects_other_variants(design, diabetes_paths):
+    """The lasso is charged its nonzero count: 9 at vertices 10 and 11,
+    where a coefficient reaches zero and drops, and 10 at vertex 12, where
+    df = k would charge 10, 11 and 12.  Stagewise and forward selection
+    have no closed-form df and are refused, naming the bootstrap."""
     sigma2 = sigma2_full_ols(design)
-    with pytest.raises(VariantMismatch):
-        cp_curve(diabetes_paths["lasso"], sigma2)
-    report = cp_curve(diabetes_paths["lasso"], sigma2, allow_variant=True)
-    assert report.cp.shape == (diabetes_paths["lasso"].n_steps + 1,)
+    lasso = diabetes_paths["lasso"]
+    report = cp_curve(lasso, sigma2)
+    assert report.df_used.tolist() == [*range(10), 9, 9, 10]
+    assert np.array_equal(report.df_used, np.count_nonzero(lasso.betas, axis=1))
+    rss = np.array([s.rss for s in lasso.steps])
+    assert np.array_equal(report.cp, rss / sigma2 - design.n + 2.0 * report.df_used)
+    for path in (diabetes_paths["stagewise"], forward_selection(design, 5)):
+        with pytest.raises(VariantMismatch, match="bootstrap_df"):
+            cp_curve(path, sigma2)
+
+
+def _correlated_tall():
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(60, 12))
+    X[:, 1] = X[:, 0] + 0.2 * rng.normal(size=60)
+    return standardize(X, X @ rng.normal(size=12) + rng.normal(size=60))
+
+
+def _wide():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(25, 40))
+    return standardize(X, X[:, :5] @ rng.normal(size=5) + 0.5 * rng.normal(size=25))
+
+
+@pytest.mark.parametrize("make", [_correlated_tall, _wide], ids=["60x12", "25x40"])
+def test_cp_df_is_the_divergence_of_the_fit(make):
+    """The df that ``cp_curve`` charges is Stein's divergence of the fit,
+    by finite differences, at every vertex of lars, lasso and positive-lasso
+    paths.  Stagewise's divergence is not its nonzero count, so no count
+    read from the path can serve it."""
+    design = make()
+    sigma2 = float(design.response @ design.response) / design.n
+    for variant in ("lars", "lasso", "positive-lasso"):
+        path = fit_path(design, variant)
+        df = divergence(design, functools.partial(fit_path, variant=variant))
+        assert np.abs(cp_curve(path, sigma2).df_used - df).max() < 1e-6, variant
+    stagewise = fit_path(design, "stagewise")
+    df = divergence(design, functools.partial(fit_path, variant="stagewise"))
+    assert np.abs(np.count_nonzero(stagewise.betas, axis=1) - df).max() > 0.5
 
 
 def test_bootstrap_df_recovers_projection_trace(design):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from larspath.errors import (
     WrongColumnCount,
 )
 from larspath.preprocess import (
+    StandardizedDesign,
     from_unit_columns,
     quadratic_expand,
     standardize,
@@ -183,6 +186,24 @@ def test_original_units_names_a_beta_cell_that_is_not_a_number():
     with pytest.raises(NonNumericCell) as exc:
         to_original_units(d, np.array([1.0, "a", 2.0], dtype=object))
     assert exc.value.column_name == "b"
+
+
+def test_a_design_built_without_names_names_its_columns():
+    """A design built directly, without names, is named x1..xm, so a bad
+    beta cell is named, not an IndexError; names of another length are
+    refused, and ``dataclasses.replace`` keeps the names it was given."""
+    d = StandardizedDesign(columns=np.eye(3)[:, :2], response=np.zeros(3),
+                           column_means=np.zeros(2), column_scales=np.ones(2),
+                           response_mean=0.0)
+    assert d.column_names == ("x1", "x2")
+    with pytest.raises(NonNumericCell) as exc:
+        to_original_units(d, [1.0, np.nan])
+    assert exc.value.column_name == "x2"
+    with pytest.raises(DimensionMismatch, match="3 names for 2 columns"):
+        dataclasses.replace(d, column_names=("a", "b", "c"))
+    renamed = dataclasses.replace(d, column_names=["a", "b"])
+    assert renamed.column_names == ("a", "b")
+    assert dataclasses.replace(renamed, response=np.ones(3)).column_names == ("a", "b")
 
 
 def test_diabetes_ols_coefficient_budget(design):
