@@ -54,6 +54,10 @@ def _add_output_options(sp):
     sp.add_argument("--out", default=None, help="write the CSV report here")
     sp.add_argument("--json", action="store_true",
                     help="print a JSON summary to stdout")
+
+
+def _add_standardized_option(sp):
+    """For the commands that report coefficients."""
     sp.add_argument("--standardized", action="store_true",
                     help="report coefficients on the unit-norm scale")
 
@@ -109,7 +113,8 @@ def _cmd_cp(args):
     lines = ["k,df,cp"]
     for k in range(report.cp.size):
         lines.append(f"{k},{report.df_used[k]:.17g},{report.cp[k]:.17g}")
-    summary = json_summary(path, cp_argmin=report.argmin_k)
+    summary = json_summary(path)
+    summary["cp_argmin"] = int(report.argmin_k)
     summary["sigma2_bar"] = report.sigma2_bar
     return _emit(args, "\n".join(lines) + "\n", summary)
 
@@ -213,6 +218,7 @@ def _build_parser():
     sp.add_argument("--variant", default="lars", choices=VARIANTS)
     sp.add_argument("--max-steps", type=int, default=None)
     _add_output_options(sp)
+    _add_standardized_option(sp)
     sp.set_defaults(handler=_cmd_fit)
 
     sp = sub.add_parser("cp", help="risk estimate per step (df = k rule)")
@@ -244,6 +250,7 @@ def _build_parser():
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--max-steps", type=int, default=None)
     _add_output_options(sp)
+    _add_standardized_option(sp)
     sp.set_defaults(handler=_cmd_interpolate)
 
     sp = sub.add_parser("main-effects-first",
@@ -252,6 +259,7 @@ def _build_parser():
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--variant", default="lars", choices=VARIANTS)
     _add_output_options(sp)
+    _add_standardized_option(sp)
     sp.set_defaults(handler=_cmd_main_effects_first)
     return parser
 

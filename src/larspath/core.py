@@ -51,8 +51,10 @@ Numerical conventions that the step counts depend on:
   departing sign branch at that vertex only.  The opposite sign branch
   stays live, which is what allows a dropped variable to re-enter later.
 * Join/drop events are carried explicitly from one vertex to the next
-  (``pending`` state) instead of being re-derived from correlations, and
-  the active set applies them (``_ActiveSet``).
+  (``pending`` state) instead of being re-derived from correlations.  The
+  next move runs its stopping tests, which edit nothing, then applies its
+  event to the active set in one call (``_ActiveSet``), and reads the
+  envelope from the edited set.
 * Every tolerance is relative, so no decision depends on the units of y:
   y -> 2**k y keeps every event and scales every vertex by exactly 2**k.
   The walk does not start when its top score is not above ``ENVELOPE_RTOL``
@@ -334,9 +336,8 @@ class _ActiveSet:
     variables in factor order; ``signs``, as floats ready to scale weights;
     ``inactive``, the other variables; ``factor``, the Cholesky factor of
     the signed Gram matrix; ``block``, the ``_GramCache.rows`` of ``idx``.
-    ``stage`` writes the variables that the next add or drop leaves, for
-    the walk's stopping tests to read before ``add`` or ``drop`` makes the
-    edit; ``keep`` applies a cone projection.
+    Only ``add``, ``drop`` and ``keep`` (a cone projection) change them,
+    each in one call.
 
     Each part is the first k entries of a buffer allocated once: an add
     writes entry k, a drop shifts the entries after it down, a keep gathers
@@ -347,7 +348,7 @@ class _ActiveSet:
     from the carried rows (``_GramCache.cross``).
     """
 
-    __slots__ = ("_gram", "_vars", "_signs", "_rows", "_staged",
+    __slots__ = ("_gram", "_vars", "_signs", "_rows",
                  "inactive", "factor", "k", "idx", "signs", "block")
 
     def __init__(self, gram, capacity):
@@ -358,33 +359,18 @@ class _ActiveSet:
         self._rows = np.empty((capacity, width))
         self.inactive = np.ones(m, dtype=bool)
         self.factor = CholeskyFactor()
-        self._resize(self._vars[:0])
+        self._resize(0)
 
-    def _resize(self, idx):
-        """Make ``idx``, a prefix of the variables, the active set."""
-        self.idx = idx
-        self.k = k = idx.size
+    def _resize(self, k):
+        """Make the first ``k`` variables the active set."""
+        self.k = k
+        self.idx = self._vars[:k]
         self.signs = self._signs[:k]
         self.block = self._rows[:k]
 
-    def stage(self, j, pos):
-        """Write and return the variables after adding ``j`` (``pos`` None)
-        or dropping the one at ``pos``, which ``drop`` finds right after."""
-        k = self.k
-        v = self._vars
-        if pos is None:
-            v[k] = j
-            self._staged = v[: k + 1]
-        else:
-            j = v[pos]
-            v[pos : k - 1] = v[pos + 1 : k]
-            v[k - 1] = j
-            self._staged = v[: k - 1]
-        return self._staged
-
     def add(self, j, s):
-        """Complete the staged add of ``j`` with sign ``s``
-        (:class:`DegenerateColumn` when j depends on the active set)."""
+        """Add ``j`` with sign ``s`` (:class:`DegenerateColumn` when j
+        depends on the active set)."""
         k = self.k
         self._rows[k] = self._gram.rows[j]
         cross, norm_sq = self._gram.cross(self._rows, k, self.idx, j)
@@ -394,20 +380,21 @@ class _ActiveSet:
         if s < 0:
             np.negative(cross, out=cross)
         cholesky_append(self.factor, cross, float(norm_sq))
+        self._vars[k] = j
         self._signs[k] = s
         self.inactive[j] = False
-        self._resize(self._staged)
+        self._resize(k + 1)
 
     def drop(self, pos):
-        """Complete the staged drop at position ``pos``; return the
-        variable and its sign, as arrays."""
+        """Drop the variable at position ``pos``; return it and its sign,
+        as arrays."""
         k = self.k - 1
-        left = self._vars[k : k + 1].copy(), self._signs[pos : pos + 1].copy()
+        left = self._vars[pos : pos + 1].copy(), self._signs[pos : pos + 1].copy()
+        self.inactive[self._vars[pos]] = True
         cholesky_drop(self.factor, pos)
-        for buf in (self._signs, self._rows):
+        for buf in (self._vars, self._signs, self._rows):
             buf[pos:k] = buf[pos + 1 : k + 1]
-        self.inactive[self._vars[k]] = True
-        self._resize(self._staged)
+        self._resize(k)
         return left
 
     def keep(self, retained):
@@ -421,7 +408,7 @@ class _ActiveSet:
         for buf in (self._vars, self._signs, self._rows):
             buf[:k] = buf[retained]
         self.inactive[left[0]] = True
-        self._resize(self._vars[:k])
+        self._resize(k)
         return left
 
 
@@ -617,26 +604,27 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None):
     run = ()
 
     while True:
-        # The envelope is the mean |c| over the active set after the pending
-        # event, staged before any edit to the factor; it is computed once per
-        # move (again only after a cone projection) and ends the walk when
-        # the correlations have vanished.
-        action, event_var, event_sign, pos = pending
-        C_hat = _envelope(c, active.stage(event_var, pos))
-        if C_hat < C_floor:
-            break
         n_moves = len(moves)
         if stop_after is not None and n_moves >= stop_after:
             break
+        action, event_var, event_sign, pos = pending
+        # The walk ends once the correlations have vanished, read from the
+        # event's variable, which ties the active ones, before the edit: a
+        # column in the active span may join at that point.
+        if abs(c[event_var]) < C_floor:
+            break
         if n_moves >= budget:
             raise MaxStepsExceeded(f"path incomplete after {n_moves} moves")
-
         left_vars = left_signs = _NO_VARS
         proj = ()
         if pos is None:
             active.add(event_var, event_sign)
         else:
             left_vars, left_signs = active.drop(pos)
+        # The envelope is the mean |c| over the active set, computed once per
+        # move (again only after a cone projection).
+        C_hat = _envelope(c, active.idx)
+
         retained, A, sw = _direction(active.factor, active.signs, cone)
         if retained is not None:
             left_vars, left_signs = active.keep(retained)

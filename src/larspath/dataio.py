@@ -104,8 +104,9 @@ def read_csv(path, response_column):
     read as UTF-8; a leading byte-order mark is ignored, and a byte that is
     not UTF-8 reads as U+FFFD, so a cell holding one is refused as
     non-numeric.  Rows holding only
-    whitespace, commas and quote marks are ignored.  Repeated header names
-    raise :class:`ParseError` at the repeat.
+    whitespace, commas and quote marks are ignored.  A header name that is
+    repeated, or empty after stripping, raises :class:`ParseError` at that
+    field.
     """
     with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
         lines = fh.readlines()
@@ -117,9 +118,10 @@ def read_csv(path, response_column):
     header = [tok.strip() for tok in header]
     seen = set()
     for j, name in enumerate(header, 1):
-        if name in seen:
+        if not name or name in seen:
+            fault = "repeated" if name else "empty"
             raise ParseError(line=header_line, column=j,
-                             message=f"column {name!r} repeated in the header "
+                             message=f"column {name!r} {fault} in the header "
                                      f"(field {j})")
         seen.add(name)
     start = line_numbers.index(header_line) + 1
@@ -181,20 +183,17 @@ def write_path_csv(path, standardized=False):
     return "\n".join(lines) + "\n"
 
 
-def json_summary(path, cp_argmin=None):
+def json_summary(path):
     """Machine-readable fit summary.
 
     Variable references appear twice: by label and by 1-based column index,
     matching the numbering used in the CSV reports.
     """
     names = path.design.column_names
-    summary = {
+    return {
         "variant": path.variant,
         "steps": path.n_steps,
         "entry_order": [names[j] for j in path.entry_order],
         "entry_order_index": [int(j) + 1 for j in path.entry_order],
         "t_max": path.t_max,
     }
-    if cp_argmin is not None:
-        summary["cp_argmin"] = int(cp_argmin)
-    return summary

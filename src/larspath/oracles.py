@@ -42,8 +42,8 @@ def forward_selection(design, k_max):
         if not c_abs[j] > ENVELOPE_RTOL * C0:
             break
         # Signs +1 leave the cross products exact.
-        sel = active.stage(j, None).copy()
         active.add(j, 1)
+        sel = active.idx.copy()
         coef = solve_gram(active.factor, c0[sel])
         # Zero (of either sign) counts as positive.
         signs = np.where(coef < 0, -1, 1)

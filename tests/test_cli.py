@@ -88,6 +88,15 @@ def test_missing_required_flag_is_a_usage_error(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("command", ["cp", "bootstrap-df", "simulate"])
+def test_standardized_is_refused_where_nothing_reads_it(capsys, command):
+    """Only the commands that report coefficients take ``--standardized``."""
+    rc, out, err = run(capsys, command, "--input", DATA, "--response", "Y",
+                       "--standardized")
+    assert rc == 1 and out == ""
+    assert "usage" in err and "--standardized" in err
+
+
 def test_unreadable_input_file(capsys, tmp_path):
     rc, _, err = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"),
                      "--response", "Y")

@@ -15,6 +15,7 @@ from larspath.core import (
     TIE_RTOL,
     VARIANTS,
     Path,
+    PathStep,
     _ActiveSet,
     _direction,
     _GramCache,
@@ -398,7 +399,6 @@ def test_gram_products_match_dense(shape):
         assert math.isclose(norm_sq, G[j, j], rel_tol=1e-12)
     active = _ActiveSet(gram, order.size)
     for k, j in enumerate(order):
-        active.stage(j, None)
         active.add(j, 1)
         # With sign +1 the factor's new Gram column is the products as formed.
         cross, norm_sq = active.factor.gram[:k, k], active.factor.gram[k, k]
@@ -461,14 +461,12 @@ def test_active_set_edits_keep_every_part_in_step(shape, seed):
         if k < 2 or (k < capacity and r.random() < 0.6):
             j = int(r.choice(np.flatnonzero(active.inactive)))
             sign = int(r.choice([-1, 1]))
-            assert active.stage(j, None).tolist() == [v for v, _ in model] + [j]
             active.add(j, sign)
             model.append((j, sign))
             edits["add"] += 1
         elif r.random() < 0.5:
             pos = int(r.integers(k))
             gone = model.pop(pos)
-            assert active.stage(gone[0], pos).tolist() == [v for v, _ in model]
             left_vars, left_signs = active.drop(pos)
             assert (left_vars.tolist(), left_signs.tolist()) == ([gone[0]], [gone[1]])
             edits["drop"] += 1
@@ -724,14 +722,55 @@ def test_max_steps_budget(design):
         fit_path(design, "lars", max_steps=3)
 
 
-def test_stop_after_truncates(design, diabetes_paths):
-    path = fit_path(design, "lars", stop_after=4)
-    assert path.n_steps == 4
-    full = diabetes_paths["lars"]
-    for a, b in zip(path.steps, full.steps[:5]):
-        assert np.array_equal(a.beta, b.beta)
-    assert fit_path(design, "lars", stop_after=np.int64(4)).betas.tobytes() == \
-        path.betas.tobytes()
+def _assert_prefix(part, full, k):
+    """``part`` is the first k moves of ``full``: equal step fields and
+    equal coefficient bytes."""
+    assert part.n_steps == k
+    fields = [f.name for f in dataclasses.fields(PathStep) if f.name != "beta"]
+    for a, b in zip(part.steps, full.steps[: k + 1], strict=True):
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    assert part.betas.tobytes() == full.betas[: k + 1].tobytes()
+
+
+def test_stop_after_truncates(design, diabetes_paths, quad_design, quad_paths):
+    """``stop_after=k`` and ``forward_selection(d, k)`` give the first k
+    moves of the full path: at every k on diabetes 10, and on diabetes 64
+    at every k whose next event is a drop, where the stop test comes before
+    the pending drop is applied."""
+    for variant, full in diabetes_paths.items():
+        for k in range(full.n_steps + 1):
+            _assert_prefix(fit_path(design, variant, stop_after=k), full, k)
+    _assert_prefix(fit_path(design, "lars", stop_after=np.int64(4)),
+                   diabetes_paths["lars"], 4)
+    full = forward_selection(design, design.m)
+    for k in range(full.n_steps + 1):
+        _assert_prefix(forward_selection(design, k), full, k)
+    quad = {"lasso": quad_paths["lasso"],
+            "positive-lasso": fit_path(quad_design, "positive-lasso")}
+    for variant, full in quad.items():
+        ks = [k for k, a in enumerate(full._field("action")[1:]) if a == "drop"]
+        assert ks
+        for k in ks:
+            _assert_prefix(fit_path(quad_design, variant, stop_after=k), full, k)
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_a_column_in_the_span_of_two_others_ends_the_walk_cleanly(seed):
+    """With x_9 = a x_1 + b x_2 (not a signed copy of either), the last
+    join can come from x_9 once the correlations have vanished; the walk
+    ends there, before the add would refuse x_9, under every variant."""
+    r = np.random.default_rng(seed)
+    X = r.standard_normal((80, 8))
+    a, b = r.uniform(0.3, 1.5, 2) * r.choice([-1, 1], 2)
+    X = np.column_stack([X, a * X[:, 0] + b * X[:, 1]])
+    d = standardize(X, X[:, :8] @ r.standard_normal(8) + 0.5 * r.standard_normal(80))
+    C0 = np.abs(d.columns.T @ d.response).max()
+    for variant in VARIANTS:
+        path = fit_path(d, variant)
+        c = d.columns.T @ (d.response - d.columns @ path.betas[-1])
+        score = c if variant == "positive-lasso" else np.abs(c)
+        assert score.max() < core.ENVELOPE_RTOL * C0, variant
+        assert len(path.steps[-1].active_after) <= 8, variant
 
 
 def test_cold_start_uses_the_walks_envelope_floor():
