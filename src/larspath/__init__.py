@@ -18,7 +18,6 @@ from .errors import (
     DegenerateColumn,
     DimensionMismatch,
     EmptyData,
-    EmptyFace,
     IndexOutOfRange,
     LarsError,
     MaxIterations,
@@ -93,7 +92,6 @@ __all__ = [
     "LarsError",
     "DegenerateColumn",
     "IndexOutOfRange",
-    "EmptyFace",
     "ConstantColumn",
     "DimensionMismatch",
     "WrongColumnCount",

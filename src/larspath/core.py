@@ -358,7 +358,7 @@ class _ActiveSet:
         self._signs = np.empty(capacity)
         self._rows = np.empty((capacity, width))
         self.inactive = np.ones(m, dtype=bool)
-        self.factor = CholeskyFactor()
+        self.factor = CholeskyFactor(capacity)
         self._resize(0)
 
     def _resize(self, k):
@@ -573,7 +573,7 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None):
 
     y_sq = _response_sq(y)
     gram = _GramCache(X)
-    active = _ActiveSet(gram, max_active + 1)
+    active = _ActiveSet(gram, max_active)
     c0 = X.T @ y
     c = c0.copy()
     beta = np.zeros(m)

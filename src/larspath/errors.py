@@ -15,14 +15,6 @@ class DegenerateColumn(LarsError):
     """A column is (numerically) linearly dependent on the active set."""
 
 
-class IndexOutOfRange(LarsError, IndexError):
-    """A position argument does not address a row/column of the factor."""
-
-
-class EmptyFace(LarsError):
-    """The nonnegative least squares loop eliminated every variable."""
-
-
 # ---------------------------------------------------------------------------
 # preprocessing
 
@@ -67,6 +59,10 @@ class TOutOfRange(LarsError, ValueError):
 
 class VariantMismatch(LarsError, ValueError):
     """An operation received a path fitted under an unsupported variant."""
+
+
+class IndexOutOfRange(LarsError, IndexError):
+    """A step index does not address a vertex of the fitted path."""
 
 
 class Underdetermined(LarsError):

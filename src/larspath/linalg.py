@@ -19,17 +19,19 @@ factorization of the face's Gram block would be, so the caller solves the
 face without factorizing it again.
 
 R is stored packed, column by column (LAPACK "UP" storage), in a buffer
-with room to grow: the k x k factor is the prefix ``ap[:k(k+1)/2]``, and
-appending column k writes its k + 1 entries at the end.  A solve with G is
-one LAPACK ``dpptrs`` call on the whole buffer with an explicit order, so
-no call slices the factor or makes the wrapper copy it; the append's
-single triangular solve is BLAS ``dtpsv``.  ``dpptrs`` makes the two
-``dtpsv`` calls that reference LAPACK does, and its results equal theirs
-bit for bit (a test pins this).  G is carried in a square Fortran-ordered
-buffer of the same capacity, upper triangle only (all that ``dpotrf``
-reads); an append writes its new column there, and an append to full
-buffers first moves them into buffers twice as large.  A drop or a face
-writes its factor and Gram block over the prefixes of the same buffers.
+that the factor's owner sizes for the largest active set it will hold:
+the k x k factor is the prefix ``ap[:k(k+1)/2]``, and appending column k
+writes its k + 1 entries at the end.  A solve with G is one LAPACK
+``dpptrs`` call on the whole buffer with an explicit order, so no call
+slices the factor or makes the wrapper copy it; the append's single
+triangular solve is BLAS ``dtpsv``.  ``dpptrs`` makes the two ``dtpsv``
+calls that reference LAPACK does, and its results equal theirs bit for
+bit (a test pins this).  G is carried in a square Fortran-ordered buffer
+of the same capacity, upper triangle only (all that ``dpotrf`` reads); an
+append writes its new column there, and a drop or a face writes its
+factor and Gram block over the prefixes of the same buffers.  The one
+caller, the walk in ``core``, passes float arrays of the factor's order
+and positions inside it, and appends only below the capacity it sized.
 """
 
 import math
@@ -38,13 +40,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv, dtpsv
 from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs, dtrttp
 
-from .errors import (
-    DegenerateColumn,
-    DimensionMismatch,
-    EmptyFace,
-    IndexOutOfRange,
-    MaxIterations,
-)
+from .errors import DegenerateColumn, MaxIterations
 
 __all__ = [
     "CholeskyFactor",
@@ -57,9 +53,6 @@ __all__ = [
 # A pivot whose squared value falls below this fraction of the new column's
 # squared norm marks the column as linearly dependent on the active set.
 DEGENERACY_RTOL = 1e-12
-
-# Columns of room a new buffer gets at least; a full one doubles.
-MIN_CAPACITY = 16
 
 
 def _packed_len(k):
@@ -81,30 +74,18 @@ class CholeskyFactor:
     """Upper-triangular factor R with R'R equal to the tracked Gram matrix.
 
     ``ap`` holds R packed by columns and ``gram`` the upper triangle of G,
-    both with room for more columns than the ``active_dim`` in use.  The
-    append, drop and cone projection change the factor in place, and one
-    that raises leaves it as it was.
+    both allocated once with room for ``capacity`` columns, of which the
+    first ``active_dim`` are in use.  The owner sizes it for the largest
+    active set it will hold.  The append, drop and cone projection change
+    the factor in place, and one that raises leaves it as it was.
     """
 
     __slots__ = ("ap", "gram", "active_dim")
 
-    def __init__(self, capacity=MIN_CAPACITY):
+    def __init__(self, capacity):
         self.ap = np.empty(_packed_len(capacity))
         self.gram = np.empty((capacity, capacity), order="F")
         self.active_dim = 0
-
-    @classmethod
-    def from_gram(cls, gram):
-        """Fresh factorization of a symmetric positive-definite matrix.
-
-        Only the upper triangle is read, as LAPACK does.  Raises
-        :class:`DegenerateColumn` when the matrix is not numerically
-        positive definite.
-        """
-        G = np.asarray(gram, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise DimensionMismatch("gram must be square")
-        return _refactor(cls(max(MIN_CAPACITY, 2 * G.shape[0])), G)
 
 
 def _refactor(factor, block, R=None):
@@ -121,28 +102,24 @@ def _refactor(factor, block, R=None):
     return factor
 
 
-def cholesky_append(factor, new_cross_products, new_norm_sq):
+def cholesky_append(factor, cross, norm_sq):
     """Extend the factor in place by one column of the Gram matrix.
 
-    ``new_cross_products`` holds the inner products of the entering column
-    with the current active columns; ``new_norm_sq`` its squared norm.
-    Cost O(k^2) for the solve, O(k) written.  Raises
-    :class:`DegenerateColumn` when the entering column is numerically
-    dependent on the active set.  Returns the factor.
+    ``cross`` holds the inner products of the entering column with the
+    current active columns; ``norm_sq`` its squared norm.  Cost O(k^2) for
+    the solve, O(k) written.  Raises :class:`DegenerateColumn` when the
+    entering column is numerically dependent on the active set.  Returns
+    the factor.
     """
-    v = np.asarray(new_cross_products, dtype=float).reshape(-1)
     k = factor.active_dim
-    if v.shape[0] != k:
-        raise DimensionMismatch(f"expected {k} cross products, got {v.shape[0]}")
-    norm_sq = float(new_norm_sq)
     if norm_sq <= 0.0:
         raise DegenerateColumn("entering column has nonpositive squared norm")
 
     if k == 0:
-        r12 = v
+        r12 = cross
         pivot_sq = norm_sq
     else:
-        r12 = dtpsv(k, factor.ap, v, trans=1)
+        r12 = dtpsv(k, factor.ap, cross, trans=1)
         pivot_sq = norm_sq - float(r12 @ r12)
     if pivot_sq < DEGENERACY_RTOL * norm_sq:
         raise DegenerateColumn(
@@ -150,36 +127,24 @@ def cholesky_append(factor, new_cross_products, new_norm_sq):
         )
 
     start = _packed_len(k)
-    if factor.gram.shape[0] == k:
-        grown = CholeskyFactor(max(MIN_CAPACITY, 2 * k))
-        grown.ap[:start] = factor.ap[:start]
-        grown.gram[:k, :k] = factor.gram[:k, :k]
-        factor.ap, factor.gram = grown.ap, grown.gram
     factor.ap[start : start + k] = r12
     factor.ap[start + k] = math.sqrt(pivot_sq)
-    factor.gram[:k, k] = v
+    factor.gram[:k, k] = cross
     factor.gram[k, k] = norm_sq
     factor.active_dim = k + 1
     return factor
 
 
-def cholesky_drop(factor, position):
-    """Remove one row and column of the tracked Gram matrix from the factor,
-    in place, and return the factor.
+def cholesky_drop(factor, p):
+    """Remove the row and column at position ``p`` (an integer in 0..k-1) of
+    the tracked Gram matrix from the factor, in place, and return the
+    factor.
 
-    ``position`` is a Python or NumPy integer; anything else (a bool, a
-    float, a sequence) or a position out of range raises
-    :class:`IndexOutOfRange`.  The kept block of the carried Gram matrix is
-    refactorized in LAPACK.  That is O(k^3), cheap at active-set sizes, and
-    the factor never drifts from its Gram matrix over long append/drop
-    sequences.
+    The kept block of the carried Gram matrix is refactorized in LAPACK.
+    That is O(k^3), cheap at active-set sizes, and the factor never drifts
+    from its Gram matrix over long append/drop sequences.
     """
-    if not (type(position) is int or isinstance(position, np.integer)):
-        raise IndexOutOfRange(f"position must be an integer, got {position!r}")
     k = factor.active_dim
-    p = int(position)
-    if not 0 <= p < k:
-        raise IndexOutOfRange(f"position {position} out of range for k={k}")
     # The kept block's upper triangle is three slices of G's, copied into a
     # Fortran-ordered block that dpotrf reads in place.  Its strict lower
     # triangle is never read.
@@ -193,19 +158,13 @@ def cholesky_drop(factor, position):
 
 
 def solve_gram(factor, rhs):
-    """Solve G x = rhs through the maintained triangular factor."""
-    b = np.asarray(rhs, dtype=float).reshape(-1)
-    k = factor.active_dim
-    if b.shape[0] != k:
-        raise DimensionMismatch(f"rhs length {b.shape[0]}, expected {k}")
-    if k == 0:
-        return np.zeros(0)
-    # info is nonzero only for an illegal argument, which the checks above
-    # exclude.
-    return dpptrs(k, factor.ap, b)[0]
+    """Solve G x = rhs, a float array of the factor's order, through the
+    maintained triangular factor; at order 0, an empty array.  ``dpptrs``
+    reports only illegal arguments, which the caller never passes."""
+    return dpptrs(factor.active_dim, factor.ap, rhs)[0]
 
 
-def nnls_inner_loop(gram_factor, target_weights):
+def nnls_inner_loop(gram_factor, w):
     """Project the equiangular direction into the cone of active columns.
 
     With ``u = X w`` the unconstrained direction and ``G = X'X``, the
@@ -219,21 +178,18 @@ def nnls_inner_loop(gram_factor, target_weights):
     optimal on its face; otherwise it starts from ``p = 0``.  At most
     ``3 k`` trial solves are made (:class:`MaxIterations` past that).
 
-    Returns ``(gram_factor, retained)``: the factor, changed in place to the
-    Cholesky factor of the face's Gram block (from the same LAPACK call
-    :meth:`CholeskyFactor.from_gram` makes on it), and the sorted positions
-    of the face within the active set.  On the face the projection is
-    parallel to the face's own equiangular direction.  A target with every
-    weight positive is its own projection and leaves the factor as it is;
-    so does a refusal.  A non-finite target, which only a numerically
-    singular Gram matrix yields, raises :class:`DegenerateColumn`.
+    ``w`` is a float array of the factor's order.  Returns ``(gram_factor,
+    retained)``: the factor, changed in place to the Cholesky factor of the
+    face's Gram block (a fresh LAPACK ``dpotrf`` of that block), and the
+    sorted positions of the face within the active set.  On the face the
+    projection is parallel to the face's own equiangular direction.  A
+    target with every weight positive is its own projection and leaves the
+    factor as it is; so does a refusal.  Only a numerically singular Gram
+    matrix yields a non-finite target or an empty face (in exact arithmetic
+    ``b = G w`` is a positive multiple of ones, so the face is not empty);
+    both raise :class:`DegenerateColumn`.
     """
-    w = np.asarray(target_weights, dtype=float).reshape(-1)
     k = gram_factor.active_dim
-    if w.shape[0] != k:
-        raise DimensionMismatch(f"expected {k} weights, got {w.shape[0]}")
-    if k == 0:
-        raise EmptyFace("no active variables")
     if not np.isfinite(w).all():
         raise DegenerateColumn("cone projection target has non-finite weights")
     if w.min() > 0.0:
@@ -308,7 +264,8 @@ def nnls_inner_loop(gram_factor, target_weights):
 
     idx = face.nonzero()[0]
     if idx.size == 0:
-        raise EmptyFace("all variables eliminated")
+        raise DegenerateColumn("cone projection eliminated every position: "
+                               "the active Gram matrix is numerically singular")
     if R is None:
         block = G[:, idx][idx]
     return _refactor(gram_factor, block, R), idx

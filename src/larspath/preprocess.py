@@ -58,6 +58,9 @@ class StandardizedDesign:
     def __post_init__(self):
         names = _names(tuple(self.column_names) or None, self.m)
         object.__setattr__(self, "column_names", names)
+        # ``dataclasses.replace(design, response=y)`` builds a design per
+        # draw in the resampling code: its y is refused here as a raw one is.
+        _check_response(_floats(self.response, "response"), self.n)
 
     @property
     def n(self):
@@ -104,18 +107,24 @@ def _require_finite(X, names):
         raise NonNumericCell(int(bad[0, 0]) + 1, names[bad[0, 1]])
 
 
+def _check_response(y, n):
+    """Refuse a response ``y`` (floats) that is not n finite numbers."""
+    if y.shape != (n,):
+        raise DimensionMismatch(f"response has shape {y.shape}, expected ({n},)")
+    _require_finite(y[:, None], ("response",))
+
+
 def _raw_design(columns, response, names, what):
     """The matrix, response and names of a raw design, as floats, after the
-    checks that :func:`standardize` and :func:`from_unit_columns` share."""
+    checks that :func:`standardize` and :func:`from_unit_columns` share,
+    also on the raw response: centering spreads one bad cell to every row."""
     X, y = _floats(columns, what), _floats(response, "response")
     if X.ndim != 2:
         raise DimensionMismatch(f"{what} must be 2-D")
     n, m = X.shape
-    if y.shape != (n,):
-        raise DimensionMismatch(f"response has shape {y.shape}, expected ({n},)")
     names = _names(names, m)
     _require_finite(X, names)
-    _require_finite(y[:, None], ("response",))
+    _check_response(y, n)
     return X, y, names
 
 

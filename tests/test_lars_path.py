@@ -49,13 +49,15 @@ from larspath.model_select import (
 from larspath.oracles import forward_selection
 from larspath.preprocess import from_unit_columns, standardize
 
+from factors import from_gram
+
 rng = np.random.default_rng(11)
 
 
 def signed_factor(design, active, signs):
     cols = design.columns[:, list(active)]
     s = np.asarray(signs, dtype=float)
-    return CholeskyFactor.from_gram(np.outer(s, s) * (cols.T @ cols))
+    return from_gram(np.outer(s, s) * (cols.T @ cols))
 
 
 def equiangular(design, active, signs):
@@ -436,7 +438,7 @@ def _assert_active_set_is(active, gram, X, model):
     scale = np.abs(signed).max()
     assert np.allclose(active.factor.gram[:k, :k][upper], signed[upper],
                        rtol=1e-12, atol=1e-12 * scale)
-    fresh = CholeskyFactor.from_gram(signed)
+    fresh = from_gram(signed)
     packed = k * (k + 1) // 2
     assert np.allclose(active.factor.ap[:packed], fresh.ap[:packed],
                        rtol=1e-9, atol=1e-9 * math.sqrt(scale))
@@ -447,13 +449,13 @@ def test_active_set_edits_keep_every_part_in_step(shape, seed):
     """A seeded run of adds, drops and cone-projection keeps: after each
     edit the active set's variables, signs, inactive mask and carried block
     equal a fresh gather, its factor's Gram block is the signed Gram block, and
-    its factor is that block's ``from_gram``; a drop or keep hands back
+    its factor is that block's fresh factorization; a drop or keep hands back
     the variables that left and their signs."""
     d = random_design(*shape, seed)
     gram = _GramCache(d.columns)
     r = np.random.default_rng(seed)
     capacity = 12
-    active = _ActiveSet(gram, capacity + 1)
+    active = _ActiveSet(gram, capacity)
     model = []
     edits = {"add": 0, "drop": 0, "keep": 0}
     for _ in range(80):
@@ -487,6 +489,41 @@ def test_active_set_edits_keep_every_part_in_step(shape, seed):
             edits["keep"] += 1
         _assert_active_set_is(active, gram, d.columns, model)
     assert min(edits.values()) >= 3, edits
+
+
+def test_each_fit_allocates_one_factor_that_fills_exactly(monkeypatch):
+    """Every walk, and forward selection to the most variables a walk can
+    hold, constructs one factor, with room for that many columns: on a tall,
+    a wide and an uncentered design.  A walk that reaches that many active
+    variables fills the factor's buffers exactly."""
+    built = []
+    init = CholeskyFactor.__init__
+
+    def noted(factor, *args):
+        init(factor, *args)
+        built.append(factor)
+
+    monkeypatch.setattr(CholeskyFactor, "__init__", noted)
+    designs = [random_design(30, 8, 2600), random_design(12, 30, 2601),
+               from_unit_columns(np.eye(4), np.ones(4))]
+    for d, limit in zip(designs, (8, 11, 4), strict=True):
+        assert core._max_active(d) == limit
+        fits = {variant: lambda v=variant: fit_path(d, v) for variant in VARIANTS}
+        fits["forward-selection"] = lambda: forward_selection(d, limit)
+        saturated = []
+        for name, fit in fits.items():
+            built.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TieWarning)
+                path = fit()
+            assert [f.gram.shape[0] for f in built] == [limit], name
+            factor = built[0]
+            if len(path.steps[-1].active_after) == limit:
+                saturated.append(name)
+                assert factor.active_dim == limit, name
+                assert factor.ap.size == limit * (limit + 1) // 2, name
+                assert factor.gram.shape == (limit, limit), name
+        assert {"lars", "forward-selection"} <= set(saturated), saturated
 
 
 def _events_and_vertices(design, variant):
@@ -661,7 +698,7 @@ class _DenseFactor:
     """Reference factor: the active Gram matrix itself, solved densely, and
     replaced in place by the append, drop and cone projection below."""
 
-    def __init__(self):
+    def __init__(self, capacity):
         self.gram = np.zeros((0, 0))
 
     @property
@@ -892,13 +929,16 @@ def test_export_surface():
         assert not {name for name in gone if hasattr(module, name)}, module
     assert importlib.util.find_spec("larspath.variants") is None
     # Interpolation is the module function only, and the factor is built
-    # from a Gram matrix or by appends, one object changed in place with no
-    # dense views.
+    # by appends into buffers its owner sizes, one object changed in place
+    # with no dense views.  No public call can empty a cone face.
     assert not hasattr(larspath.Path, "interpolate")
     assert not hasattr(larspath.Path, "coefficients_at")
-    for name in ("from_factor", "empty", "R", "packed", "_storage"):
+    for name in ("from_factor", "from_gram", "empty", "R", "packed", "_storage"):
         assert not hasattr(CholeskyFactor, name), name
-    assert not hasattr(larspath.linalg, "_Storage")
+    for name in ("_Storage", "MIN_CAPACITY"):
+        assert not hasattr(larspath.linalg, name), name
+    for module in (larspath, larspath.errors):
+        assert not hasattr(module, "EmptyFace"), module
     assert not hasattr(larspath.StandardizedDesign, "gram")
     # A path holds its vertices one way, as columns, and interpolation
     # makes one search.

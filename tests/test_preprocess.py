@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from larspath.errors import (
     NonNumericCell,
     WrongColumnCount,
 )
+from larspath.model_select import lars_fitted_values
 from larspath.preprocess import (
     StandardizedDesign,
     from_unit_columns,
@@ -85,6 +87,28 @@ def test_non_finite_cells_are_rejected_by_row_and_column():
         from_unit_columns(unit, y, names=("a",))
     with pytest.raises(WrongColumnCount):
         quadratic_expand(X, 0, names=("a",))
+
+
+def test_a_replaced_response_is_refused_as_a_raw_one_is():
+    """``dataclasses.replace(design, response=y)``, the design that the
+    resampling code fits for each draw, refuses a y that is not a finite
+    vector of length n: a NaN at its row, a short or 2-D y by its shape.
+    So does ``lars_fitted_values``'s estimator, which builds that design."""
+    local = np.random.default_rng(26)
+    X = local.normal(size=(8, 3))
+    d = standardize(X, X @ np.array([1.0, -2.0, 0.5]) + local.normal(size=8))
+    with_nan = d.response.copy()
+    with_nan[2] = np.nan
+    estimator = lars_fitted_values(d, 3)
+    for build in (lambda y: dataclasses.replace(d, response=y), estimator):
+        with pytest.raises(NonNumericCell) as exc:
+            build(with_nan)
+        assert (exc.value.row, exc.value.column_name) == (3, "response")
+        for bad, shape in ((d.response[:-1], (7,)), (d.response[:, None], (8, 1))):
+            message = f"response has shape {shape}, expected (8,)"
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                build(bad)
+    assert estimator(d.response).shape == (4, 8)
 
 
 # Each raw-design entry point, on a matrix with columns a, b and c and,

@@ -16,9 +16,10 @@ from larspath.preprocess import quadratic_expand, standardize
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# Targets whose code is gone: the module ``kernels`` and the Gram cache's
-# column lookup.  Their metrics already read 0.
-DEAD = {"kernels.givens_downdate", "core.gram.column"}
+# Targets whose code is gone: the module ``kernels``, the Gram cache's
+# column lookup and ``CholeskyFactor.from_gram`` (``linalg.refactor``, whose
+# one metric, the refactors under ``cholesky_drop``, already read 0).
+DEAD = {"kernels.givens_downdate", "core.gram.column", "linalg.refactor"}
 
 
 def _spans():

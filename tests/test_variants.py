@@ -14,9 +14,10 @@ from larspath.core import (
     fit_path,
 )
 from larspath.errors import IndexOutOfRange
-from larspath.linalg import CholeskyFactor
 from larspath.model_select import main_effects_first
 from larspath.preprocess import StandardizedDesign, from_unit_columns, standardize
+
+from factors import from_gram
 
 
 def plain_factor(design, active, signs=None):
@@ -24,7 +25,7 @@ def plain_factor(design, active, signs=None):
     signs = (1,) * k if signs is None else signs
     cols = design.columns[:, list(active)]
     s = np.asarray(signs, dtype=float)
-    return CholeskyFactor.from_gram(np.outer(s, s) * (cols.T @ cols))
+    return from_gram(np.outer(s, s) * (cols.T @ cols))
 
 
 def direction(design, active, signs, factor, cone):
@@ -117,7 +118,7 @@ def test_stagewise_direction_two_variable_cone():
         column_scales=np.ones(2), response_mean=0.0,
         column_names=("a", "b"), centered=False,
     )
-    f = CholeskyFactor.from_gram(G)
+    f = from_gram(G)
     assert direction(d, (0, 1), (1, 1), f, False).sw.min() < 0
     face = direction(d, (0, 1), (1, 1), f, True)
     assert tuple(np.delete([0, 1], face.retained)) == (0,)
