@@ -11,7 +11,7 @@ factors and Lawson-Hanson for the stagewise cone projection.
 """
 
 from .core import VARIANTS, Path, PathStep, fit_path, interpolate
-from .datasets import diabetes_design, load_diabetes
+from .datasets import load_diabetes
 from .dataio import read_csv, write_path_csv
 from .errors import (
     ConstantColumn,
@@ -21,7 +21,6 @@ from .errors import (
     IndexOutOfRange,
     LarsError,
     MaxIterations,
-    MaxStepsExceeded,
     MissingResponse,
     NonNumericCell,
     ParseError,
@@ -87,7 +86,6 @@ __all__ = [
     "read_csv",
     "write_path_csv",
     "load_diabetes",
-    "diabetes_design",
     # errors
     "LarsError",
     "DegenerateColumn",
@@ -95,7 +93,6 @@ __all__ = [
     "ConstantColumn",
     "DimensionMismatch",
     "WrongColumnCount",
-    "MaxStepsExceeded",
     "StalledPath",
     "TOutOfRange",
     "VariantMismatch",

@@ -100,7 +100,7 @@ def _emit(args, text, summary):
 
 def _cmd_fit(args):
     design, *_ = _load_design(args)
-    path = fit_path(design, args.variant, max_steps=args.max_steps)
+    path = fit_path(design, args.variant)
     text = write_path_csv(path, standardized=args.standardized)
     return _emit(args, text, json_summary(path))
 
@@ -166,7 +166,7 @@ def _cmd_simulate(args):
 
 def _cmd_interpolate(args):
     design, *_ = _load_design(args)
-    path = fit_path(design, args.variant, max_steps=args.max_steps)
+    path = fit_path(design, args.variant)
     beta = interpolate(path, args.t)
     if args.standardized:
         coef, intercept = beta, 0.0
@@ -216,7 +216,6 @@ def _build_parser():
     sp = sub.add_parser("fit", help="fit a coefficient path")
     _add_data_options(sp)
     sp.add_argument("--variant", default="lars", choices=VARIANTS)
-    sp.add_argument("--max-steps", type=int, default=None)
     _add_output_options(sp)
     _add_standardized_option(sp)
     sp.set_defaults(handler=_cmd_fit)
@@ -248,7 +247,6 @@ def _build_parser():
     _add_data_options(sp)
     sp.add_argument("--variant", default="lasso", choices=VARIANTS)
     sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--max-steps", type=int, default=None)
     _add_output_options(sp)
     _add_standardized_option(sp)
     sp.set_defaults(handler=_cmd_interpolate)

@@ -61,13 +61,26 @@ Numerical conventions that the step counts depend on:
   |y|, and it ends when the envelope falls below ``ENVELOPE_RTOL`` C0, C0
   being the largest |c| at the start; ``forward_selection`` stops at the
   same floor.  A candidate ties when its gap to the envelope is within
-  ``TIE_RTOL`` C_hat, and a move no longer than 1e-12 of the full travel
-  is zero-length.  ``PARALLEL_TOL`` compares rates, which depend on X
-  alone.  The value of ``ENVELOPE_RTOL`` is not critical: on 18 Gaussian
+  ``TIE_RTOL`` C_hat, and the drop scan ignores crossings nearer than
+  1e-12 of the full travel.  ``PARALLEL_TOL`` compares rates, which depend
+  on X alone.  The value of ``ENVELOPE_RTOL`` is not critical: on 18 Gaussian
   100 x 1000 designs, floors from 1e-12 C0 to 1e-8 C0 all complete the
   stagewise walk with |y - X beta|^2 / |y|^2 below 1e-15, and keep the
   diabetes paths equal under y -> 2**k y.  1e-8, the coarsest, spends the
   fewest moves on the tail of rounding noise.
+
+One rule ends a walk that cannot finish.  Adds only grow the active set,
+at most ``_max_active`` in a row, so a walk that never ends shrinks the
+set without end: by a lasso or positive-lasso drop, or by a stagewise
+projection, which cuts at least one position.  There are finitely many
+(active set, signs) states, so such a walk shrinks to one of them twice.
+The walk keys the state after each shrinking move, and a second shrink to
+a key raises ``StalledPath``, on the second lap of any cycle.  A lasso
+walk in general position never gets there: each (active set, signs) pair
+holds on one interval of the envelope (Tibshirani 2013, "The lasso problem
+and uniqueness").  No move count bounds the walk, since a legitimate lasso
+path can have (3^p + 1) / 2 segments (Mairal & Yu 2012).  A lars walk only
+adds, and keys nothing.
 """
 
 import math
@@ -83,7 +96,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    MaxStepsExceeded,
     StalledPath,
     TieWarning,
     TOutOfRange,
@@ -334,10 +346,11 @@ class _GramCache:
 class _ActiveSet:
     """The active set of a walk, and all that changes with it: ``idx``, the
     variables in factor order; ``signs``, as floats ready to scale weights;
-    ``inactive``, the other variables; ``factor``, the Cholesky factor of
-    the signed Gram matrix; ``block``, the ``_GramCache.rows`` of ``idx``.
-    Only ``add``, ``drop`` and ``keep`` (a cone projection) change them,
-    each in one call.
+    ``inactive``, the other variables; ``state``, every variable's sign
+    as an int8, 0 when inactive, whose bytes key the (active set, signs)
+    state; ``factor``, the Cholesky factor of the signed Gram matrix;
+    ``block``, the ``_GramCache.rows`` of ``idx``.  Only ``add``, ``drop``
+    and ``keep`` (a cone projection) change them, each in one call.
 
     Each part is the first k entries of a buffer allocated once: an add
     writes entry k, a drop shifts the entries after it down, a keep gathers
@@ -349,7 +362,7 @@ class _ActiveSet:
     """
 
     __slots__ = ("_gram", "_vars", "_signs", "_rows",
-                 "inactive", "factor", "k", "idx", "signs", "block")
+                 "inactive", "state", "factor", "k", "idx", "signs", "block")
 
     def __init__(self, gram, capacity):
         self._gram = gram
@@ -358,6 +371,7 @@ class _ActiveSet:
         self._signs = np.empty(capacity)
         self._rows = np.empty((capacity, width))
         self.inactive = np.ones(m, dtype=bool)
+        self.state = np.zeros(m, dtype=np.int8)
         self.factor = CholeskyFactor(capacity)
         self._resize(0)
 
@@ -383,6 +397,7 @@ class _ActiveSet:
         self._vars[k] = j
         self._signs[k] = s
         self.inactive[j] = False
+        self.state[j] = s
         self._resize(k + 1)
 
     def drop(self, pos):
@@ -391,6 +406,7 @@ class _ActiveSet:
         k = self.k - 1
         left = self._vars[pos : pos + 1].copy(), self._signs[pos : pos + 1].copy()
         self.inactive[self._vars[pos]] = True
+        self.state[self._vars[pos]] = 0
         cholesky_drop(self.factor, pos)
         for buf in (self._vars, self._signs, self._rows):
             buf[pos:k] = buf[pos + 1 : k + 1]
@@ -408,6 +424,7 @@ class _ActiveSet:
         for buf in (self._vars, self._signs, self._rows):
             buf[:k] = buf[retained]
         self.inactive[left[0]] = True
+        self.state[left[0]] = 0
         self._resize(k)
         return left
 
@@ -428,10 +445,10 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_vars, left_signs, positive, tie_to
     whose correlation gap is within ``tie_tol`` of zero ties immediately
     (distance 0); this includes the exactly-parallel 0/0 case.  The
     departing branches of ``left_vars`` (signs ``left_signs``) are barred.
-    Returns ``(gamma, variable, sign, n_tied)`` or None when nothing ties.
+    ``cand_idx`` is never empty: the walk scans only while fewer than
+    ``_max_active`` <= m variables are active.  Returns ``(gamma, variable,
+    sign, n_tied)`` or None when nothing ties.
     """
-    if cand_idx.size == 0:
-        return None
     # Row 0 is the positive sign branch; row 1, the negative branch (absent
     # for the positive variant), sees -c and -a.
     branches = _BRANCH_SIGNS[:1] if positive else _BRANCH_SIGNS
@@ -541,31 +558,28 @@ def _next_event(g_join, gamma_bar, g_drop):
     return gamma, event
 
 
-def fit_path(design, variant="lars", *, max_steps=None, stop_after=None):
+def fit_path(design, variant="lars", *, stop_after=None):
     """Fit a coefficient path on a standardized design.
 
     ``variant`` selects the event rules: "lars" (additions only), "lasso"
     (sign-consistency drops), "stagewise" (cone projections), or
-    "positive-lasso".  ``max_steps`` bounds the move count (default ``8 m``;
-    exceeding it raises :class:`MaxStepsExceeded`).  ``stop_after``
-    truncates the walk after that many moves without error.  A count that
-    is not a non-negative integer raises :class:`DimensionMismatch`.
+    "positive-lasso".  ``stop_after`` truncates the walk after that many
+    moves without error; a count that is not a non-negative integer raises
+    :class:`DimensionMismatch`.
 
     Tied candidates join one at a time, lowest variable index first,
-    through zero-length moves, with a :class:`TieWarning`.  A run of
-    zero-length moves that comes back to an active set and signs it has
-    already been in raises :class:`StalledPath`.
+    through zero-length moves, with a :class:`TieWarning`.  A move that
+    shrinks the active set (a drop, or a stagewise projection) to an
+    active set and signs that an earlier move shrank it to raises
+    :class:`StalledPath`: the walk would cycle.
     """
     if not (isinstance(variant, str) and variant in VARIANTS):
         raise VariantMismatch(f"unknown variant {variant!r}")
-    if max_steps is not None:
-        max_steps = as_integer(max_steps, "max_steps", minimum=0)
     if stop_after is not None:
         stop_after = as_integer(stop_after, "stop_after", minimum=0)
     X = design.columns
     y = design.response
     m = X.shape[1]
-    budget = 8 * m if max_steps is None else max_steps
     max_active = _max_active(design)
     positive = variant == "positive-lasso"
     drops = positive or variant == "lasso"
@@ -600,8 +614,8 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None):
     # variable's position in the active set.
     pending = ("add", j0, s0, None)
     C_floor = ENVELOPE_RTOL * C0
-    # The (active set, signs) states of the current run of zero-length moves.
-    run = ()
+    # The (active set, signs) states that moves have shrunk the walk to.
+    shrunk = set()
 
     while True:
         n_moves = len(moves)
@@ -613,8 +627,6 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None):
         # column in the active span may join at that point.
         if abs(c[event_var]) < C_floor:
             break
-        if n_moves >= budget:
-            raise MaxStepsExceeded(f"path incomplete after {n_moves} moves")
         left_vars = left_signs = _NO_VARS
         proj = ()
         if pos is None:
@@ -630,6 +642,12 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None):
             left_vars, left_signs = active.keep(retained)
             proj = tuple(sorted(left_vars.tolist()))
             C_hat = _envelope(c, active.idx)
+        if left_vars.size:
+            state = active.state.tobytes()
+            if state in shrunk:
+                raise StalledPath(f"the walk shrinks again to an active set and "
+                                  f"signs it has shrunk to, at step {n_moves + 1}")
+            shrunk.add(state)
         act_idx = active.idx
         s_vec = active.signs
 
@@ -654,15 +672,6 @@ def fit_path(design, variant="lars", *, max_steps=None, stop_after=None):
         beta_A = beta[act_idx]
         g_drop, p_drop = _scan_drop(beta_A, sw, floor) if drops else (np.inf, None)
         gamma, event = _next_event(g_join, gamma_bar, g_drop)
-
-        if gamma > floor:
-            run = ()
-        else:
-            state = frozenset(zip(act_idx.tolist(), s_vec.tolist()))
-            if state in run:
-                raise StalledPath(f"zero-length moves return to an active set "
-                                  f"and signs at step {n_moves + 1}")
-            run += (state,)
 
         # sw is _direction's own array: scaled in place into the move.
         sw *= gamma

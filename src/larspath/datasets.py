@@ -12,12 +12,10 @@ import hashlib
 from importlib import resources
 
 from .dataio import read_csv
-from .preprocess import standardize
 
 __all__ = [
     "DIABETES_SHA256",
     "load_diabetes",
-    "diabetes_design",
     "verify_checksum",
 ]
 
@@ -32,12 +30,6 @@ def load_diabetes():
     """Raw diabetes table: ``(matrix 442x10, response, labels)``."""
     with resources.as_file(_resource()) as path:
         return read_csv(path, "Y")
-
-
-def diabetes_design():
-    """The diabetes data already centered and scaled to unit column norms."""
-    X, y, labels = load_diabetes()
-    return standardize(X, y, labels)
 
 
 def verify_checksum():

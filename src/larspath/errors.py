@@ -40,13 +40,9 @@ class WrongColumnCount(LarsError, ValueError):
 # path engine
 
 
-class MaxStepsExceeded(LarsError):
-    """The path did not terminate within the configured step budget."""
-
-
 class StalledPath(LarsError):
-    """A run of zero-length moves came back to an active set and signs it
-    had already been in, so the walk would cycle."""
+    """A move shrank the active set to an active set and signs that an
+    earlier move had shrunk it to, so the walk would cycle."""
 
 
 class TOutOfRange(LarsError, ValueError):

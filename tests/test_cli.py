@@ -82,6 +82,26 @@ def test_fit_quadratic_unknown_binary_column(capsys):
     assert err.startswith("error:")
 
 
+def test_quadratic_without_a_two_valued_column_is_a_data_error(capsys, tmp_path):
+    """With no ``--binary-col``, ``--quadratic`` needs exactly one
+    two-valued column; a file with none is refused, and told the flag."""
+    f = tmp_path / "t.csv"
+    f.write_text("a,b,y\n1,2,3\n4,5,6\n7,9,9\n2,8,1\n")
+    rc, out, err = run(capsys, "fit", "--input", str(f), "--response", "y",
+                       "--quadratic")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "found 0; use --binary-col" in err
+
+
+@pytest.mark.parametrize("command, extra", [("fit", ()), ("interpolate", ("--t", "1"))])
+def test_max_steps_is_not_an_option(capsys, command, extra):
+    """No move budget bounds a walk, so neither command takes one."""
+    rc, out, err = run(capsys, command, "--input", DATA, "--response", "Y",
+                       *extra, "--max-steps", "3")
+    assert rc == 1 and out == ""
+    assert "unrecognized arguments: --max-steps 3" in err
+
+
 def test_missing_required_flag_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "fit", "--response", "Y")
     assert rc == 1
@@ -332,6 +352,14 @@ def test_main_effects_first_subcommand(capsys):
     pair_labels = {f"{a}:{b}" for a in s["selected_mains"]
                    for b in s["selected_mains"] if a != b}
     assert set(s["entry_order"]) <= pair_labels
+
+
+def test_main_effects_first_refuses_k_beyond_the_lars_path(capsys):
+    """The bundled lars path has 10 moves, so --k 11 names no vertex."""
+    rc, out, err = run(capsys, "main-effects-first", "--input", DATA,
+                       "--response", "Y", "--k", "11")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--k must be in 0..10" in err
 
 
 def test_main_effects_first_needs_enough_mains(capsys):

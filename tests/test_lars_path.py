@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import inspect
 import math
 import warnings
 from importlib import resources
@@ -29,7 +30,6 @@ from larspath.errors import (
     DegenerateColumn,
     DimensionMismatch,
     LarsError,
-    MaxStepsExceeded,
     StalledPath,
     TieWarning,
     TOutOfRange,
@@ -170,12 +170,6 @@ def test_next_join_tie_warns_and_takes_lowest_index():
     assert abs(path.steps[1].gamma - 2.0) < 1e-12
 
 
-def test_next_join_no_candidates():
-    d = from_unit_columns(np.eye(2), np.ones(2))
-    A, _, _, a = equiangular(d, (0,), (1,))
-    assert scan_join(np.ones(2), 1.0, A, a, []) is None
-
-
 def scan_leaving(values, left_signs, positive=False):
     """``_scan_join`` at envelope 1 and rate 1/2 over the candidates
     ``values`` ({variable: (c, a)}) of a 10-variable design."""
@@ -227,6 +221,16 @@ def test_tie_takes_the_lowest_index_and_counts_the_tied():
     assert scan_leaving(values, {}) == (1.0, 5, 1, 2)
     # with 5 leaving on its positive branch, 8 joins alone
     assert scan_leaving(values, {5: 1}) == (1.0, 8, -1, 1)
+
+
+def test_a_near_tie_takes_the_lower_index_though_the_higher_is_nearer():
+    """Variable 6 ties at distance 1 and variable 2 at 1 + 2e-13, within
+    the tie tolerance but not equal: the lower index joins, at its own
+    distance, not the nearer one."""
+    values = {2: (0.5 - 1e-13, 0.0), 6: (0.5, 0.0)}
+    gamma, j, sign, n_tied = scan_leaving(values, {})
+    assert (j, sign, n_tied) == (2, 1, 2)
+    assert gamma == (1.0 - (0.5 - 1e-13)) / 0.5 > 1.0
 
 
 # ---------------------------------------------------------------- full walks
@@ -345,23 +349,86 @@ def test_k_way_ties_give_the_orthogonal_design_path():
                     (k, variant, t)
 
 
-def test_zero_length_moves_that_return_to_a_state_stall(monkeypatch):
-    """The walk refuses a run of zero-length moves only when it comes back
-    to an active set and signs it has been in.  Here every scan fires at
-    distance 0: the lowest candidate joins, and a pair drops its first
-    member, so the run goes {0}, {0, 1}, {1}, {1, 0}: the fourth state is
-    the second."""
+def _cycle_through_a_drop_and_a_rejoin(monkeypatch, gamma):
+    """Scans that fire at distance ``gamma``: the lowest candidate joins,
+    and a pair drops its first member.  On the identity design with y =
+    (3, 2, 1) the walk goes {0}, {0, 1}, {1}, {1, 0}, {0}, {0, 1}, {1}, and
+    moves 3, 5 and 7 shrink the set: the seventh move shrinks it to the
+    state of the third."""
     def join_lowest(c, C_hat, A, a, cand_idx, *rest):
-        return 0.0, int(cand_idx[0]), 1, 1
+        return gamma, int(cand_idx[0]), 1, 1
 
     def drop_first_of_a_pair(beta_active, direction, floor):
-        return (0.0, 0) if beta_active.size == 2 else (np.inf, None)
+        return (gamma, 0) if beta_active.size == 2 else (np.inf, None)
 
     monkeypatch.setattr(core, "_scan_join", join_lowest)
     monkeypatch.setattr(core, "_scan_drop", drop_first_of_a_pair)
-    d = from_unit_columns(np.eye(3), np.array([3.0, 2.0, 1.0]))
-    with pytest.raises(StalledPath, match="step 4"):
+    return from_unit_columns(np.eye(3), np.array([3.0, 2.0, 1.0]))
+
+
+def test_zero_length_moves_that_return_to_a_state_stall(monkeypatch):
+    """The walk refuses a move that shrinks the active set to an active set
+    and signs that an earlier move shrank it to.  Here every move has
+    length 0, and the seventh shrinks the set to the state of the third."""
+    d = _cycle_through_a_drop_and_a_rejoin(monkeypatch, 0.0)
+    with pytest.raises(StalledPath, match="step 7"):
         fit_path(d, "lasso")
+
+
+def test_a_cycle_of_positive_moves_stalls_on_its_second_lap(monkeypatch):
+    """The same cycle through a drop and a re-join, with moves of positive
+    length, is refused on its second lap, at the seventh move, not after
+    some budget of moves."""
+    d = _cycle_through_a_drop_and_a_rejoin(monkeypatch, 1e-3)
+    with pytest.raises(StalledPath, match="step 7"):
+        fit_path(d, "lasso")
+
+
+def test_a_walk_through_more_than_8m_states_completes(monkeypatch):
+    """No move count bounds the walk.  On the 4 x 4 identity design the
+    scripted scans fill the active set, then flip one sign at a time along
+    the cyclic 4-bit Gray code: a drop of the variable, then its re-join
+    with the other sign.  A Gray code flips each bit from each code at most
+    once, so the 16 drops shrink the set to 16 different states, and the
+    walk completes after 4 + 2 * 16 = 36 > 8 m moves."""
+    flips = [(t & -t).bit_length() - 1 for t in range(1, 16)] + [3]
+    signs = [1, 1, 1, 1]
+    events = [("join", 1, 1), ("join", 2, 1), ("join", 3, 1)]
+    for j in flips:
+        signs[j] = -signs[j]
+        events += [("drop", j), ("join", j, signs[j])]
+    # A lasso move always scans for drops, and for joins only below a full
+    # set: the drop scan takes each move's event, the join scan only reads
+    # it.  ``order`` is the active set in factor order, for drop positions.
+    order = [0]
+
+    def scripted_join(c, C_hat, A, a, cand_idx, *rest):
+        if events and events[0][0] == "join":
+            _, j, s = events[0]
+            return 1e-3, j, s, 1
+        return None
+
+    def scripted_drop(beta_active, direction, floor):
+        if not events:
+            return np.inf, None
+        event = events.pop(0)
+        if event[0] == "join":
+            order.append(event[1])
+            return np.inf, None
+        pos = order.index(event[1])
+        order.pop(pos)
+        return 1e-3, pos
+
+    monkeypatch.setattr(core, "_scan_join", scripted_join)
+    monkeypatch.setattr(core, "_scan_drop", scripted_drop)
+    d = from_unit_columns(np.eye(4), np.array([4.0, 3.0, 2.0, 1.0]))
+    path = fit_path(d, "lasso")
+    assert path.n_steps == 36 > 8 * 4
+    assert events == []
+    shrunk = [(tuple(s.active_after), s.signs_after)
+              for s in path.steps[1:] if s.action == "drop"]
+    assert len(shrunk) == 16
+    assert len({frozenset(zip(*state)) for state in shrunk}) == 16
 
 
 # ----------------------------------------------------------- wide problems
@@ -420,9 +487,9 @@ def test_gram_products_match_dense(shape):
 
 def _assert_active_set_is(active, gram, X, model):
     """``active`` holds the variables and signs of ``model`` ([(variable,
-    sign)] in factor order): its variables, signs, inactive mask and
-    carried block equal a fresh gather from ``gram.rows``, and its factor
-    that of the signed Gram block of the design ``X``."""
+    sign)] in factor order): its variables, signs, inactive mask, signed
+    state and carried block equal a fresh gather from ``gram.rows``, and
+    its factor that of the signed Gram block of the design ``X``."""
     idx = np.array([j for j, _ in model], dtype=int)
     s = np.array([sign for _, sign in model], dtype=float)
     k = idx.size
@@ -432,6 +499,10 @@ def _assert_active_set_is(active, gram, X, model):
     inactive = np.ones(X.shape[1], dtype=bool)
     inactive[idx] = False
     assert np.array_equal(active.inactive, inactive)
+    state = np.zeros(X.shape[1], dtype=np.int8)
+    state[idx] = s
+    assert active.state.dtype == np.int8
+    assert np.array_equal(active.state, state)
     assert np.array_equal(active.block, gram.rows[idx])
     signed = np.outer(s, s) * (X[:, idx].T @ X[:, idx])
     upper = np.triu_indices(k)
@@ -754,11 +825,6 @@ def test_path_matches_dense_reference_factor(monkeypatch, shape, seed):
     ])
 
 
-def test_max_steps_budget(design):
-    with pytest.raises(MaxStepsExceeded):
-        fit_path(design, "lars", max_steps=3)
-
-
 def _assert_prefix(part, full, k):
     """``part`` is the first k moves of ``full``: equal step fields and
     equal coefficient bytes."""
@@ -939,6 +1005,16 @@ def test_export_surface():
         assert not hasattr(larspath.linalg, name), name
     for module in (larspath, larspath.errors):
         assert not hasattr(module, "EmptyFace"), module
+    # One rule ends a walk that cannot finish: no move budget, and no
+    # error for exceeding one.  The bundled data's design is built by the
+    # caller.
+    for module in (larspath, larspath.errors):
+        assert not hasattr(module, "MaxStepsExceeded"), module
+    for module in (larspath, larspath.datasets):
+        assert not hasattr(module, "diabetes_design"), module
+    assert not {"MaxStepsExceeded", "diabetes_design"} & set(names)
+    assert len(names) == 42
+    assert "max_steps" not in inspect.signature(fit_path).parameters
     assert not hasattr(larspath.StandardizedDesign, "gram")
     # A path holds its vertices one way, as columns, and interpolation
     # makes one search.

@@ -327,8 +327,6 @@ def test_hybrid_r2_refuses_a_step_that_is_not_an_integer(diabetes_paths, k):
 @pytest.mark.parametrize("name, call", [
     ("stop_after", lambda d, p, X, y: fit_path(d, "lars", stop_after=1.5)),
     ("stop_after", lambda d, p, X, y: fit_path(d, "lars", stop_after=-1)),
-    ("max_steps", lambda d, p, X, y: fit_path(d, "lars", max_steps=2.5)),
-    ("max_steps", lambda d, p, X, y: fit_path(d, "lasso", max_steps=-1)),
     ("k_max", lambda d, p, X, y: forward_selection(d, 2.0)),
     ("k", lambda d, p, X, y: main_effects_first(d, p, 2.0, X[:, :3] * X[:, 3:6])),
     ("k_max", lambda d, p, X, y: lars_fitted_values(d, 2.5)),
@@ -344,9 +342,8 @@ def test_hybrid_r2_refuses_a_step_that_is_not_an_integer(diabetes_paths, k):
     ("seed", lambda d, p, X, y: lasso_df_by_support(d, B=4, groups=2, seed="a")),
     ("seed", lambda d, p, X, y: run_simulation_study(
         X, y, seed=-1, replications=2, n_steps=2)),
-], ids=["stop_after=1.5", "stop_after=-1", "max_steps=2.5", "max_steps=-1",
-        "forward_selection", "main_effects_first", "lars_fitted_values=2.5",
-        "lars_fitted_values=-1", "simulation_n_steps", "simulation_replications",
+], ids=["stop_after=1.5", "stop_after=-1", "forward_selection",
+        "main_effects_first", "lars_fitted_values=2.5", "lars_fitted_values=-1", "simulation_n_steps", "simulation_replications",
         "simulation_binary_column", "quadratic_expand", "bootstrap_seed=-1", "df_by_support_seed=1.5", "df_by_support_seed=str",
         "simulation_seed=-1"])
 def test_count_and_position_arguments_must_be_integers(design, diabetes_paths,

@@ -179,6 +179,8 @@ def test_standardize_shape_errors():
         standardize(X[:1], np.zeros(1))
     with pytest.raises(DimensionMismatch):
         standardize(X, np.zeros(20), names=("a", "b"))
+    with pytest.raises(DimensionMismatch, match="raw_columns must be 2-D"):
+        standardize(np.ones(5), np.zeros(5))
 
 
 def test_original_units_round_trip():
