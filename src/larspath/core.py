@@ -25,8 +25,9 @@ primitives, which the tests exercise directly:
 * ``_direction``: equiangular weights of the signed active columns, and
   under ``cone`` the Lawson-Hanson face of the active sign cone;
 * ``_scan_join``: the smallest distance at which a candidate ties the
-  envelope;
-* ``_scan_drop``: the first active coefficient to cross zero;
+  envelope, on both sign branches at once, in whole-array NumPy calls;
+* ``_scan_drop``: the first active coefficient to cross zero, found in
+  Python floats among the few entries whose signs let them cross;
 * ``_next_event``: arbitration between join, drop and the final move.
 
 Numerical conventions that the step counts depend on:
@@ -131,9 +132,6 @@ TIE_RTOL = 1e-12
 
 # Denominators below this are treated as exactly parallel to the envelope.
 PARALLEL_TOL = 1e-14
-
-# Signs of the join scan's two branches, one row each.
-_BRANCH_SIGNS = np.array([[1.0], [-1.0]])
 
 
 class _BudgetTable(NamedTuple):
@@ -449,17 +447,21 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_vars, left_signs, positive, tie_to
     ``_max_active`` <= m variables are active.  Returns ``(gamma, variable,
     sign, n_tied)`` or None when nothing ties.
     """
-    # Row 0 is the positive sign branch; row 1, the negative branch (absent
-    # for the positive variant), sees -c and -a.
-    branches = _BRANCH_SIGNS[:1] if positive else _BRANCH_SIGNS
-    num = branches * c[cand_idx]
-    np.subtract(C_hat, num, out=num)
-    den = branches * a[cand_idx]
-    np.subtract(A, den, out=den)
+    c_cand, a_cand = c[cand_idx], a[cand_idx]
+    # Row 0 is the positive sign branch; row 1, absent for the positive
+    # variant, the negative one, whose C_hat + c is C_hat - (-c) bit for bit.
+    shape = (1 if positive else 2, cand_idx.size)
+    num, den = np.empty(shape), np.empty(shape)
+    np.subtract(C_hat, c_cand, out=num[0])
+    np.subtract(A, a_cand, out=den[0])
+    if not positive:
+        np.add(C_hat, c_cand, out=num[1])
+        np.add(A, a_cand, out=den[1])
     gap = num > tie_tol
-    r = np.full(num.shape, np.inf)
+    r = np.empty(shape)
+    r.fill(math.inf)
     np.divide(num, den, out=r, where=gap & (den > PARALLEL_TOL))
-    if not gap.all():
+    if not gap.item(gap.argmin()):
         # Tied now: no gap, and the candidate is not falling behind.
         r[(np.abs(num) <= tie_tol) & (den >= -PARALLEL_TOL)] = 0.0
     if left_vars.size:
@@ -467,41 +469,46 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_vars, left_signs, positive, tie_to
         # which the positive variant does not scan.
         for var, s in zip(left_vars.tolist(), left_signs.tolist()):
             if s > 0 or not positive:
-                r[int(s < 0), int(cand_idx.searchsorted(var))] = np.inf
+                r[int(s < 0), int(cand_idx.searchsorted(var))] = math.inf
     best = r[0] if positive else np.minimum(r[0], r[1])
 
     p = int(best.argmin())
-    gmin = best[p]
-    if not gmin < np.inf:
+    gmin = best.item(p)
+    if not gmin < math.inf:
         return None
     # (best - gmin) * A rises with best, so another candidate ties only if
     # the runner-up does; only then are the ties counted and the lowest
     # tied index taken.
-    best[p] = np.inf
-    runner_up = np.minimum.reduce(best)
+    best[p] = math.inf
+    runner_up = best.item(best.argmin())
     best[p] = gmin
     n_tied = 1
     if (runner_up - gmin) * A <= tie_tol:
         tied = (best - gmin) * A <= tie_tol
         p = int(tied.argmax())
         n_tied = int(np.count_nonzero(tied))
-    sign = 1 if positive or r[0, p] <= r[1, p] else -1
-    return float(best[p]), int(cand_idx[p]), sign, n_tied
+    sign = 1 if positive or r.item(0, p) <= r.item(1, p) else -1
+    return best.item(p), cand_idx.item(p), sign, n_tied
 
 
 def _scan_drop(beta_active, direction, floor):
     """First active coefficient to cross zero along the move direction.
 
-    Entries whose direction is zero never cross, and are masked before the
-    division rather than divided and discarded.
+    Entry i crosses at -b_i / d_i > 0 only when b_i and d_i are nonzero and
+    of opposite signs, so ``(b < 0) != (d < 0)`` selects every entry that
+    can cross; a test b_i d_i < 0 would miss tiny entries, whose product
+    underflows to -0.0.  The selected entries, usually few, are divided in
+    Python floats, as NumPy divides; zero rates never cross, and the first
+    smallest distance above ``floor`` wins.
     """
-    r = np.full(direction.size, np.inf)
-    np.divide(-beta_active, direction, out=r, where=direction != 0.0)
-    r = np.where(r > floor, r, np.inf)
-    p = int(r.argmin())
-    if r[p] == np.inf:
-        return np.inf, None
-    return float(r[p]), p
+    gamma, p = math.inf, None
+    for i in ((beta_active < 0) != (direction < 0)).nonzero()[0].tolist():
+        d = direction.item(i)
+        if d:
+            r = -beta_active.item(i) / d
+            if floor < r < gamma:
+                gamma, p = r, i
+    return gamma, p
 
 
 def _direction(factor, s_vec, cone):
@@ -517,13 +524,16 @@ def _direction(factor, s_vec, cone):
     ``sw`` covers them only.  ``retained`` is None when no projection was
     needed.
     """
-    g1 = solve_gram(factor, np.ones(s_vec.size))
+    # NumPy's ones, written in Python, takes twice as long as this fill.
+    ones = np.empty(s_vec.size)
+    ones.fill(1.0)
+    g1 = solve_gram(factor, ones)
     retained = None
     if cone and np.minimum.reduce(g1) <= 0.0:
         w_target = (1.0 / math.sqrt(np.add.reduce(g1))) * g1
         _, retained = nnls_inner_loop(factor, w_target)
         s_vec = s_vec[retained]
-        g1 = solve_gram(factor, np.ones(retained.size))
+        g1 = solve_gram(factor, ones[: retained.size])
     A = 1.0 / math.sqrt(np.add.reduce(g1))
     # g1 is the solve's own array: scaled in place into sw.
     g1 *= A

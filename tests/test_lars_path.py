@@ -13,6 +13,7 @@ import larspath
 from larspath import core
 from larspath.cli import cli_main
 from larspath.core import (
+    PARALLEL_TOL,
     TIE_RTOL,
     VARIANTS,
     Path,
@@ -231,6 +232,35 @@ def test_a_near_tie_takes_the_lower_index_though_the_higher_is_nearer():
     gamma, j, sign, n_tied = scan_leaving(values, {})
     assert (j, sign, n_tied) == (2, 1, 2)
     assert gamma == (1.0 - (0.5 - 1e-13)) / 0.5 > 1.0
+
+
+def test_two_branches_tied_at_one_distance_take_the_positive_sign():
+    """(1 - 0) / (1/2 - 0) and (1 + 0) / (1/2 + 0) are both 2: one
+    candidate, counted once, on the positive branch."""
+    assert scan_leaving({6: (0.0, 0.0)}, {}) == (2.0, 6, 1, 1)
+
+
+def test_no_gap_ties_at_once_unless_the_candidate_falls_behind():
+    """Variable 4 sits on the envelope (c = C_hat = 1).  A rate of -1e-15
+    against the envelope is parallel within ``PARALLEL_TOL``, so it ties at
+    distance 0; at -1e-13 it falls behind, and only its negative branch,
+    2 / (1 + 1e-13), is left."""
+    a = 0.5 + 1e-15
+    assert -PARALLEL_TOL < 0.5 - a < 0.0
+    assert scan_leaving({4: (1.0, a)}, {}) == (0.0, 4, 1, 1)
+    a = 0.5 + 1e-13
+    assert 0.5 - a < -PARALLEL_TOL
+    assert scan_leaving({4: (1.0, a)}, {}) == (2.0 / (0.5 + a), 4, -1, 1)
+
+
+def test_a_gap_over_a_parallel_rate_never_joins():
+    """A gap of 1/2 over a rate of 5e-15, below ``PARALLEL_TOL``, is no
+    crossing: the two-branch scan takes the negative branch, and the
+    positive variant finds nothing."""
+    a = 0.5 - 5e-15
+    assert 0.0 < 0.5 - a < PARALLEL_TOL
+    assert scan_leaving({4: (0.5, a)}, {}) == (1.5 / (0.5 + a), 4, -1, 1)
+    assert scan_leaving({4: (0.5, a)}, {}, positive=True) is None
 
 
 # ---------------------------------------------------------------- full walks

@@ -72,6 +72,22 @@ def test_drop_scan_skips_zero_rates_without_warning():
         assert _scan_drop(np.zeros(3), np.zeros(3), 0.0) == (np.inf, None)
 
 
+def test_drop_scan_ignores_a_crossing_at_the_floor():
+    """Crossings at 1 and 2: a floor of exactly 1 leaves the second, a floor
+    just below 1 the first.  Equal crossings take the lower position."""
+    beta, direction = np.array([1.0, 1.0]), np.array([-1.0, -0.5])
+    assert _scan_drop(beta, direction, 1.0) == (2.0, 1)
+    assert _scan_drop(beta, direction, np.nextafter(1.0, 0.0)) == (1.0, 0)
+    assert _scan_drop(np.array([1.0, 2.0]), np.array([-1.0, -2.0]), 0.0) == (1.0, 0)
+
+
+def test_drop_scan_finds_a_crossing_of_tiny_entries():
+    """1e-200 against a rate of -1e-200 crosses at 1, though the product
+    of the two underflows to -0.0."""
+    assert 1e-200 * -1e-200 == 0.0
+    assert _scan_drop(np.array([1e-200]), np.array([-1e-200]), 0.5) == (1.0, 0)
+
+
 def test_arbitration():
     assert _next_event(2.0, 3.0, np.inf) == (2.0, "join")
     assert _next_event(2.0, 3.0, 1.5) == (1.5, "drop")
