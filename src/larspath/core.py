@@ -32,19 +32,20 @@ primitives, which the tests exercise directly:
 
 Numerical conventions that the step counts depend on:
 
-* Correlations are recomputed exactly, c = X'y - G beta, after every move.
+* Correlations are recomputed exactly, c = X'y - G beta, at every vertex.
   Incremental correlation updates drift at the 1e-2 level on
   ill-conditioned quadratic designs and were observed to derail drop/join
-  ordering; exact recomputation removes the drift entirely.  It costs
-  O(m * k) per move from the materialized Gram matrix of a tall design and
-  O(n * m) through X on a wide one, the same order as the equiangular
-  products a = G[:, A] (s * w).  Both products read the active block of
-  G, for the rates and again for the refresh, because the support of a
-  lars, lasso or positive-lasso path lies in its active set; the block is
-  carried across moves with the active set (see ``_GramCache``).  A
-  stagewise support also holds the coefficients that cone projections
-  froze, so that variant refreshes over its sorted support with a gather
-  of its own.
+  ordering; exact recomputation removes the drift entirely.  The support
+  of a lars, lasso or positive-lasso path lies in its active set, so each
+  vertex is settled from the active block of G, which is carried across
+  moves with the active set (see ``_GramCache``).  A tall design refreshes
+  c there, O(m * k) from the materialized Gram matrix, and the next move
+  takes its rates a = G[:, A] (s * w) from the same block.  A wide design
+  keeps the fit X_A beta_A there, O(n * k), and the next move gets c and
+  a from one two-column product through X: one O(n * m) pass over X per
+  move.  A stagewise support also holds the coefficients that cone
+  projections froze, so that variant refreshes c over its sorted support
+  with a gather of its own, on either shape.
 * A variable that leaves the active set at the current vertex (coefficient
   sign crossing, or cone projection under the stagewise variant) sits
   exactly on the correlation envelope.  Its same-sign join ratio is 0/0 and
@@ -307,14 +308,25 @@ def _record_path(variant, design, C_max0, rss0, moves, betas):
 
 class _GramCache:
     """Products with G = X'X, read from ``rows``, a table with one row per
-    variable: the one place that knows whether a design is tall or wide.
+    variable, and the fit at the walk's vertex: the one place that knows
+    whether a design is tall or wide.
 
     On a tall design (n >= m) ``rows`` is G, whose rows equal its columns,
     so a product with the columns ``indices`` of G reads the contiguous
     rows ``rows[indices]``.  A wide design never forms G: ``rows`` is the
-    view ``X'``, and ``_X`` finishes each product, two passes over X, O(n m)
-    per move as in the paper's cost argument.  The walk carries its active
-    set's rows across moves instead of gathering them (see ``_ActiveSet``).
+    view ``X'``, and ``_X`` finishes each product with a pass over X.  The
+    walk carries its active set's rows across moves instead of gathering
+    them (see ``_ActiveSet``).
+
+    From ``begin`` on, the cache also carries the fit at the walk's vertex.
+    A tall design carries the correlations c = X'y - G beta, refreshed at
+    each vertex from the active rows, O(m k), and ``rates`` reads the next
+    move's rates from the same rows.  A wide design carries mu = X_A beta_A
+    instead, O(n k) at each vertex, and ``rates`` gets c and the rates
+    together from one two-column product through X: one pass over X per
+    move, O(n m), as in the paper's cost argument.  ``correlation`` reads
+    one entry of c at the vertex, O(n) from mu.  A vertex settled over its
+    support (``settle_support``) carries c on both shapes.
     """
 
     def __init__(self, X):
@@ -325,6 +337,60 @@ class _GramCache:
         """``G[:, indices] @ weights`` from the ``rows`` of ``indices``."""
         out = weights @ rows
         return out if self._X is None else self._X.T @ out
+
+    def begin(self, c0, y_sq):
+        """Start a walk at beta = 0, from ``c0 = X'y`` and ``y_sq = y'y``."""
+        self._c0, self._y_sq = c0, y_sq
+        # The carried fit: c, or on a wide design mu once a vertex is
+        # settled from the active rows (then c is None).
+        self._c = c0
+        if self._X is not None:
+            # mu and X_A sw, the fused product's weights, as two rows.  The
+            # product is fastest when the C-ordered one of X and X' enters
+            # it as it lies: w X on a C-ordered X, X' w' on the F-ordered X
+            # of read_csv.  The other way round took over twice as long.
+            n = self._X.shape[0]
+            self._w = (np.empty((2, n)) if self._X.flags.c_contiguous
+                       else np.empty((n, 2)).T)
+
+    def settle(self, beta, block, beta_A):
+        """Carry the vertex ``beta``, whose support lies in the active set
+        (``block`` its rows, ``beta_A`` its coefficients in their order);
+        return its residual sum of squares."""
+        c0, y_sq = self._c0, self._y_sq
+        if self._X is None:
+            self._c = c = c0 - beta_A @ block
+            return y_sq - float((c0 + c) @ beta)
+        # |y - mu|^2 = y'y - 2 c0'beta + mu'mu, from this vertex alone.
+        self._c = None
+        self._mu = mu = beta_A @ block
+        return y_sq - 2.0 * float(c0 @ beta) + float(mu @ mu)
+
+    def settle_support(self, beta):
+        """Carry the vertex ``beta``, refreshed over its sorted support by
+        a gather of its own; return its residual sum of squares."""
+        c0 = self._c0
+        nz = beta.nonzero()[0]
+        b_nz = beta[nz]
+        self._c = c = c0 - self.stack(nz, b_nz)
+        return self._y_sq - float((c0[nz] + c[nz]) @ b_nz)
+
+    def correlation(self, j):
+        """``c[j]`` at the carried vertex."""
+        if self._c is not None:
+            return self._c[j]
+        return self._c0[j] - self.rows[j] @ self._mu
+
+    def rates(self, block, sw):
+        """``(c, a)`` at the carried vertex: its correlations, and the rates
+        ``a = G_A sw`` from the active set's rows ``block``."""
+        if self._c is not None:
+            return self._c, self.times(block, sw)
+        w = self._w
+        w[0] = self._mu
+        w[1] = sw @ block
+        both = w @ self._X if w.flags.c_contiguous else (self.rows @ w.T).T
+        return self._c0 - both[0], both[1]
 
     def stack(self, indices, weights):
         """``G[:, indices] @ weights``."""
@@ -541,15 +607,6 @@ def _direction(factor, s_vec, cone):
     return retained, A, g1
 
 
-def _refresh(gram, c0, y_sq, beta, block, beta_A):
-    """Correlations ``c = X'y - G beta`` and the residual sum of squares
-    after a move whose support lies in the active set: ``block`` is the
-    active set's Gram block, read already for the move's rates, and
-    ``beta_A`` the active coefficients in its order."""
-    c = c0 - gram.times(block, beta_A)
-    return c, y_sq - float((c0 + c) @ beta)
-
-
 def _envelope(c, idx):
     """Mean |c| over the variables ``idx``."""
     c_idx = c[idx]
@@ -599,10 +656,10 @@ def fit_path(design, variant="lars", *, stop_after=None):
     gram = _GramCache(X)
     active = _ActiveSet(gram, max_active)
     c0 = X.T @ y
-    c = c0.copy()
+    gram.begin(c0, y_sq)
     beta = np.zeros(m)
 
-    C0 = float(np.abs(c).max()) if m else 0.0
+    C0 = float(np.abs(c0).max()) if m else 0.0
     # Per move, the fields ``_record_path`` reads, and the vertex's beta.
     moves = []
     betas = [beta.copy()]
@@ -610,7 +667,7 @@ def fit_path(design, variant="lars", *, stop_after=None):
     # Cold start: highest absolute correlation (highest positive correlation
     # for the positive variant), ties to the lowest index; nothing to fit
     # when it is negligible against |y|.
-    score = c if positive else np.abs(c)
+    score = c0 if positive else np.abs(c0)
     top = float(score.max()) if m else 0.0
     if not top > ENVELOPE_RTOL * math.sqrt(y_sq):
         return _record_path(variant, design, C0, y_sq, moves, betas)
@@ -619,7 +676,7 @@ def fit_path(design, variant="lars", *, stop_after=None):
         warnings.warn(f"{tied.size} variables tie at the start; taking {int(tied[0])}",
                       TieWarning, stacklevel=2)
     j0 = int(tied[0])
-    s0 = 1 if (positive or c[j0] >= 0) else -1
+    s0 = 1 if (positive or c0[j0] >= 0) else -1
     # The next event: its action, variable, sign and, for a drop, the
     # variable's position in the active set.
     pending = ("add", j0, s0, None)
@@ -635,7 +692,7 @@ def fit_path(design, variant="lars", *, stop_after=None):
         # The walk ends once the correlations have vanished, read from the
         # event's variable, which ties the active ones, before the edit: a
         # column in the active span may join at that point.
-        if abs(c[event_var]) < C_floor:
+        if abs(gram.correlation(event_var)) < C_floor:
             break
         left_vars = left_signs = _NO_VARS
         proj = ()
@@ -643,15 +700,11 @@ def fit_path(design, variant="lars", *, stop_after=None):
             active.add(event_var, event_sign)
         else:
             left_vars, left_signs = active.drop(pos)
-        # The envelope is the mean |c| over the active set, computed once per
-        # move (again only after a cone projection).
-        C_hat = _envelope(c, active.idx)
 
         retained, A, sw = _direction(active.factor, active.signs, cone)
         if retained is not None:
             left_vars, left_signs = active.keep(retained)
             proj = tuple(sorted(left_vars.tolist()))
-            C_hat = _envelope(c, active.idx)
         if left_vars.size:
             state = active.state.tobytes()
             if state in shrunk:
@@ -660,14 +713,15 @@ def fit_path(design, variant="lars", *, stop_after=None):
             shrunk.add(state)
         act_idx = active.idx
         s_vec = active.signs
+        # The active block serves the correlations and the rates a = G_A sw
+        # here, and the vertex after the move.
+        block = active.block
+        c, a = gram.rates(block, sw)
+        C_hat = _envelope(c, act_idx)
 
         gamma_bar = C_hat / A
         floor = 1e-12 * gamma_bar
         tie_tol = TIE_RTOL * C_hat
-        # One active block serves the rates a = G_A sw here and the refresh
-        # after the move.
-        block = active.block
-        a = gram.times(block, sw)
 
         g_join = np.inf
         if act_idx.size < max_active:
@@ -692,15 +746,12 @@ def fit_path(design, variant="lars", *, stop_after=None):
         if cone:
             # A stagewise support also holds the variables projected out,
             # frozen at nonzero coefficients that the active block misses.
-            nz = beta.nonzero()[0]
-            b_nz = beta[nz]
-            c = c0 - gram.stack(nz, b_nz)
-            rss = y_sq - float((c0[nz] + c[nz]) @ b_nz)
+            rss = gram.settle_support(beta)
         else:
-            c, rss = _refresh(gram, c0, y_sq, beta, block, beta_A)
+            rss = gram.settle(beta, block, beta_A)
         moves.append((action, event_var, event_sign, act_idx.copy(),
                       s_vec.astype(np.int8), float(gamma), C_hat, float(A),
-                      float(rss), proj))
+                      rss, proj))
         betas.append(beta.copy())
         if event == "drop":
             pending = ("drop", int(act_idx[p_drop]), int(s_vec[p_drop]), p_drop)

@@ -2,15 +2,25 @@
 every variant, in full and with ``stop_after=3``, and with
 ``forward_selection``.
 
-    python tests/corpus.py --against <src dir> [--time] [--pairs N]
+    python tests/corpus.py --against <src dir> [--close] [--time] [--pairs N]
 
 imports this checkout's ``src/larspath`` and the ``larspath`` package under
 ``<src dir>`` (as ``larspath_against``) side by side, fits the corpus with
-both, and compares every fit: the ``betas`` bytes, every recorded column of
-the path, and for a fit that raises, the exception's type name and message.
-It prints each fit that differs with its first differing field, and exits
-1 if any does.  Both trees fit the same design objects, built by this
-checkout.
+both, and compares every fit.  Both trees fit the same design objects,
+built by this checkout.
+
+``exact`` (the default) compares the ``betas`` bytes, every recorded column
+of the path, and for a fit that raises, the exception's type name and
+message.  It prints each fit that differs with its first differing field,
+and exits 1 if any does.
+
+``--close`` compares to rounding, for a change that sums in another order.
+A fit passes when its events are equal (``EVENT_FIELDS``), or its refusal
+has the same type and message; when every beta is within ``CLOSE_RTOL`` of
+the largest |beta| of the two paths; and when each of ``VALUE_FIELDS`` is
+within ``CLOSE_RTOL`` of its column's largest magnitude.  It prints each
+fit that fails, and the worst deviation over the corpus, and exits 1 if
+any fit fails.
 
 ``--time`` then runs an interleaved A/B: on each timing design and variant,
 ``--pairs`` pairs of fits (31 by default), alternating which tree goes
@@ -22,6 +32,7 @@ over the other.  Run it with ``OPENBLAS_NUM_THREADS=1``.
 
 import argparse
 import importlib.util
+import math
 import statistics
 import sys
 import time
@@ -122,20 +133,31 @@ def _canonical(value):
     return value
 
 
-def outcome(fit, tree):
-    """What ``fit`` gives on ``tree``, by field: the variant, the ``betas``
-    bytes and every recorded column of the path, or the type name and
-    message of what it raised."""
+def result(fit, tree):
+    """The path that ``fit`` gives on ``tree``, or the exception it raised."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            path = fit(tree)
+            return fit(tree)
     except Exception as exc:  # a refusal, or any other failure, is compared
-        return {"raised": (type(exc).__name__, str(exc))}
-    fields = {"variant": path.variant, "betas": _canonical(path.betas)}
-    for name, column in path.steps.columns.items():
+        return exc
+
+
+def _exact(got):
+    """A :func:`result` by field, as ``exact`` compares it: the variant,
+    the ``betas`` bytes and every recorded column of the path, or the type
+    name and message of what was raised."""
+    if isinstance(got, Exception):
+        return {"raised": (type(got).__name__, str(got))}
+    fields = {"variant": got.variant, "betas": _canonical(got.betas)}
+    for name, column in got.steps.columns.items():
         fields[name] = _canonical(column)
     return fields
+
+
+def outcome(fit, tree):
+    """What ``fit`` gives on ``tree``, by field, as ``exact`` compares it."""
+    return _exact(result(fit, tree))
 
 
 def first_difference(ours, theirs):
@@ -145,6 +167,46 @@ def first_difference(ours, theirs):
         if ours.get(name) != theirs.get(name):
             return name
     return None
+
+
+# What ``close`` requires equal, and what it requires near.
+EVENT_FIELDS = ("action", "variable", "sign", "active_after", "signs_after",
+                "projection_dropped")
+VALUE_FIELDS = ("gamma", "C_max", "A", "rss", "T")
+CLOSE_RTOL = 1e-9
+
+
+def _deviation(ours, theirs):
+    """The largest |ours - theirs|, relative to the largest magnitude in
+    either: 0 when both are equal, inf when only the differences are
+    nonzero."""
+    ours, theirs = np.asarray(ours, dtype=float), np.asarray(theirs, dtype=float)
+    gap = float(np.abs(ours - theirs).max(initial=0.0))
+    scale = max(float(np.abs(ours).max(initial=0.0)),
+                float(np.abs(theirs).max(initial=0.0)))
+    return gap / scale if scale else (0.0 if gap == 0 else math.inf)
+
+
+def close_deviation(ours, theirs):
+    """How far apart two :func:`result` values are, as ``close`` sees them:
+    ``(field, deviation)``.  An event field (or ``raised``) that differs
+    gives ``(field, inf)``; otherwise the field of the largest
+    relative deviation among ``betas`` and ``VALUE_FIELDS``, and that
+    deviation (``(None, 0.0)`` for two equal refusals)."""
+    raised = isinstance(ours, Exception), isinstance(theirs, Exception)
+    if any(raised):
+        same = raised[0] and raised[1] and _exact(ours) == _exact(theirs)
+        return (None, 0.0) if same else ("raised", math.inf)
+    for name in EVENT_FIELDS:
+        if (_canonical(ours.steps.columns[name])
+                != _canonical(theirs.steps.columns[name])):
+            return name, math.inf
+    worst = "betas", _deviation(ours.betas, theirs.betas)
+    for name in VALUE_FIELDS:
+        deviation = _deviation(ours.steps.columns[name], theirs.steps.columns[name])
+        if deviation > worst[1]:
+            worst = name, deviation
+    return worst
 
 
 def load_tree(src):
@@ -159,28 +221,47 @@ def load_tree(src):
     return tree
 
 
-def compare(against):
-    """Fit the corpus with both trees; print each fit that differs and
-    return how many did."""
-    n_fits = n_changed = 0
+def compare(against, close=False):
+    """Fit the corpus with both trees; print each fit that differs (under
+    ``close``, each that fails, and the worst deviation) and return how
+    many did."""
+    n_fits = n_changed = n_failed = 0
+    worst = (0.0, None, None)
     for design_name, design in designs().items():
         for fit_name, fit in fits(design).items():
             n_fits += 1
-            ours, theirs = outcome(fit, larspath), outcome(fit, against)
-            name = first_difference(ours, theirs)
-            if name is not None:
-                n_changed += 1
+            ours, theirs = result(fit, larspath), result(fit, against)
+            name = first_difference(_exact(ours), _exact(theirs))
+            if name is None:
+                continue
+            n_changed += 1
+            if not close:
                 print(f"DIFFERS {design_name} {fit_name}: {name}")
+                continue
+            name, deviation = close_deviation(ours, theirs)
+            if deviation >= worst[0]:
+                worst = deviation, f"{design_name} {fit_name}", name
+            if not deviation <= CLOSE_RTOL:
+                n_failed += 1
+                print(f"FAILS {design_name} {fit_name}: {name} {deviation:.3g}")
     print(f"{n_fits - n_changed} of {n_fits} fits identical")
-    return n_changed
+    if not close:
+        return n_changed
+    print(f"{n_fits - n_failed} of {n_fits} fits within {CLOSE_RTOL:g}")
+    if worst[1] is not None:
+        print(f"worst deviation {worst[0]:.3g}: {worst[2]} of {worst[1]}")
+    return n_failed
 
 
 def timing_designs():
-    """Designs for the A/B: the paper's data, and a tall and a wide
-    Gaussian design."""
+    """Designs for the A/B: the paper's data, a tall and a wide Gaussian
+    design, and the wide one again in Fortran order, the layout of a
+    design read from a CSV file."""
+    X, y = _gaussian(100, 1000, 13)
     return {**_diabetes(),
             "tall2000x200": standardize(*_gaussian(2000, 200, 11)),
-            "wide100x1000": standardize(*_gaussian(100, 1000, 13))}
+            "wide100x1000": standardize(X, y),
+            "wide100x1000F": standardize(np.asfortranarray(X), y)}
 
 
 def time_ab(against, pairs):
@@ -210,16 +291,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True,
                         help="directory holding the larspath package to compare with")
+    parser.add_argument("--close", action="store_true",
+                        help="compare to rounding (events equal, values within "
+                             f"{CLOSE_RTOL:g} of their scale) instead of by bytes")
     parser.add_argument("--time", action="store_true",
                         help="also run the interleaved timing A/B")
     parser.add_argument("--pairs", type=int, default=31,
                         help="pairs of fits per design and variant in the A/B")
     args = parser.parse_args(argv)
     against = load_tree(args.against)
-    n_changed = compare(against)
+    n_bad = compare(against, args.close)
     if args.time:
         time_ab(against, args.pairs)
-    return 1 if n_changed else 0
+    return 1 if n_bad else 0
 
 
 if __name__ == "__main__":

@@ -515,6 +515,40 @@ def test_gram_products_match_dense(shape):
         assert np.allclose(got, G[:, idx] @ v, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(20, 50), (50, 20)])
+def test_carried_vertex_gives_correlations_rates_and_rss(shape, order):
+    """Whatever the cache carries for a vertex (c on a tall design, X_A
+    beta_A on a wide one, c over the support), ``correlation``, ``rates``
+    and the rss returned match the dense c = X'y - X'X beta, a = X'X_A sw
+    and |y - X beta|^2, in either memory order of X."""
+    r = np.random.default_rng(shape[0])
+    X = np.asarray(r.normal(size=shape), order=order)
+    y = r.normal(size=shape[0])
+    G, c0, m = X.T @ X, X.T @ y, shape[1]
+    gram = _GramCache(X)
+    gram.begin(c0, float(y @ y))
+    active = _ActiveSet(gram, 6)
+    for j in (4, 0, 17, 9):
+        active.add(j, 1)
+    idx, block = active.idx, active.block
+    sw = r.normal(size=idx.size)
+    for settle in ("begin", "settle", "settle_support"):
+        beta = np.zeros(m)
+        if settle != "begin":
+            beta[idx] = r.normal(size=idx.size)
+            rss = (gram.settle(beta, block, beta[idx]) if settle == "settle"
+                   else gram.settle_support(beta))
+            assert math.isclose(rss, float(np.sum((y - X @ beta) ** 2)), rel_tol=1e-12)
+        want = c0 - G @ beta
+        for j in (3, 9):
+            assert math.isclose(gram.correlation(j), want[j], rel_tol=1e-12,
+                                abs_tol=1e-12 * np.abs(c0).max())
+        c, a = gram.rates(block, sw)
+        assert np.allclose(c, want, rtol=1e-12, atol=1e-12 * np.abs(c0).max())
+        assert np.allclose(a, G[:, idx] @ sw, rtol=1e-12, atol=1e-12)
+
+
 def _assert_active_set_is(active, gram, X, model):
     """``active`` holds the variables and signs of ``model`` ([(variable,
     sign)] in factor order): its variables, signs, inactive mask, signed
@@ -696,25 +730,29 @@ def test_materialized_gram_path_matches_products_through_x(monkeypatch):
     _assert_same_paths_under(monkeypatch, designs, [(_GramCache, "__init__", through_x)])
 
 
-def _refresh_over_support(gram, c0, y_sq, beta, block, beta_A):
-    """The correlation refresh as a product of its own, gathered over the
-    sorted support rather than read from the active block."""
+def _settle_over_support(gram, beta, block, beta_A):
+    """The vertex refreshed by a product of its own, gathered over the
+    sorted support rather than read from the active block, with c carried
+    on either shape: the next move's rates are then a separate product."""
     nz = beta.nonzero()[0]
     b_nz = beta[nz]
-    c = c0 - gram.stack(nz, b_nz)
-    return c, y_sq - float((c0[nz] + c[nz]) @ b_nz)
+    c0 = gram._c0
+    gram._c = c = c0 - gram.stack(nz, b_nz)
+    return gram._y_sq - float((c0[nz] + c[nz]) @ b_nz)
 
 
 @pytest.mark.parametrize("shape, seed", [((120, 40), 1300), ((30, 80), 1400)])
 def test_refresh_from_the_active_block_matches_a_separate_product(monkeypatch,
                                                                   shape, seed):
-    """The walk refreshes the correlations from the Gram block it gathered
-    for the move's rates; a separate gather and product over the sorted
-    support gives the same events and, to rounding, the same vertices
-    (30 tall, 30 wide designs)."""
+    """The walk settles each vertex from the active block that the move's
+    rates read: c on a tall design, and on a wide one X_A beta_A, from
+    which the next move's one product gives c and the rates together.  A
+    separate gather and product over the sorted support, and the rates as
+    a product of their own, give the same events and, to rounding, the same
+    vertices (30 tall, 30 wide designs)."""
     designs = [random_design(*shape, seed + i) for i in range(30)]
     _assert_same_paths_under(monkeypatch, designs,
-                             [(core, "_refresh", _refresh_over_support)])
+                             [(_GramCache, "settle", _settle_over_support)])
 
 
 def _regathered(edit, calls):
@@ -885,6 +923,42 @@ def test_stop_after_truncates(design, diabetes_paths, quad_design, quad_paths):
         assert ks
         for k in ks:
             _assert_prefix(fit_path(quad_design, variant, stop_after=k), full, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stop_after_truncates_a_wide_walk(seed):
+    """On a wide design each vertex is settled from its own fit X_A beta_A,
+    and the next move's correlations come from a product at that move, so
+    ``stop_after=k`` still gives the bit-exact first k moves at every k."""
+    d = random_design(30, 80, seed)
+    for variant in ("lars", "lasso", "positive-lasso"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TieWarning)
+            full = fit_path(d, variant)
+            for k in range(full.n_steps + 1):
+                _assert_prefix(fit_path(d, variant, stop_after=k), full, k)
+
+
+@pytest.mark.parametrize("shape, seed, variants", [
+    ((30, 80), 2900, VARIANTS),
+    ((100, 1000), 2910, ("lars", "lasso", "positive-lasso")),
+])
+def test_fortran_and_c_ordered_copies_of_a_wide_design_agree(shape, seed, variants):
+    """A design read from a CSV file holds X in Fortran order.  Its products
+    may sum in another order than those of a C-ordered copy, but the walk
+    takes the same events, and its vertices agree to rounding.  (A stagewise
+    walk of about 850 moves on 100 x 1000 reaches the rounding noise near
+    its end, where the two copies part.)"""
+    r = np.random.default_rng(seed)
+    X = r.normal(size=shape)
+    y = X @ r.normal(size=shape[1]) + r.normal(size=shape[0])
+    d_c, d_f = standardize(X, y), standardize(np.asfortranarray(X), y)
+    assert d_c.columns.flags.c_contiguous and d_f.columns.flags.f_contiguous
+    for variant in variants:
+        ev_c, b_c = _events_and_vertices(d_c, variant)
+        ev_f, b_f = _events_and_vertices(d_f, variant)
+        assert ev_c == ev_f, variant
+        assert np.abs(b_c - b_f).max() <= 1e-9 * np.abs(b_c).max(), variant
 
 
 @pytest.mark.parametrize("seed", [1, 5])
