@@ -35,17 +35,17 @@ Numerical conventions that the step counts depend on:
 * Correlations are recomputed exactly, c = X'y - G beta, at every vertex.
   Incremental correlation updates drift at the 1e-2 level on
   ill-conditioned quadratic designs and were observed to derail drop/join
-  ordering; exact recomputation removes the drift entirely.  The support
-  of a lars, lasso or positive-lasso path lies in its active set, so each
-  vertex is settled from the active block of G, which is carried across
-  moves with the active set (see ``_GramCache``).  A tall design refreshes
-  c there, O(m * k) from the materialized Gram matrix, and the next move
-  takes its rates a = G[:, A] (s * w) from the same block.  A wide design
-  keeps the fit X_A beta_A there, O(n * k), and the next move gets c and
-  a from one two-column product through X: one O(n * m) pass over X per
-  move.  A stagewise support also holds the coefficients that cone
-  projections froze, so that variant refreshes c over its sorted support
-  with a gather of its own, on either shape.
+  ordering; exact recomputation removes the drift entirely.  Each vertex
+  is settled from its whole support as a row sum (see ``_GramCache``):
+  over the active block, which is carried across moves with the active
+  set, for lars, lasso and positive-lasso, whose support lies in the
+  active set; over the sorted support for stagewise, whose support also
+  holds the coefficients that cone projections froze.  Every variant
+  carries one fit per shape.  A tall design refreshes c, O(m * k) from
+  the materialized Gram matrix, and the next move takes its rates
+  a = G[:, A] (s * w) from the active block.  A wide design keeps the fit
+  X beta, O(n * k), and the next move gets c and a from one two-column
+  product through X: one O(n * m) pass over X per move.
 * A variable that leaves the active set at the current vertex (coefficient
   sign crossing, or cone projection under the stagewise variant) sits
   exactly on the correlation envelope.  Its same-sign join ratio is 0/0 and
@@ -318,15 +318,15 @@ class _GramCache:
     walk carries its active set's rows across moves instead of gathering
     them (see ``_ActiveSet``).
 
-    From ``begin`` on, the cache also carries the fit at the walk's vertex.
-    A tall design carries the correlations c = X'y - G beta, refreshed at
-    each vertex from the active rows, O(m k), and ``rates`` reads the next
-    move's rates from the same rows.  A wide design carries mu = X_A beta_A
-    instead, O(n k) at each vertex, and ``rates`` gets c and the rates
-    together from one two-column product through X: one pass over X per
-    move, O(n m), as in the paper's cost argument.  ``correlation`` reads
-    one entry of c at the vertex, O(n) from mu.  A vertex settled over its
-    support (``settle_support``) carries c on both shapes.
+    From ``begin`` on, the cache carries the fit at the walk's vertex, one
+    per shape for every variant, settled from a row sum over a set that
+    holds beta's support (``beta_A @ block``, or ``stack``).  On a tall
+    design the sum is G beta and the cache carries c = X'y - G beta, O(m);
+    ``rates`` reads the next move's rates from the active rows.  On a wide
+    one the sum is mu = X beta, which the cache carries; ``rates`` gets c
+    and the rates from one two-column product through X, one pass over X
+    per move as in the paper's cost argument, and ``correlation`` reads
+    one entry of c, O(n) from mu.
     """
 
     def __init__(self, X):
@@ -341,51 +341,41 @@ class _GramCache:
     def begin(self, c0, y_sq):
         """Start a walk at beta = 0, from ``c0 = X'y`` and ``y_sq = y'y``."""
         self._c0, self._y_sq = c0, y_sq
-        # The carried fit: c, or on a wide design mu once a vertex is
-        # settled from the active rows (then c is None).
-        self._c = c0
-        if self._X is not None:
-            # mu and X_A sw, the fused product's weights, as two rows.  The
-            # product is fastest when the C-ordered one of X and X' enters
-            # it as it lies: w X on a C-ordered X, X' w' on the F-ordered X
-            # of read_csv.  The other way round took over twice as long.
-            n = self._X.shape[0]
-            self._w = (np.empty((2, n)) if self._X.flags.c_contiguous
-                       else np.empty((n, 2)).T)
+        if self._X is None:
+            self._c = c0
+            return
+        n = self._X.shape[0]
+        self._mu = np.zeros(n)
+        # mu and X_A sw, the fused product's weights, as two rows.  The
+        # product is fastest when the C-ordered one of X and X' enters it as
+        # it lies: w X on a C-ordered X, X' w' on the F-ordered X of
+        # read_csv.  The other way round took over twice as long.
+        self._w = (np.empty((2, n)) if self._X.flags.c_contiguous
+                   else np.empty((n, 2)).T)
 
-    def settle(self, beta, block, beta_A):
-        """Carry the vertex ``beta``, whose support lies in the active set
-        (``block`` its rows, ``beta_A`` its coefficients in their order);
-        return its residual sum of squares."""
+    def settle(self, beta, product):
+        """Carry the vertex ``beta`` from ``product``, the rows of a set
+        that holds its support, each weighted by its coefficient; return
+        its residual sum of squares."""
         c0, y_sq = self._c0, self._y_sq
         if self._X is None:
-            self._c = c = c0 - beta_A @ block
+            self._c = c = c0 - product
             return y_sq - float((c0 + c) @ beta)
         # |y - mu|^2 = y'y - 2 c0'beta + mu'mu, from this vertex alone.
-        self._c = None
-        self._mu = mu = beta_A @ block
-        return y_sq - 2.0 * float(c0 @ beta) + float(mu @ mu)
-
-    def settle_support(self, beta):
-        """Carry the vertex ``beta``, refreshed over its sorted support by
-        a gather of its own; return its residual sum of squares."""
-        c0 = self._c0
-        nz = beta.nonzero()[0]
-        b_nz = beta[nz]
-        self._c = c = c0 - self.stack(nz, b_nz)
-        return self._y_sq - float((c0[nz] + c[nz]) @ b_nz)
+        self._mu = product
+        return y_sq - 2.0 * float(c0 @ beta) + float(product @ product)
 
     def correlation(self, j):
         """``c[j]`` at the carried vertex."""
-        if self._c is not None:
+        if self._X is None:
             return self._c[j]
         return self._c0[j] - self.rows[j] @ self._mu
 
     def rates(self, block, sw):
         """``(c, a)`` at the carried vertex: its correlations, and the rates
         ``a = G_A sw`` from the active set's rows ``block``."""
-        if self._c is not None:
-            return self._c, self.times(block, sw)
+        if self._X is None:
+            return self._c, sw @ block
         w = self._w
         w[0] = self._mu
         w[1] = sw @ block
@@ -393,8 +383,9 @@ class _GramCache:
         return self._c0 - both[0], both[1]
 
     def stack(self, indices, weights):
-        """``G[:, indices] @ weights``."""
-        return self.times(self.rows[indices], weights)
+        """``weights @ rows[indices]``: G[:, indices] @ weights on a tall
+        design, X[:, indices] @ weights on a wide one."""
+        return weights @ self.rows[indices]
 
     def cross(self, rows, k, idx, j):
         """``G[idx, j]`` and ``G[j, j]``, where the first k of ``rows`` are
@@ -746,9 +737,10 @@ def fit_path(design, variant="lars", *, stop_after=None):
         if cone:
             # A stagewise support also holds the variables projected out,
             # frozen at nonzero coefficients that the active block misses.
-            rss = gram.settle_support(beta)
+            nz = beta.nonzero()[0]
+            rss = gram.settle(beta, gram.stack(nz, beta[nz]))
         else:
-            rss = gram.settle(beta, block, beta_A)
+            rss = gram.settle(beta, beta_A @ block)
         moves.append((action, event_var, event_sign, act_idx.copy(),
                       s_vec.astype(np.int8), float(gamma), C_hat, float(A),
                       rss, proj))

@@ -6,6 +6,7 @@ import numpy as np
 
 from .core import (ENVELOPE_RTOL, _ActiveSet, _GramCache, _move_count,
                    _record_path, _response_sq)
+from .errors import DegenerateColumn
 from .linalg import solve_gram
 
 __all__ = ["forward_selection"]
@@ -20,7 +21,10 @@ def forward_selection(design, k_max):
     placeholders since the walk is not piecewise linear.  ``k_max`` may
     not exceed the number of variables a walk can hold.  The rounds stop
     early when the largest correlation is not above ``ENVELOPE_RTOL`` times
-    its value before the first round, the walk's relative floor.
+    its value before the first round, the walk's relative floor, or when
+    the pick, the column with the largest |c| left, depends numerically on
+    the selected columns: its append raises :class:`DegenerateColumn`,
+    which leaves the selection as it was.
     """
     X, y, m = design.columns, design.response, design.m
     k_max = _move_count(design, k_max, "k_max")
@@ -41,8 +45,10 @@ def forward_selection(design, k_max):
         j = int(np.argmax(c_abs))
         if not c_abs[j] > ENVELOPE_RTOL * C0:
             break
-        # Signs +1 leave the cross products exact.
-        active.add(j, 1)
+        try:
+            active.add(j, 1)  # Signs +1 leave the cross products exact.
+        except DegenerateColumn:
+            break
         sel = active.idx.copy()
         coef = solve_gram(active.factor, c0[sel])
         # Zero (of either sign) counts as positive.

@@ -481,8 +481,9 @@ def test_gram_products_match_dense(shape):
     """Through X (n < m) or from the materialized Gram (n >= m), the Gram
     products equal the dense X'X ones: ``cross`` from a table of rows,
     each add's cross products with the carried active set and its squared
-    norm, products with the carried block, and products with any gathered
-    block."""
+    norm, and products with the carried block.  ``stack`` sums the rows of
+    any set with weights: G[:, idx] v on a tall design, X[:, idx] v on a
+    wide one."""
     r = np.random.default_rng(shape[1])
     X = r.normal(size=shape)
     G = X.T @ X
@@ -511,17 +512,20 @@ def test_gram_products_match_dense(shape):
         idx = np.array(idx, dtype=int)
         v = r.normal(size=idx.size)
         got = gram.stack(idx, v)
-        assert got.shape == (shape[1],)
-        assert np.allclose(got, G[:, idx] @ v, rtol=1e-12, atol=1e-12)
+        want = G[:, idx] @ v if shape[0] >= shape[1] else X[:, idx] @ v
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)])
 def test_carried_vertex_gives_correlations_rates_and_rss(shape, order):
-    """Whatever the cache carries for a vertex (c on a tall design, X_A
-    beta_A on a wide one, c over the support), ``correlation``, ``rates``
-    and the rss returned match the dense c = X'y - X'X beta, a = X'X_A sw
-    and |y - X beta|^2, in either memory order of X."""
+    """Whatever the cache carries for a vertex (c on a tall design, X beta
+    on a wide one), settled from the active block or from a ``stack`` over
+    a support larger than the active set, as a stagewise walk's frozen
+    coefficients make it, ``correlation``, ``rates`` and the rss returned
+    match the dense c = X'y - X'X beta, a = X'X_A sw and |y - X beta|^2, in
+    either memory order of X."""
     r = np.random.default_rng(shape[0])
     X = np.asarray(r.normal(size=shape), order=order)
     y = r.normal(size=shape[0])
@@ -533,12 +537,17 @@ def test_carried_vertex_gives_correlations_rates_and_rss(shape, order):
         active.add(j, 1)
     idx, block = active.idx, active.block
     sw = r.normal(size=idx.size)
-    for settle in ("begin", "settle", "settle_support"):
+    for settle in ("begin", "block", "stack"):
         beta = np.zeros(m)
         if settle != "begin":
             beta[idx] = r.normal(size=idx.size)
-            rss = (gram.settle(beta, block, beta[idx]) if settle == "settle"
-                   else gram.settle_support(beta))
+            if settle == "block":
+                rss = gram.settle(beta, beta[idx] @ block)
+            else:
+                # Frozen coefficients outside the active set.
+                beta[[2, 11, m - 1]] = r.normal(size=3)
+                nz = beta.nonzero()[0]
+                rss = gram.settle(beta, gram.stack(nz, beta[nz]))
             assert math.isclose(rss, float(np.sum((y - X @ beta) ** 2)), rel_tol=1e-12)
         want = c0 - G @ beta
         for j in (3, 9):
@@ -730,29 +739,39 @@ def test_materialized_gram_path_matches_products_through_x(monkeypatch):
     _assert_same_paths_under(monkeypatch, designs, [(_GramCache, "__init__", through_x)])
 
 
-def _settle_over_support(gram, beta, block, beta_A):
-    """The vertex refreshed by a product of its own, gathered over the
-    sorted support rather than read from the active block, with c carried
-    on either shape: the next move's rates are then a separate product."""
-    nz = beta.nonzero()[0]
-    b_nz = beta[nz]
+def _settle_apart(gram, beta, product):
+    """The vertex ``beta`` kept as c = X'y - X'(X beta), a product of its
+    own over the whole design (through the materialized G on a tall
+    design), whatever ``product`` the walk settles it from."""
     c0 = gram._c0
-    gram._c = c = c0 - gram.stack(nz, b_nz)
-    return gram._y_sq - float((c0[nz] + c[nz]) @ b_nz)
+    gram._c_apart = c = c0 - gram.times(gram.rows, beta)
+    return gram._y_sq - float((c0 + c) @ beta)
+
+
+def _correlation_apart(gram, j):
+    return getattr(gram, "_c_apart", gram._c0)[j]
+
+
+def _rates_apart(gram, block, sw):
+    """c as ``_settle_apart`` keeps it, and the rates a = X'(X_A sw) as a
+    product of their own."""
+    return getattr(gram, "_c_apart", gram._c0), gram.times(block, sw)
 
 
 @pytest.mark.parametrize("shape, seed", [((120, 40), 1300), ((30, 80), 1400)])
 def test_refresh_from_the_active_block_matches_a_separate_product(monkeypatch,
                                                                   shape, seed):
-    """The walk settles each vertex from the active block that the move's
-    rates read: c on a tall design, and on a wide one X_A beta_A, from
-    which the next move's one product gives c and the rates together.  A
-    separate gather and product over the sorted support, and the rates as
-    a product of their own, give the same events and, to rounding, the same
-    vertices (30 tall, 30 wide designs)."""
+    """The walk settles each vertex from a row sum over its support: c on a
+    tall design, and on a wide one X beta, from which the next move's one
+    product gives c and the rates together.  c kept from the vertex's beta
+    by a product over the whole design, and the rates as a product of
+    their own, give the same events and, to rounding, the same vertices
+    (30 tall, 30 wide designs)."""
     designs = [random_design(*shape, seed + i) for i in range(30)]
     _assert_same_paths_under(monkeypatch, designs,
-                             [(_GramCache, "settle", _settle_over_support)])
+                             [(_GramCache, "settle", _settle_apart),
+                              (_GramCache, "correlation", _correlation_apart),
+                              (_GramCache, "rates", _rates_apart)])
 
 
 def _regathered(edit, calls):
@@ -927,11 +946,13 @@ def test_stop_after_truncates(design, diabetes_paths, quad_design, quad_paths):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_stop_after_truncates_a_wide_walk(seed):
-    """On a wide design each vertex is settled from its own fit X_A beta_A,
+    """On a wide design each vertex is settled from its own fit X beta,
+    summed over the active block or, under stagewise, over the support,
     and the next move's correlations come from a product at that move, so
-    ``stop_after=k`` still gives the bit-exact first k moves at every k."""
+    ``stop_after=k`` still gives the bit-exact first k moves at every k,
+    under every variant."""
     d = random_design(30, 80, seed)
-    for variant in ("lars", "lasso", "positive-lasso"):
+    for variant in VARIANTS:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TieWarning)
             full = fit_path(d, variant)

@@ -214,6 +214,24 @@ def test_forward_selection_stops_on_exhausted_residual():
     assert fwd.entry_order == [0]
 
 
+def test_forward_selection_stops_at_a_near_copy(diabetes):
+    """BMI plus noise of 1e-6 of its spread, appended to diabetes 10, is the
+    11th pick; its append is refused (pivot^2 about 1e-12), and the
+    selection returns its first 10 rounds, byte for byte those of k = 10."""
+    matrix, response, names = diabetes
+    bmi = matrix[:, 2]
+    noise = np.random.default_rng(0).standard_normal(bmi.size)
+    X = np.column_stack([matrix, bmi + 1e-6 * bmi.std() * noise])
+    d = standardize(X, response, (*names, "bmi_near"))
+    eleven, ten = forward_selection(d, 11), forward_selection(d, 10)
+    assert ten.n_steps == 10 and 10 not in ten.entry_order
+    assert eleven.betas.tobytes() == ten.betas.tobytes()
+    fields = ("action", "variable", "sign", "active_after", "signs_after",
+              "C_max", "rss", "T")
+    for a, b in zip(eleven.steps, ten.steps, strict=True):
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
 def test_reference_code_imports_only_the_error_classes():
     """The references share no code with the engine: every module under
     ``tests/reference`` imports from ``larspath`` only ``larspath.errors``."""
