@@ -346,12 +346,8 @@ class _GramCache:
             return
         n = self._X.shape[0]
         self._mu = np.zeros(n)
-        # mu and X_A sw, the fused product's weights, as two rows.  The
-        # product is fastest when the C-ordered one of X and X' enters it as
-        # it lies: w X on a C-ordered X, X' w' on the F-ordered X of
-        # read_csv.  The other way round took over twice as long.
-        self._w = (np.empty((2, n)) if self._X.flags.c_contiguous
-                   else np.empty((n, 2)).T)
+        # mu and X_A sw, the fused product's weights, as two rows.
+        self._w = np.empty((2, n))
 
     def settle(self, beta, product):
         """Carry the vertex ``beta`` from ``product``, the rows of a set
@@ -379,7 +375,7 @@ class _GramCache:
         w = self._w
         w[0] = self._mu
         w[1] = sw @ block
-        both = w @ self._X if w.flags.c_contiguous else (self.rows @ w.T).T
+        both = w @ self._X
         return self._c0 - both[0], both[1]
 
     def stack(self, indices, weights):

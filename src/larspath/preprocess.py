@@ -34,8 +34,8 @@ class StandardizedDesign:
 
     Attributes
     ----------
-    columns : (n, m) array, each column mean 0 (when ``centered``) and
-        squared norm 1.
+    columns : (n, m) array, C-contiguous (copied into C order when given in
+        another), each column mean 0 (when ``centered``) and squared norm 1.
     response : (n,) array, mean 0 when ``centered``.
     column_means, column_scales : per-column centering and scale
         (scale = root of the centered sum of squares, not the standard
@@ -56,6 +56,7 @@ class StandardizedDesign:
     centered: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "columns", np.asarray(self.columns, order="C"))
         names = _names(tuple(self.column_names) or None, self.m)
         object.__setattr__(self, "column_names", names)
         # ``dataclasses.replace(design, response=y)`` builds a design per
@@ -80,8 +81,8 @@ def _names(names, m, error=DimensionMismatch):
 
 
 def _floats(value, what):
-    """``value`` as floats, NaN at each cell that is not a number, or
-    :class:`DimensionMismatch` for ragged or complex input."""
+    """``value`` as C-ordered floats, NaN at each cell that is not a number,
+    or :class:`DimensionMismatch` for ragged or complex input."""
     try:
         arr = np.asarray(value)
     except ValueError:
@@ -89,7 +90,7 @@ def _floats(value, what):
     if np.iscomplexobj(arr):
         raise DimensionMismatch(f"{what} is complex; only real values are fitted")
     try:
-        return arr.astype(float, copy=False)
+        return arr.astype(float, order="C", copy=False)
     except (TypeError, ValueError):
         # Only a failed bulk conversion pays for a scan by cell.
         out = np.full(arr.shape, np.nan)

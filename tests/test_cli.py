@@ -12,6 +12,10 @@ import numpy as np
 import pytest
 
 from larspath.cli import cli_main
+from larspath.core import VARIANTS, fit_path
+from larspath.dataio import write_path_csv
+from larspath.datasets import load_diabetes
+from larspath.preprocess import quadratic_expand, standardize
 
 DATA = str(resources.files("larspath").joinpath("data/diabetes.csv"))
 
@@ -49,6 +53,26 @@ def test_fit_out_file_keeps_stdout_quiet(capsys, tmp_path):
     text = target.read_text()
     assert len(text.splitlines()) == 12
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+def test_fit_report_is_the_library_fit_of_a_c_ordered_copy(capsys, tmp_path, quadratic):
+    """The CLI reads the bundled CSV into a Fortran-ordered matrix; under
+    every variant, its ``--out`` report has the bytes of ``write_path_csv``
+    of the library's fit of a C-ordered copy of the same values."""
+    matrix, response, names = load_diabetes()
+    matrix = np.array(matrix, order="C")
+    flags = []
+    if quadratic:
+        matrix, names = quadratic_expand(matrix, 1, names)
+        flags = ["--quadratic"]
+    design = standardize(matrix, response, names)
+    for variant in VARIANTS:
+        target = tmp_path / f"{variant}.csv"
+        rc, _, _ = run(capsys, "fit", "--input", DATA, "--response", "Y",
+                       "--variant", variant, "--out", str(target), *flags)
+        assert rc == 0
+        assert target.read_text() == write_path_csv(fit_path(design, variant)), variant
 
 
 def test_fit_runs_are_deterministic(capsys):

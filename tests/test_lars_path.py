@@ -48,8 +48,9 @@ from larspath.model_select import (
     sigma2_full_ols,
 )
 from larspath.oracles import forward_selection
-from larspath.preprocess import from_unit_columns, standardize
+from larspath.preprocess import from_unit_columns, quadratic_expand, standardize
 
+import corpus
 from factors import from_gram
 
 rng = np.random.default_rng(11)
@@ -960,26 +961,49 @@ def test_stop_after_truncates_a_wide_walk(seed):
                 _assert_prefix(fit_path(d, variant, stop_after=k), full, k)
 
 
-@pytest.mark.parametrize("shape, seed, variants", [
-    ((30, 80), 2900, VARIANTS),
-    ((100, 1000), 2910, ("lars", "lasso", "positive-lasso")),
-])
-def test_fortran_and_c_ordered_copies_of_a_wide_design_agree(shape, seed, variants):
-    """A design read from a CSV file holds X in Fortran order.  Its products
-    may sum in another order than those of a C-ordered copy, but the walk
-    takes the same events, and its vertices agree to rounding.  (A stagewise
-    walk of about 850 moves on 100 x 1000 reaches the rounding noise near
-    its end, where the two copies part.)"""
-    r = np.random.default_rng(seed)
-    X = r.normal(size=shape)
-    y = X @ r.normal(size=shape[1]) + r.normal(size=shape[0])
-    d_c, d_f = standardize(X, y), standardize(np.asfortranarray(X), y)
-    assert d_c.columns.flags.c_contiguous and d_f.columns.flags.f_contiguous
-    for variant in variants:
-        ev_c, b_c = _events_and_vertices(d_c, variant)
-        ev_f, b_f = _events_and_vertices(d_f, variant)
-        assert ev_c == ev_f, variant
-        assert np.abs(b_c - b_f).max() <= 1e-9 * np.abs(b_c).max(), variant
+def _layouts(X):
+    """The values of X in C order, in Fortran order (a CSV file's), and as
+    a view that is neither."""
+    wider = np.zeros((X.shape[0], 2 * X.shape[1]))
+    wider[:, ::2] = X
+    return np.ascontiguousarray(X), np.asfortranarray(X), wider[:, ::2]
+
+
+@pytest.mark.parametrize("name", ["diabetes10", "diabetes64", "wide30x80",
+                                  "wide100x1000"])
+def test_the_same_values_in_any_memory_order_fit_the_same_bytes(name, diabetes):
+    """A design holds X C-ordered, whatever the order of the values it was
+    built from, so C, Fortran and non-contiguous copies of the same raw
+    values give byte-identical designs, and byte-identical paths under every
+    variant: to the last of about 850 stagewise moves on 100 x 1000, and on
+    diabetes 64 expanded from each layout of the raw data.  A design built
+    directly is C-ordered too, and a resampled one shares its X."""
+    if name.startswith("diabetes"):
+        X, y, names = diabetes
+    else:
+        shape, seed = {"wide30x80": ((30, 80), 2900),
+                       "wide100x1000": ((100, 1000), 2910)}[name]
+        r = np.random.default_rng(seed)
+        X = r.normal(size=shape)
+        y, names = X @ r.normal(size=shape[1]) + r.normal(size=shape[0]), None
+    designs = []
+    for raw in _layouts(X):
+        labels = names
+        if name == "diabetes64":
+            raw, labels = quadratic_expand(raw, 1, names)
+        designs.append(standardize(raw, y, labels))
+    first, *others = designs
+    assert first.columns.flags.c_contiguous
+    others.append(dataclasses.replace(first, columns=_layouts(first.columns)[2]))
+    assert dataclasses.replace(first, response=y - y.mean()).columns is first.columns
+    for d in others:
+        assert d.columns.flags.c_contiguous
+        assert d.columns.tobytes() == first.columns.tobytes()
+    for variant in VARIANTS:
+        want = corpus.outcome(lambda tree: tree.fit_path(first, variant), larspath)
+        for d in others:
+            got = corpus.outcome(lambda tree: tree.fit_path(d, variant), larspath)
+            assert corpus.first_difference(got, want) is None, variant
 
 
 @pytest.mark.parametrize("seed", [1, 5])

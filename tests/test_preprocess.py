@@ -201,6 +201,15 @@ def test_original_units_wrong_length():
         to_original_units(d, np.zeros(4))
 
 
+def test_original_units_refuses_a_scalar_beta_for_one_column():
+    """A scalar is not the one-entry beta of a one-column design: the
+    conversion to C-ordered floats keeps its shape ()."""
+    d = standardize(rng.normal(size=(10, 1)), rng.normal(size=10))
+    for beta in (2.0, np.float64(2.0)):
+        with pytest.raises(DimensionMismatch, match=r"shape \(\), expected \(1,\)"):
+            to_original_units(d, beta)
+
+
 def test_original_units_refuses_a_complex_beta():
     d = standardize(rng.normal(size=(10, 3)), rng.normal(size=10))
     with pytest.raises(DimensionMismatch, match="complex"):
