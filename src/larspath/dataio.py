@@ -13,6 +13,8 @@ name the line or cell in the raised :class:`ParseError` or
 
 Floating point values in a report are written with 17 significant digits,
 one ``%``-format per row, so every float parses back to the same double.
+A coefficient of +0.0 is written as the literal ``0`` that ``"%.17g"``
+gives it, so the zeros of a sparse path cost no formatting.
 """
 
 import csv
@@ -163,12 +165,21 @@ def write_path_csv(path, standardized=False):
     design = path.design
     names = _csv_fields(design.column_names)
     scales = 1.0 if standardized else design.column_scales
-    row = ",".join(["%d", "%s", "%s", "%s"] + ["%.17g"] * (4 + len(names)))
+    coefs = path.betas / scales
+    # A cell is formatted unless it holds +0.0, the double with no bit set.
+    written = coefs.view(np.int64) != 0
+    # "S6" cells: a row's bytes less the NUL padding of ",0" are its format.
+    formats = np.where(written, b",%.17g", b",0")
+    values = coefs[written].tolist()
+    ends = np.cumsum(written.sum(axis=1)).tolist()
     lines = [",".join(FIXED_COLUMNS + tuple(names))]
     f = path._field
     vertices = zip(f("action"), f("variable"), f("sign"), f("gamma"), f("C_max"),
-                   f("T"), f("rss"), path.betas)
-    for step, (action, var, sign, gamma, C_max, T, rss, beta) in enumerate(vertices):
+                   f("T"), f("rss"), formats, ends)
+    start = 0
+    for step, (action, var, sign, gamma, C_max, T, rss, cells, end) in enumerate(vertices):
+        row = "%d,%s,%s,%s,%.17g,%.17g,%.17g,%.17g" + cells.tobytes().translate(
+            None, b"\0").decode()
         lines.append(row % (
             step,
             _ACTION_TOKENS[action],
@@ -178,8 +189,9 @@ def write_path_csv(path, standardized=False):
             C_max,
             T,
             rss,
-            *(beta / scales).tolist(),
+            *values[start:end],
         ))
+        start = end
     return "\n".join(lines) + "\n"
 
 

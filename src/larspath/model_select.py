@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .core import ENVELOPE_RTOL, _move_count, fit_path
 from .errors import (
@@ -187,6 +186,8 @@ def _df_estimates(sum_fy, sum_f, sum_y, count, sigma2):
     """One :class:`DfEstimate` per estimate ``k`` seen in two draws or more
     by two groups or more: the mean over those groups of their summed
     covariances over ``sigma2``, with a Student-t 95% interval."""
+    # Imported here: scipy.special would add a sixth to every import of larspath.
+    from scipy.special import stdtrit
     out = []
     crit = float(stdtrit(count.shape[0] - 1, 0.975))
     for k in range(count.shape[1]):

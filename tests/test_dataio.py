@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from larspath.core import fit_path
+from larspath.core import VARIANTS, _record_path, fit_path
 from larspath.dataio import (
     FIXED_COLUMNS,
     json_summary,
@@ -295,17 +295,40 @@ def _reference_path_csv(path, standardized):
     return "\n".join(lines) + "\n"
 
 
-def test_path_csv_matches_a_per_cell_reference(quad_paths, quad_design):
+def _path_of_zeros_and_extremes():
+    """A path recorded as the walk records one, whose coefficients hold
+    both zeros, subnormals and the largest finite doubles."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(10, 4)) * [0.05, 1.0, 2.0, 30.0]
+    design = standardize(X, rng.normal(size=10))
+    big, tiny = np.finfo(float).max, 5e-324
+    betas = [np.zeros(4),
+             np.array([-0.0, 0.0, tiny, big]),
+             np.array([-tiny, -0.0, -big, 1e-310])]
+    moves = [("add", j, 1, np.arange(j + 1), np.ones(j + 1, np.int8),
+              0.5, 1.0, 1.0, 2.0, ()) for j in range(2)]
+    return _record_path("lars", design, 1.0, 3.0, moves, betas)
+
+
+def test_path_csv_matches_a_per_cell_reference(diabetes_paths, quad_paths,
+                                               quad_design):
+    """Only a +0.0 coefficient is written without formatting; every other
+    cell, -0.0 and subnormals included, reads as ``"%.17g"`` writes it."""
     rng = np.random.default_rng(30)
-    X = rng.normal(size=(30, 80)) * rng.uniform(0.01, 100.0, 80)
-    wide = standardize(X, X[:, :5].sum(axis=1) + rng.normal(size=30))
-    paths = list(quad_paths.values()) + [
-        fit_path(quad_design, "positive-lasso"),
-        fit_path(wide, "lasso"),
-    ]
-    assert {p.variant for p in paths[:4]} == {
-        "lars", "lasso", "stagewise", "positive-lasso"}
-    for path in paths:
+    designs = []
+    for shape in ((200, 40), (30, 80)):
+        X = rng.normal(size=shape) * rng.uniform(0.01, 100.0, shape[1])
+        designs.append(standardize(
+            X, X[:, :5].sum(axis=1) + rng.normal(size=shape[0])))
+    paths = [*diabetes_paths.values(), *quad_paths.values(),
+             fit_path(quad_design, "positive-lasso"),
+             *(fit_path(d, v) for d in designs for v in VARIANTS)]
+    for group in (paths[:4], paths[4:8], paths[8:12], paths[12:]):
+        assert sorted(p.variant for p in group) == sorted(VARIANTS)
+    extremes = _path_of_zeros_and_extremes()
+    assert write_path_csv(extremes, standardized=True).splitlines()[2].endswith(
+        ",-0,0,4.9406564584124654e-324,1.7976931348623157e+308")
+    for path in [*paths, extremes]:
         for standardized in (False, True):
             assert write_path_csv(path, standardized=standardized) == (
                 _reference_path_csv(path, standardized))

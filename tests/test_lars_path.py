@@ -525,11 +525,13 @@ def test_carried_vertex_gives_correlations_rates_and_rss(shape, order):
     on a wide one), settled from the active block or from a ``stack`` over
     a support larger than the active set, as a stagewise walk's frozen
     coefficients make it, ``correlation``, ``rates`` and the rss returned
-    match the dense c = X'y - X'X beta, a = X'X_A sw and |y - X beta|^2, in
-    either memory order of X."""
+    match the dense c = X'y - X'X beta, a = X'X_A sw and |y - X beta|^2,
+    whichever memory order the raw columns came in: an array reaches the
+    cache through ``standardize``, as a user's does."""
     r = np.random.default_rng(shape[0])
-    X = np.asarray(r.normal(size=shape), order=order)
-    y = r.normal(size=shape[0])
+    raw = np.asarray(r.normal(size=shape), order=order)
+    design = standardize(raw, r.normal(size=shape[0]))
+    X, y = design.columns, design.response
     G, c0, m = X.T @ X, X.T @ y, shape[1]
     gram = _GramCache(X)
     gram.begin(c0, float(y @ y))

@@ -409,18 +409,20 @@ def test_simulation_study_structure(diabetes):
     assert res.replications == 4 and res.n_steps == 6
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special"])
 def test_import_leaves_scipy_stats_unloaded(module):
-    """The df intervals take the Student t quantile from scipy.special and
-    the cone projection is solved in the package; importing scipy.stats or
-    scipy.optimize would add a fifth to a half of a second to every start."""
+    """The df intervals import the Student t quantile from scipy.special
+    when they first need it, and the cone projection is solved in the
+    package; importing scipy.stats, scipy.optimize or scipy.special with the
+    package or its CLI would add a sixth to a half of a second to every
+    start."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, larspath; print({module!r} in sys.modules)"],
+         f"import sys, larspath, larspath.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr
