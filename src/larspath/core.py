@@ -42,10 +42,12 @@ Numerical conventions that the step counts depend on:
   active set; over the sorted support for stagewise, whose support also
   holds the coefficients that cone projections froze.  Every variant
   carries one fit per shape.  A tall design refreshes c, O(m * k) from
-  the materialized Gram matrix, and the next move takes its rates
-  a = G[:, A] (s * w) from the active block.  A wide design keeps the fit
-  X beta, O(n * k), and the next move gets c and a from one two-column
-  product through X: one O(n * m) pass over X per move.
+  the Gram matrix, which the design forms, O(n * m^2), for its first fit
+  and lends to every later fit and resampling refit, and the next move
+  takes its rates a = G[:, A] (s * w) from the active block.  A wide
+  design keeps the fit X beta, O(n * k), and the next move gets c and a
+  from one two-column product through X: one O(n * m) pass over X per
+  move.
 * A variable that leaves the active set at the current vertex (coefficient
   sign crossing, or cone projection under the stagewise variant) sits
   exactly on the correlation envelope.  Its same-sign join ratio is 0/0 and
@@ -307,16 +309,15 @@ def _record_path(variant, design, C_max0, rss0, moves, betas):
 
 
 class _GramCache:
-    """Products with G = X'X, read from ``rows``, a table with one row per
-    variable, and the fit at the walk's vertex: the one place that knows
-    whether a design is tall or wide.
+    """Products with G = X'X of a design, read from ``rows``, a table with
+    one row per variable, and the fit at the walk's vertex.
 
-    On a tall design (n >= m) ``rows`` is G, whose rows equal its columns,
-    so a product with the columns ``indices`` of G reads the contiguous
-    rows ``rows[indices]``.  A wide design never forms G: ``rows`` is the
-    view ``X'``, and ``_X`` finishes each product with a pass over X.  The
-    walk carries its active set's rows across moves instead of gathering
-    them (see ``_ActiveSet``).
+    On a tall design (n >= m) ``rows`` is the design's G, built once for
+    all its fits; G's rows are its columns, so a product with the columns
+    ``indices`` of G reads the rows ``rows[indices]``.  A wide design
+    never forms G: ``rows`` is the view ``X'``, and ``_X`` finishes each
+    product with a pass over X.  The walk carries its active set's rows
+    across moves instead of gathering them (see ``_ActiveSet``).
 
     From ``begin`` on, the cache carries the fit at the walk's vertex, one
     per shape for every variant, settled from a row sum over a set that
@@ -329,9 +330,10 @@ class _GramCache:
     one entry of c, O(n) from mu.
     """
 
-    def __init__(self, X):
-        self._X = None if X.shape[0] >= X.shape[1] else X
-        self.rows = X.T @ X if self._X is None else X.T
+    def __init__(self, design):
+        G, X = design._gram, design.columns
+        self._X = None if G is not None else X
+        self.rows = G if G is not None else X.T
 
     def times(self, rows, weights):
         """``G[:, indices] @ weights`` from the ``rows`` of ``indices``."""
@@ -640,7 +642,7 @@ def fit_path(design, variant="lars", *, stop_after=None):
     cone = variant == "stagewise"
 
     y_sq = _response_sq(y)
-    gram = _GramCache(X)
+    gram = _GramCache(design)
     active = _ActiveSet(gram, max_active)
     c0 = X.T @ y
     gram.begin(c0, y_sq)

@@ -9,7 +9,7 @@ between fitted and observed values; stagewise and forward selection need it.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     as_integer,
 )
 from .oracles import forward_selection
-from .preprocess import standardize, quadratic_expand
+from .preprocess import _redrawn, quadratic_expand, standardize
 
 __all__ = [
     "CpReport",
@@ -139,7 +139,7 @@ def lars_fitted_values(design, k_max, variant="lars"):
     X = design.columns
 
     def estimator(y_star):
-        p = fit_path(replace(design, response=y_star), variant, stop_after=k_max)
+        p = fit_path(_redrawn(design, y_star), variant, stop_after=k_max)
         return _vertex_betas(p, k_max) @ X.T
 
     return estimator
@@ -252,7 +252,7 @@ def lasso_df_by_support(design, B=100, seed=0, groups=10, *,
     X = design.columns
     sum_fy, sum_f, sum_y, count = sums = _df_sums(groups, design.m + 1, design.n)
     for g, y_star in draws:
-        betas = fit_path(replace(design, response=y_star), "lasso").betas
+        betas = fit_path(_redrawn(design, y_star), "lasso").betas
         sizes = np.count_nonzero(betas, axis=1).tolist()
         last_at = {k: i for i, k in enumerate(sizes)}
         for k, i in last_at.items():
@@ -342,7 +342,7 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
         rng = np.random.default_rng([seed, b])
         eps_star = eps[rng.integers(0, n, n)]
         eps_star = eps_star - eps_star.mean()
-        d_star = replace(design, response=mu + eps_star)
+        d_star = _redrawn(design, mu + eps_star)
         for name in methods:
             if name == "forward-selection":
                 p = forward_selection(d_star, n_steps)

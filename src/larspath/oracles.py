@@ -30,7 +30,7 @@ def forward_selection(design, k_max):
     k_max = _move_count(design, k_max, "k_max")
 
     y_sq = _response_sq(y)
-    gram = _GramCache(X)
+    gram = _GramCache(design)
     active = _ActiveSet(gram, k_max)
     c0 = X.T @ y
     beta = np.zeros(m)

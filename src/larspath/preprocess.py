@@ -6,7 +6,8 @@ the metadata needed to map fitted coefficients back to the original units.
 """
 
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +46,10 @@ class StandardizedDesign:
     centered : False only for designs built by :func:`from_unit_columns`,
         e.g. identity designs used in closed-form tests, where centering
         would destroy the structure.
+
+    A fit on a tall design (n >= m) keeps X'X on the design for every
+    later fit, so ``columns`` must not be changed in place once a fit has
+    read them; ``dataclasses.replace`` builds a design without it.
     """
 
     columns: np.ndarray
@@ -59,8 +64,8 @@ class StandardizedDesign:
         object.__setattr__(self, "columns", np.asarray(self.columns, order="C"))
         names = _names(tuple(self.column_names) or None, self.m)
         object.__setattr__(self, "column_names", names)
-        # ``dataclasses.replace(design, response=y)`` builds a design per
-        # draw in the resampling code: its y is refused here as a raw one is.
+        # ``_redrawn`` builds a design per draw in the resampling code with
+        # ``dataclasses.replace``: its y is refused here as a raw one is.
         _check_response(_floats(self.response, "response"), self.n)
 
     @property
@@ -70,6 +75,23 @@ class StandardizedDesign:
     @property
     def m(self):
         return self.columns.shape[1]
+
+    @cached_property
+    def _gram(self):
+        """X'X, read-only and built on first read; None on a wide design."""
+        if self.n < self.m:
+            return None
+        G = self.columns.T @ self.columns
+        G.flags.writeable = False
+        return G
+
+
+def _redrawn(design, response):
+    """``design`` with ``response`` in place of its own, holding the same
+    Gram: the design of one resampling draw."""
+    out = replace(design, response=response)
+    object.__setattr__(out, "_gram", design._gram)
+    return out
 
 
 def _names(names, m, error=DimensionMismatch):

@@ -1,6 +1,7 @@
-"""Record one end-to-end benchmark run in the committed trajectory.
+"""Record end-to-end benchmark runs in the committed trajectory.
 
     python tests/bench_record.py --workload W --seed S [--checkout DIR]
+    python tests/bench_record.py --workload W --seed S --against DIR --pairs N
 
 runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
 ``DIR`` (this checkout by default; any checkout of the repository, such as
@@ -19,11 +20,20 @@ from the result line.  ``dirty`` is true when the measured checkout's
 ``src`` differs from its commit, as it does for a change not yet
 committed: such an entry names the commit it was made on, and its
 ``source_sha256`` the source it measured.
+
+``--against DIR --pairs N`` runs an A/B: N pairs of runs on the seeds S,
+S + 1, ..., each pair one run of ``DIR`` (the parent) and one of the
+measured checkout (the change), the side that runs first alternating.  It
+appends every entry, then prints, for each end-to-end metric of
+``BENCHMARK.json``, the median over the pairs of each side, change over
+parent, the parent's interquartile range and the number of pairs in which
+the change is better.
 """
 
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -74,30 +84,75 @@ def _dirty(checkout):
     return bool(out.stdout.strip()) if out.returncode == 0 else None
 
 
+def summarize(pairs, end_to_end):
+    """Per end-to-end metric that every entry of ``pairs``, a list of
+    (parent, change) entries, holds: ``(name, parent median, change median,
+    change / parent, parent IQR, pairs better)``; ``end_to_end`` is
+    ``BENCHMARK.json``'s list, whose ``better`` says which way is better."""
+    rows = []
+    for metric in end_to_end:
+        name = metric["name"]
+        if not all(name in e["medians"] for pair in pairs for e in pair):
+            continue
+        parent, change = ([pair[side]["medians"][name] for pair in pairs] for side in (0, 1))
+        sign = 1 if metric["better"] == "lower" else -1
+        better = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (0, 0, 0)
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        rows.append((name, p_med, c_med, c_med / p_med, q3 - q1, better))
+    return rows
+
+
+def record(workload, seed, checkout, seconds):
+    """Run perfbench in ``checkout`` and append its entry to
+    ``BENCH_<workload>.json``; the entry, or None when run.py failed."""
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.stderr.write(run.stdout + run.stderr)
+        return None
+    entry = parse_report(run.stdout)
+    entry.update(dirty=_dirty(checkout), seed=seed, seconds=seconds)
+    out = ROOT / f"BENCH_{workload}.json"
+    entries = json.loads(out.read_text()) if out.exists() else []
+    entries.append(entry)
+    out.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    print(f"{out.name}: entry {len(entries)}, commit {entry['commit'][:12]}"
+          f"{' (dirty)' if entry['dirty'] else ''}, seed {seed}, "
+          + ", ".join(f"{k}={v:.6g}" for k, v in entry["medians"].items()))
+    return entry
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="the checkout whose perfbench/run.py and src are run")
+    parser.add_argument("--against", type=Path,
+                        help="a parent checkout to run alternately with --checkout")
+    parser.add_argument("--pairs", type=int, default=1,
+                        help="pairs of runs on consecutive seeds, with --against")
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=args.checkout, capture_output=True, text=True)
-    if run.returncode != 0:
-        sys.stderr.write(run.stdout + run.stderr)
-        return run.returncode
-    entry = parse_report(run.stdout)
-    entry.update(dirty=_dirty(args.checkout), seed=args.seed, seconds=seconds)
-    out = ROOT / f"BENCH_{args.workload}.json"
-    entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
-    out.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
-    print(f"{out.name}: entry {len(entries)}, commit {entry['commit'][:12]}"
-          f"{' (dirty)' if entry['dirty'] else ''}, seed {args.seed}, "
-          + ", ".join(f"{k}={v:.6g}" for k, v in entry["medians"].items()))
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    if args.against is None:
+        return 0 if record(args.workload, args.seed, args.checkout, seconds) else 1
+    sides, pairs = (args.against, args.checkout), []
+    for i in range(args.pairs):
+        pair = [None, None]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            pair[side] = record(args.workload, args.seed + i, sides[side], seconds)
+            if pair[side] is None:
+                return 1
+        pairs.append(pair)
+    print(f"{'metric':18} {'parent':>11} {'change':>11} {'ratio':>7} "
+          f"{'parent IQR':>11} {'better':>7}")
+    for name, p_med, c_med, ratio, iqr, better in summarize(pairs, bench["end_to_end"]):
+        print(f"{name:18} {p_med:11.5g} {c_med:11.5g} {ratio:7.3f} {iqr:11.4g} "
+              f"{better:4d}/{len(pairs)}")
     return 0
 
 

@@ -25,10 +25,14 @@ any fit fails.
 
 ``--time`` then runs an interleaved A/B: on each timing design and variant,
 ``--pairs`` pairs of fits (31 by default), alternating which tree goes
-first, with one design object shared by both trees, since where a design's
-arrays sit in memory moves a 100 x 1000 fit by up to 10%.  It prints each
-tree's median time and the median of the per-pair ratios, this checkout
-over the other.  Run it with ``OPENBLAS_NUM_THREADS=1``.
+first, with the arrays of one design object shared by both trees, since
+where a design's arrays sit in memory moves a 100 x 1000 fit by up to 10%.
+Each timed fit is cold: it gets a fresh ``dataclasses.replace(design)``,
+built outside the timer, which shares those arrays but holds no X'X from
+an earlier fit.  So a tall fit forms its Gram in both trees, and the A/B
+times the walk, crediting neither tree with a Gram reused across fits.
+It prints each tree's median time and the median of the per-pair ratios,
+this checkout over the other.  Run it with ``OPENBLAS_NUM_THREADS=1``.
 """
 
 import argparse
@@ -38,6 +42,7 @@ import statistics
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -270,12 +275,13 @@ def time_ab(against, pairs):
     for design_name, design in timing_designs().items():
         for variant in VARIANTS:
             for tree in trees:  # warm both
-                tree.fit_path(design, variant)
+                tree.fit_path(replace(design), variant)
             times = ([], [])
             for i in range(pairs):
                 for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                    cold = replace(design)
                     start = time.perf_counter()
-                    trees[side].fit_path(design, variant)
+                    trees[side].fit_path(cold, variant)
                     times[side].append(time.perf_counter() - start)
             ratios = [a / b for a, b in zip(*times)]
             faster = sum(r < 1 for r in ratios)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import inspect
 import math
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -142,7 +143,7 @@ def test_equiangular_invariants_random():
         Gs = np.outer(signs, signs) * G
         assert abs(A - np.linalg.solve(Gs, np.ones(k)).sum() ** -0.5) < 1e-10
         # the walk's Gram product G[:, A] sw is the same a = X'u
-        assert np.allclose(_GramCache(d.columns).stack(np.array(active), sw), a)
+        assert np.allclose(_GramCache(d).stack(np.array(active), sw), a)
 
 
 def test_next_join_orthogonal_gap():
@@ -486,9 +487,10 @@ def test_gram_products_match_dense(shape):
     any set with weights: G[:, idx] v on a tall design, X[:, idx] v on a
     wide one."""
     r = np.random.default_rng(shape[1])
-    X = r.normal(size=shape)
+    d = standardize(r.normal(size=shape), r.normal(size=shape[0]))
+    X = d.columns
     G = X.T @ X
-    gram = _GramCache(X)
+    gram = _GramCache(d)
     order = np.array([0, 7, shape[1] - 1, 3, 11])
     # Every row of ``order`` is in the table, so a cross that reads a row
     # other than the first k + 1 gets a wrong answer, not an empty one.
@@ -518,6 +520,76 @@ def test_gram_products_match_dense(shape):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _gram_rows_read(monkeypatch):
+    """The ``rows`` table of every ``_GramCache`` built from here on."""
+    read = []
+    init = _GramCache.__init__
+
+    def recording(self, design):
+        init(self, design)
+        read.append(self.rows)
+
+    monkeypatch.setattr(_GramCache, "__init__", recording)
+    return read
+
+
+GRAM_FITS = {**{v: lambda d, v=v: fit_path(d, v) for v in VARIANTS},
+             "forward_selection": lambda d: forward_selection(d, 40)}
+
+
+@pytest.mark.parametrize("fit", list(GRAM_FITS))
+def test_a_second_fit_on_a_tall_design_reads_the_same_gram(fit, monkeypatch):
+    """A tall design's X'X is built by its first fit; a second fit reads
+    that same object, and both keep every byte of a fit on a fresh copy,
+    which builds its own."""
+    d = random_design(200, 40, 33)
+    read = _gram_rows_read(monkeypatch)
+    first, second = GRAM_FITS[fit](d), GRAM_FITS[fit](d)
+    fresh = GRAM_FITS[fit](dataclasses.replace(d))
+    assert read[0] is d._gram and read[1] is d._gram
+    assert read[2] is not d._gram
+    for path in (first, second):
+        assert corpus._exact(path) == corpus._exact(fresh)
+
+
+def test_a_tall_design_gram_is_read_only_x_t_x_and_not_replaced_along():
+    """The design's Gram equals ``X.T @ X`` byte for byte and refuses a
+    write; a design made by ``dataclasses.replace`` with other columns
+    builds its own from them."""
+    d = random_design(200, 40, 34)
+    G = d._gram
+    assert G is d._gram
+    assert G.tobytes() == (d.columns.T @ d.columns).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        G[0, 0] = 0.0
+    other = random_design(200, 40, 35).columns
+    swapped = dataclasses.replace(d, columns=other)
+    assert swapped._gram is not G
+    assert swapped._gram.tobytes() == (other.T @ other).tobytes()
+    assert corpus._exact(fit_path(swapped)) == corpus._exact(
+        fit_path(dataclasses.replace(d, columns=other.copy())))
+
+
+def test_a_wide_design_allocates_no_m_by_m_matrix(monkeypatch):
+    """On a 40 x 1000 design no fit forms X'X (8 MB): the cache reads X'
+    and each fit's peak allocation stays below a quarter of that."""
+    d = random_design(40, 1000, 36)
+    read = _gram_rows_read(monkeypatch)
+    fits = [lambda v=v: fit_path(d, v, stop_after=39) for v in VARIANTS]
+    for fit in fits + [lambda: forward_selection(d, 39)]:
+        tracemalloc.start()
+        try:
+            fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 8 / 4
+    assert d._gram is None
+    assert len(read) == 5
+    assert all(rows.shape == (1000, 40) and np.shares_memory(rows, d.columns)
+               for rows in read)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)])
 def test_carried_vertex_gives_correlations_rates_and_rss(shape, order):
@@ -533,7 +605,7 @@ def test_carried_vertex_gives_correlations_rates_and_rss(shape, order):
     design = standardize(raw, r.normal(size=shape[0]))
     X, y = design.columns, design.response
     G, c0, m = X.T @ X, X.T @ y, shape[1]
-    gram = _GramCache(X)
+    gram = _GramCache(design)
     gram.begin(c0, float(y @ y))
     active = _ActiveSet(gram, 6)
     for j in (4, 0, 17, 9):
@@ -599,7 +671,7 @@ def test_active_set_edits_keep_every_part_in_step(shape, seed):
     its factor is that block's fresh factorization; a drop or keep hands back
     the variables that left and their signs."""
     d = random_design(*shape, seed)
-    gram = _GramCache(d.columns)
+    gram = _GramCache(d)
     r = np.random.default_rng(seed)
     capacity = 12
     active = _ActiveSet(gram, capacity)
@@ -722,7 +794,8 @@ def _assert_same_paths_under(monkeypatch, designs, patches):
 def test_lazy_gram_path_matches_materialized_gram(monkeypatch):
     """A wide design's Gram products go through X; materializing X'X instead
     gives the same events and, to rounding, the same vertices."""
-    def materialized(self, X):
+    def materialized(self, design):
+        X = design.columns
         self._X = None
         self.rows = X.T @ X
 
@@ -734,9 +807,9 @@ def test_materialized_gram_path_matches_products_through_x(monkeypatch):
     """A tall design's Gram products gather rows of the materialized X'X;
     taking them through X instead gives the same events and, to rounding,
     the same vertices."""
-    def through_x(self, X):
-        self._X = X
-        self.rows = X.T
+    def through_x(self, design):
+        self._X = design.columns
+        self.rows = design.columns.T
 
     designs = [random_design(120, 40, 700 + i) for i in range(30)]
     _assert_same_paths_under(monkeypatch, designs, [(_GramCache, "__init__", through_x)])

@@ -1,6 +1,7 @@
 """Risk-estimation layer: Cp, bootstrap df, hybrid refits, simulation."""
 
 import functools
+import hashlib
 import os
 import re
 import subprocess
@@ -407,6 +408,64 @@ def test_simulation_study_structure(diabetes):
         assert res.nonzero_axis[name][0] == 0.0
         assert np.all(res.pe_sd[name] >= 0.0)
     assert res.replications == 4 and res.n_steps == 6
+
+
+def _gaussian(n, m, seed, binary_column=None):
+    r = np.random.default_rng(seed)
+    X = r.normal(size=(n, m))
+    if binary_column is not None:
+        X[:, binary_column] = r.integers(0, 2, n)
+    return X, X @ r.normal(size=m) + r.normal(size=n)
+
+
+# sha1 of the ``repr`` of each resampling result below, as computed before
+# the draws shared their parent design's Gram, when every refit formed its
+# own X'X (x86_64, OpenBLAS).
+RESAMPLING_SHA1 = {
+    ("diabetes10", "bootstrap_df"): "dccf75c36c00b19773000c7d0c71ee21ce8797b3",
+    ("diabetes10", "lasso_df_by_support"): "473949a3b8df309863cadfcceacaa73d6d1c979d",
+    ("diabetes10", "run_simulation_study"): "7437fbfc4d16974eaf2e66834bb97ff9749d5ea9",
+    ("gauss200x40", "bootstrap_df"): "1fd5fb1dfdd59a1fd20c1ab135b42ecf55a480d7",
+    ("gauss200x40", "lasso_df_by_support"): "8a5516fa981e57b2888f0e8132e055297e40368f",
+    ("gauss200x8", "run_simulation_study"): "16808b31e8d143bf79f6172b08b605e33a0a9cc0",
+}
+
+
+@pytest.mark.parametrize("data, call", list(RESAMPLING_SHA1))
+def test_resampling_draws_share_the_parent_design_gram(diabetes, monkeypatch, data, call):
+    """Every draw's design holds its parent design's Gram object, and the
+    result keeps the bytes of its ``repr``.  The simulation study builds
+    its quadratic design itself (64 columns from diabetes, 43 from the
+    200 x 8 table) and fits it once before the draws."""
+    import larspath.model_select as ms
+
+    seen = []
+
+    def recording(fit):
+        def wrapped(design, *args, **kwargs):
+            seen.append(design)
+            return fit(design, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ms, "fit_path", recording(ms.fit_path))
+    monkeypatch.setattr(ms, "forward_selection", recording(ms.forward_selection))
+    raw, response, names = diabetes
+    if data == "gauss200x8":
+        raw, response = _gaussian(200, 8, 8, binary_column=1)
+    elif data == "gauss200x40":
+        raw, response = _gaussian(200, 40, 40)
+    d = standardize(raw, response)
+    if call == "bootstrap_df":
+        out = bootstrap_df(d, lars_fitted_values(d, 10), B=20, groups=2, seed=3)
+    elif call == "lasso_df_by_support":
+        out = lasso_df_by_support(d, B=20, groups=2, seed=3)
+    else:
+        out = run_simulation_study(raw, response, seed=3, replications=2, n_steps=8)
+        d, seen = seen[0], seen[1:]
+    assert len(seen) == (2 * 4 if call == "run_simulation_study" else 20)
+    assert d._gram is not None
+    assert all(draw._gram is d._gram and draw is not d for draw in seen)
+    assert hashlib.sha1(repr(out).encode()).hexdigest() == RESAMPLING_SHA1[data, call]
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special"])
