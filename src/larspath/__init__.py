@@ -18,7 +18,6 @@ from .errors import (
     DegenerateColumn,
     DimensionMismatch,
     EmptyData,
-    IndexOutOfRange,
     LarsError,
     MaxIterations,
     MissingResponse,
@@ -26,10 +25,8 @@ from .errors import (
     ParseError,
     StalledPath,
     TieWarning,
-    TOutOfRange,
     Underdetermined,
     VariantMismatch,
-    WrongColumnCount,
 )
 from .model_select import (
     CpReport,
@@ -89,12 +86,9 @@ __all__ = [
     # errors
     "LarsError",
     "DegenerateColumn",
-    "IndexOutOfRange",
     "ConstantColumn",
     "DimensionMismatch",
-    "WrongColumnCount",
     "StalledPath",
-    "TOutOfRange",
     "VariantMismatch",
     "Underdetermined",
     "MaxIterations",

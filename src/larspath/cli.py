@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import VARIANTS, _max_active, fit_path, interpolate
 from .dataio import _csv_fields, json_summary, read_csv, write_path_csv
-from .errors import DimensionMismatch, LarsError
+from .errors import DimensionMismatch, LarsError, as_integer
 from .model_select import (
     bootstrap_df,
     cp_curve,
@@ -191,18 +191,17 @@ def _cmd_interpolate(args):
 def _cmd_main_effects_first(args):
     design, matrix, response, labels = _load_design(args)
     base = fit_path(design, "lars")
-    if not 0 <= args.k <= base.n_steps:
-        raise DimensionMismatch(f"--k must be in 0..{base.n_steps}")
-    chosen = np.sort(base._field("active_after")[args.k]).tolist()
+    k = as_integer(args.k, "--k", 0, base.n_steps)
+    chosen = sorted(base.steps[k].active_after)
     if len(chosen) < 2:
         raise DimensionMismatch("need at least two selected variables "
                                 "to form interactions")
     cols, names = _interactions(matrix - matrix.mean(axis=0), chosen, labels)
-    inner = main_effects_first(design, base, args.k, np.column_stack(cols),
+    inner = main_effects_first(design, base, k, np.column_stack(cols),
                                names, variant=args.variant)
     text = write_path_csv(inner, standardized=args.standardized)
     summary = json_summary(inner)
-    summary["k"] = args.k
+    summary["k"] = k
     summary["selected_mains"] = [labels[j] for j in chosen]
     return _emit(args, text, summary)
 

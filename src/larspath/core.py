@@ -102,7 +102,6 @@ from .errors import (
     DimensionMismatch,
     StalledPath,
     TieWarning,
-    TOutOfRange,
     VariantMismatch,
     as_integer,
 )
@@ -283,15 +282,6 @@ class Path:
 def _max_active(design):
     """The most variables a walk can hold: m, below n, or n - 1 if centered."""
     return min(design.m, design.n - 1 if design.centered else design.n)
-
-
-def _move_count(design, value, name):
-    """``value`` as a move count in 0.._max_active(design), or DimensionMismatch."""
-    value = as_integer(value, name)
-    limit = _max_active(design)
-    if not 0 <= value <= limit:
-        raise DimensionMismatch(f"{name}={value} outside 0..{limit}")
-    return value
 
 
 def _record_path(variant, design, C_max0, rss0, moves, betas):
@@ -759,17 +749,17 @@ def interpolate(path, t):
     the first segment that reaches ``t``: its end is the first vertex whose
     T is ``t`` or more, found by one bisection of the running maximum of T,
     whether or not T falls somewhere before it, as on a lars path whose
-    last move lowers it.  Exact at vertices.  ``t`` must be a number in
-    [0, max T] up to a small slack, otherwise (NaN included)
-    :class:`TOutOfRange` is raised; max T is ``path.t_max`` unless T falls.
+    last move lowers it.  Exact at vertices.  A ``t`` that is not a number
+    in [0, max T] up to a small slack (NaN included) raises
+    :class:`DimensionMismatch`; max T is ``path.t_max`` unless T falls.
     """
     Ts, reach, rows, t_top, slack = path._budget_table
     try:
         t = float(t)
     except (TypeError, ValueError):
-        raise TOutOfRange(f"t={t!r} is not a number") from None
+        raise DimensionMismatch(f"t={t!r} is not a number") from None
     if not -slack <= t <= t_top + slack:
-        raise TOutOfRange(f"t={t!r} outside [0, {t_top!r}]")
+        raise DimensionMismatch(f"t={t!r} outside [0, {t_top!r}]")
     t = min(max(t, 0.0), t_top)
     hi = bisect_left(reach, t)
     if hi == 0:

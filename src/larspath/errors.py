@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package, and one check."""
+"""Exception and warning types shared across the package, and one check.
+
+The classes are grouped by what the caller can do about the refusal: fix
+an argument, fix the data, or accept that the numerics refuse.
+"""
 
 import operator
 
@@ -8,69 +12,36 @@ class LarsError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra kernel
-
-
-class DegenerateColumn(LarsError):
-    """A column is (numerically) linearly dependent on the active set."""
-
-
-# ---------------------------------------------------------------------------
-# preprocessing
-
-
-class ConstantColumn(LarsError):
-    """A predictor column has zero scale and cannot be standardized."""
-
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"column {name!r} is constant (zero scale)")
+# arguments: the call is at fault, and another argument fixes it
 
 
 class DimensionMismatch(LarsError, ValueError):
-    """Array shapes are inconsistent with each other, or a size or option
-    argument is outside the values it takes."""
-
-
-class WrongColumnCount(LarsError, ValueError):
-    """The quadratic expansion received an unusable raw-column layout."""
-
-
-# ---------------------------------------------------------------------------
-# path engine
-
-
-class StalledPath(LarsError):
-    """A move shrank the active set to an active set and signs that an
-    earlier move had shrunk it to, so the walk would cycle."""
-
-
-class TOutOfRange(LarsError, ValueError):
-    """Interpolation parameter t lies outside [0, T_final]."""
-
-
-# ---------------------------------------------------------------------------
-# variants, model selection and iterative solvers
+    """Array shapes are inconsistent with each other, or a size, index,
+    budget or option argument is outside the values it takes."""
 
 
 class VariantMismatch(LarsError, ValueError):
     """An operation received a path fitted under an unsupported variant."""
 
 
-class IndexOutOfRange(LarsError, IndexError):
-    """A step index does not address a vertex of the fitted path."""
-
-
-class Underdetermined(LarsError):
-    """Too few observations to estimate the residual variance."""
-
-
-class MaxIterations(LarsError):
-    """An iterative solver hit its iteration cap before converging."""
+def as_integer(value, name, minimum=None, maximum=None):
+    """A count or position ``value`` as an int, by ``operator.index``, or
+    :class:`DimensionMismatch` naming it: a float, even a whole one, a
+    string or an array is refused, as is a value below ``minimum`` when one
+    is given, or outside ``minimum..maximum`` when ``maximum`` is given too."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{name} takes integers, got {value!r}") from None
+    if maximum is not None and not minimum <= value <= maximum:
+        raise DimensionMismatch(f"{name}={value} outside {minimum}..{maximum}")
+    if minimum is not None and value < minimum:
+        raise DimensionMismatch(f"{name}={value} must be at least {minimum}")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# data ingestion
+# data: the values are at fault, and other data fixes it
 
 
 class ParseError(LarsError, ValueError):
@@ -103,21 +74,34 @@ class EmptyData(LarsError):
     """The CSV contains a header but no data rows (or nothing at all)."""
 
 
+class ConstantColumn(LarsError):
+    """A predictor column has zero scale and cannot be standardized."""
+
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"column {name!r} is constant (zero scale)")
+
+
+class Underdetermined(LarsError):
+    """Too few observations: fewer than two to standardize, or too few
+    beyond the columns to estimate the residual variance."""
+
+
 # ---------------------------------------------------------------------------
-# integer arguments
+# numerics: the walk or a solver cannot go on from where it is
 
 
-def as_integer(value, name, error=DimensionMismatch, minimum=None):
-    """A count or position ``value`` as an int, by ``operator.index``, or
-    ``error`` naming it: a float, even a whole one, a string or an array is
-    refused, as is a value below ``minimum`` when one is given."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise error(f"{name} takes integers, got {value!r}") from None
-    if minimum is not None and value < minimum:
-        raise error(f"{name}={value} must be at least {minimum}")
-    return value
+class DegenerateColumn(LarsError):
+    """A column is (numerically) linearly dependent on the active set."""
+
+
+class StalledPath(LarsError):
+    """A move shrank the active set to an active set and signs that an
+    earlier move had shrunk it to, so the walk would cycle."""
+
+
+class MaxIterations(LarsError):
+    """An iterative solver hit its iteration cap before converging."""
 
 
 # ---------------------------------------------------------------------------

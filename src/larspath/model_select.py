@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ENVELOPE_RTOL, _move_count, fit_path
+from .core import ENVELOPE_RTOL, _max_active, fit_path
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     Underdetermined,
     VariantMismatch,
     as_integer,
@@ -135,7 +134,7 @@ def lars_fitted_values(design, k_max, variant="lars"):
     vertex when the path terminates early.  ``k_max`` may not exceed the
     number of variables a walk can hold.
     """
-    k_max = _move_count(design, k_max, "k_max")
+    k_max = as_integer(k_max, "k_max", 0, _max_active(design))
     X = design.columns
 
     def estimator(y_star):
@@ -273,9 +272,7 @@ def hybrid_r2(path, k):
     """
     if path.variant != "lars":
         raise VariantMismatch(f"requires the plain variant, got {path.variant!r}")
-    k = as_integer(k, "k")
-    if not 1 <= k <= path.n_steps:
-        raise DimensionMismatch(f"k={k} outside 1..{path.n_steps}")
+    k = as_integer(k, "k", 1, path.n_steps)
     rss = path._field("rss")
     tss = rss[0]
     r2_path = 1.0 - rss[k] / tss
@@ -299,9 +296,7 @@ def main_effects_first(design_main, path, k, interaction_columns, names=None,
     main response's, as a saturating fit leaves, gives an empty path: it is
     rounding noise, which the walk would fit like any other response.
     """
-    k = as_integer(k, "k", IndexOutOfRange)
-    if not 0 <= k <= path.n_steps:
-        raise IndexOutOfRange(f"k={k} outside the fitted path (0..{path.n_steps})")
+    k = as_integer(k, "k", 0, path.n_steps)
     beta_k = path.betas[k]
     residual = design_main.response - design_main.columns @ beta_k
     inner = standardize(interaction_columns, residual, names)
@@ -326,7 +321,7 @@ def run_simulation_study(raw_columns, raw_response, seed=0, replications=100,
     seed = as_integer(seed, "seed", minimum=0)
     Xq, labels = quadratic_expand(raw_columns, binary_column)
     design = standardize(Xq, raw_response, labels)
-    n_steps = _move_count(design, n_steps, "n_steps")
+    n_steps = as_integer(n_steps, "n_steps", 0, _max_active(design))
     base = fit_path(design, "lars", stop_after=10)
     mu = design.columns @ base.betas[-1]
     eps = design.response - mu

@@ -4,9 +4,9 @@ path variants."""
 
 import numpy as np
 
-from .core import (ENVELOPE_RTOL, _ActiveSet, _GramCache, _move_count,
+from .core import (ENVELOPE_RTOL, _ActiveSet, _GramCache, _max_active,
                    _record_path, _response_sq)
-from .errors import DegenerateColumn
+from .errors import DegenerateColumn, as_integer
 from .linalg import solve_gram
 
 __all__ = ["forward_selection"]
@@ -27,7 +27,7 @@ def forward_selection(design, k_max):
     which leaves the selection as it was.
     """
     X, y, m = design.columns, design.response, design.m
-    k_max = _move_count(design, k_max, "k_max")
+    k_max = as_integer(k_max, "k_max", 0, _max_active(design))
 
     y_sq = _response_sq(y)
     gram = _GramCache(design)

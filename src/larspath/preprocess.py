@@ -16,7 +16,7 @@ from .errors import (
     ConstantColumn,
     DimensionMismatch,
     NonNumericCell,
-    WrongColumnCount,
+    Underdetermined,
     as_integer,
 )
 
@@ -94,11 +94,11 @@ def _redrawn(design, response):
     return out
 
 
-def _names(names, m, error=DimensionMismatch):
+def _names(names, m):
     """``names`` as a tuple of m labels, x1..xm when ``names`` is None."""
     names = tuple(f"x{j + 1}" for j in range(m)) if names is None else tuple(names)
     if len(names) != m:
-        raise error(f"{len(names)} names for {m} columns")
+        raise DimensionMismatch(f"{len(names)} names for {m} columns")
     return names
 
 
@@ -164,13 +164,14 @@ def standardize(raw_columns, raw_response, names=None):
 
     Returns a :class:`StandardizedDesign`.  Raises :class:`ConstantColumn`
     for any zero-variance predictor, :class:`NonNumericCell` for a cell
-    that is not a finite number and :class:`DimensionMismatch` for ragged
-    or complex input or a response length that does not match the matrix.
+    that is not a finite number, :class:`Underdetermined` for fewer than two
+    rows and :class:`DimensionMismatch` for ragged or complex input or a
+    response length that does not match the matrix.
     """
     X, y, names = _raw_design(raw_columns, raw_response, names, "raw_columns")
     n = X.shape[0]
     if n < 2:
-        raise DimensionMismatch("need at least two observations")
+        raise Underdetermined("need at least two observations")
 
     means = X.mean(axis=0)
     centered = X - means
@@ -259,16 +260,12 @@ def quadratic_expand(raw_columns, binary_column, names=None):
     """
     X = _floats(raw_columns, "raw_columns")
     if X.ndim != 2 or X.shape[1] < 2:
-        raise WrongColumnCount(
+        raise DimensionMismatch(
             f"need at least 2 columns, got {X.shape[1] if X.ndim == 2 else 'n/a'}"
         )
     n, m = X.shape
-    binary_column = as_integer(binary_column, "binary_column", WrongColumnCount)
-    if not 0 <= binary_column < m:
-        raise WrongColumnCount(
-            f"binary_column {binary_column} out of range for {m} columns"
-        )
-    names = _names(names, m, WrongColumnCount)
+    binary_column = as_integer(binary_column, "binary_column", 0, m - 1)
+    names = _names(names, m)
     _require_finite(X, names)
     centered = X - X.mean(axis=0)
 

@@ -13,8 +13,9 @@ import pytest
 
 from larspath.cli import cli_main
 from larspath.core import VARIANTS, fit_path
-from larspath.dataio import write_path_csv
+from larspath.dataio import read_csv, write_path_csv
 from larspath.datasets import load_diabetes
+from larspath.errors import Underdetermined
 from larspath.preprocess import quadratic_expand, standardize
 
 DATA = str(resources.files("larspath").joinpath("data/diabetes.csv"))
@@ -159,6 +160,21 @@ def test_repeated_column_name_is_a_data_error(capsys, tmp_path):
     rc, out, err = run(capsys, "fit", "--input", str(f), "--response", "y")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "'y'" in err
+
+
+def test_one_row_is_too_few_for_the_library_and_the_cli(capsys, tmp_path):
+    """One observation cannot be centered and scaled: the library refuses it
+    as :class:`Underdetermined`, the class that too few rows for the
+    residual variance raise, and ``fit`` exits 2 with its message."""
+    f = tmp_path / "one.csv"
+    f.write_text("a,b,y\n1,2,3\n")
+    matrix, response, labels = read_csv(str(f), "y")
+    assert matrix.shape == (1, 2)
+    with pytest.raises(Underdetermined, match="need at least two observations"):
+        standardize(matrix, response, labels)
+    rc, out, err = run(capsys, "fit", "--input", str(f), "--response", "y")
+    assert rc == 2 and out == ""
+    assert err == "error: need at least two observations\n"
 
 
 def test_fit_reads_a_file_with_a_byte_order_mark(capsys, tmp_path):
@@ -383,7 +399,7 @@ def test_main_effects_first_refuses_k_beyond_the_lars_path(capsys):
     rc, out, err = run(capsys, "main-effects-first", "--input", DATA,
                        "--response", "Y", "--k", "11")
     assert rc == 2 and out == ""
-    assert err.startswith("error:") and "--k must be in 0..10" in err
+    assert err.startswith("error:") and "--k=11 outside 0..10" in err
 
 
 def test_main_effects_first_needs_enough_mains(capsys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from larspath.core import fit_path, interpolate
-from larspath.errors import TOutOfRange
+from larspath.errors import DimensionMismatch
 from larspath.oracles import forward_selection
 from larspath.preprocess import standardize
 
@@ -32,7 +32,7 @@ def reference_interpolate(path, t):
     slack = 1e-12 * t_end
     t = float(t)
     if not -slack <= t <= t_end + slack:
-        raise TOutOfRange(f"t={t!r} outside [0, {t_end!r}]")
+        raise DimensionMismatch(f"t={t!r} outside [0, {t_end!r}]")
     t = min(max(t, 0.0), t_end)
     if monotone:
         hi = int(Ts.searchsorted(t, side="left"))
@@ -46,7 +46,7 @@ def reference_interpolate(path, t):
                 hi = i
                 break
         if hi is None:
-            raise TOutOfRange(f"t={t!r} not bracketed by any path segment")
+            raise DimensionMismatch(f"t={t!r} not bracketed by any path segment")
     lo = hi - 1
     span = Ts[hi] - Ts[lo]
     theta = 0.0 if span == 0 else (t - Ts[lo]) / span
@@ -105,14 +105,14 @@ def test_interpolate_refuses_what_the_reference_refuses(reference_paths):
     for path in reference_paths.values():
         for t in (-1.0, max(path.t_max * 1.01, 1e-9), float("nan"),
                   float("inf"), -float("inf")):
-            with pytest.raises(TOutOfRange) as got:
+            with pytest.raises(DimensionMismatch, match="outside") as got:
                 interpolate(path, t)
-            with pytest.raises(TOutOfRange) as want:
+            with pytest.raises(DimensionMismatch, match="outside") as want:
                 reference_interpolate(path, t)
             assert str(got.value) == str(want.value)
         # Not a number at all: the reference fails inside float().
         for t in (None, "x", [1.0]):
-            with pytest.raises(TOutOfRange, match="not a number"):
+            with pytest.raises(DimensionMismatch, match="not a number"):
                 interpolate(path, t)
 
 
@@ -142,7 +142,7 @@ def test_decreasing_budget_takes_the_first_bracketing_segment():
     for t in [*above.tolist(), (T[-2] + T[-1]) / 2, t_top]:
         assert int(np.argmax(T >= t)) < path.n_steps
         assert interpolate(path, t).tobytes() == first_reaching_blend(path, t).tobytes(), t
-    with pytest.raises(TOutOfRange, match="outside"):
+    with pytest.raises(DimensionMismatch, match="outside"):
         interpolate(path, t_top * (1 + 1e-9))
 
 

@@ -34,7 +34,6 @@ from larspath.errors import (
     LarsError,
     StalledPath,
     TieWarning,
-    TOutOfRange,
     VariantMismatch,
 )
 from larspath.linalg import CholeskyFactor, nnls_inner_loop
@@ -1237,7 +1236,13 @@ def test_export_surface():
     for module in (larspath, larspath.datasets):
         assert not hasattr(module, "diabetes_design"), module
     assert not {"MaxStepsExceeded", "diabetes_design"} & set(names)
-    assert len(names) == 42
+    # A step index, a budget and a column count out of range are each
+    # refused as any other argument outside the values it takes.
+    retired_errors = {"IndexOutOfRange", "TOutOfRange", "WrongColumnCount"}
+    assert not retired_errors & set(names)
+    for module in (larspath, larspath.errors):
+        assert not {name for name in retired_errors if hasattr(module, name)}, module
+    assert len(names) == 39
     assert "max_steps" not in inspect.signature(fit_path).parameters
     assert not hasattr(larspath.StandardizedDesign, "gram")
     # A path holds its vertices one way, as columns, and interpolation
@@ -1246,6 +1251,43 @@ def test_export_surface():
         assert not hasattr(core._Vertices, name), name
     for name in ("monotone", "low", "high"):
         assert name not in core._BudgetTable._fields, name
+
+
+# One case per public argument that has a range: the call with a value just
+# outside it, on the ten-column diabetes design (m = 10) and its lars path
+# (10 moves), and the argument's name.
+RANGE_CONTRACT = {
+    "fit_path": (lambda d, p, raw: fit_path(d, "lars", stop_after=-1),
+                 "stop_after"),
+    "lars_fitted_values": (lambda d, p, raw: lars_fitted_values(d, d.m + 1),
+                           "k_max"),
+    "forward_selection": (lambda d, p, raw: forward_selection(d, d.m + 1),
+                          "k_max"),
+    "run_simulation_study": (
+        lambda d, p, raw: run_simulation_study(raw[0], raw[1], n_steps=65),
+        "n_steps"),
+    "hybrid_r2": (lambda d, p, raw: hybrid_r2(p, 0), "k"),
+    "main_effects_first": (
+        lambda d, p, raw: main_effects_first(d, p, p.n_steps + 1,
+                                             np.ones((d.n, 2))),
+        "k"),
+    "interpolate": (lambda d, p, raw: interpolate(p, -1), "t"),
+    "quadratic_expand": (lambda d, p, raw: quadratic_expand(raw[0], d.m),
+                         "binary_column"),
+    "bootstrap_df": (
+        lambda d, p, raw: bootstrap_df(d, lars_fitted_values(d, 2), B=3,
+                                       groups=2),
+        "B"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RANGE_CONTRACT))
+def test_an_argument_out_of_range_is_a_named_dimension_mismatch(
+        entry, design, diabetes_paths, diabetes):
+    call, name = RANGE_CONTRACT[entry]
+    with pytest.raises(DimensionMismatch, match=rf"(^|\W){name}=") as got:
+        call(design, diabetes_paths["lars"], diabetes)
+    assert type(got.value) is DimensionMismatch
 
 
 # ------------------------------------------------------- vertex coefficients
@@ -1306,15 +1348,17 @@ def test_path_betas_stack_the_vertices(design, diabetes_paths):
 def test_vertex_objects_are_built_only_when_steps_are_read(design, quad_design,
                                                             monkeypatch):
     """A fit records its vertices as columns: fitting, the path's own
-    properties, interpolation, the model-selection routines and the CLI's
-    ``main-effects-first`` build no PathStep.  Reading ``steps`` builds one
-    per vertex read, on every read, and keeps none."""
+    properties, interpolation and the model-selection routines build no
+    PathStep, and the CLI's ``main-effects-first`` builds only the one whose
+    active set it reads.  Reading ``steps`` builds one per vertex read, on
+    every read, and keeps none."""
     calls = {"PathStep": 0}
     monkeypatch.setattr(core, "PathStep", _counted(core.PathStep, calls, "PathStep"))
     data = str(resources.files("larspath").joinpath("data/diabetes.csv"))
     assert cli_main(["main-effects-first", "--input", data, "--response", "Y",
                      "--k", "4", "--json"]) == 0
-    assert calls["PathStep"] == 0
+    assert calls["PathStep"] == 1
+    calls["PathStep"] = 0
     paths = [fit_path(d, v) for d in (design, quad_design) for v in VARIANTS]
     paths.append(forward_selection(design, design.m))
     lars = paths[0]
@@ -1434,12 +1478,12 @@ def test_interpolate_budget_is_exact(diabetes_paths):
 
 def test_interpolate_rejects_out_of_range(diabetes_paths):
     path = diabetes_paths["lasso"]
-    with pytest.raises(TOutOfRange):
+    with pytest.raises(DimensionMismatch, match=r"t=-1\.0 outside \[0, "):
         interpolate(path, -1.0)
-    with pytest.raises(TOutOfRange):
+    with pytest.raises(DimensionMismatch, match="outside"):
         interpolate(path, path.t_max * 1.01)
     for t in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(TOutOfRange):
+        with pytest.raises(DimensionMismatch, match=f"t={t!r} outside"):
             interpolate(path, t)
 
 

@@ -8,7 +8,7 @@ from larspath.errors import (
     ConstantColumn,
     DimensionMismatch,
     NonNumericCell,
-    WrongColumnCount,
+    Underdetermined,
 )
 from larspath.model_select import lars_fitted_values
 from larspath.preprocess import (
@@ -85,7 +85,7 @@ def test_non_finite_cells_are_rejected_by_row_and_column():
         assert (exc.value.row, exc.value.column_name) == (5, "c")
     with pytest.raises(DimensionMismatch):
         from_unit_columns(unit, y, names=("a",))
-    with pytest.raises(WrongColumnCount):
+    with pytest.raises(DimensionMismatch, match="1 names for 3 columns"):
         quadratic_expand(X, 0, names=("a",))
 
 
@@ -175,7 +175,7 @@ def test_standardize_shape_errors():
     X = rng.normal(size=(20, 3))
     with pytest.raises(DimensionMismatch):
         standardize(X, np.zeros(19))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(Underdetermined, match="need at least two observations"):
         standardize(X[:1], np.zeros(1))
     with pytest.raises(DimensionMismatch):
         standardize(X, np.zeros(20), names=("a", "b"))
@@ -297,11 +297,11 @@ def test_quadratic_expand_interactions_are_centered_products():
 
 
 def test_quadratic_expand_errors():
-    with pytest.raises(WrongColumnCount):
+    with pytest.raises(DimensionMismatch, match="need at least 2 columns, got 1"):
         quadratic_expand(np.ones((5, 1)), 0)
-    with pytest.raises(WrongColumnCount):
+    with pytest.raises(DimensionMismatch, match="need at least 2 columns, got n/a"):
         quadratic_expand(np.ones(5), 0)
-    with pytest.raises(WrongColumnCount):
+    with pytest.raises(DimensionMismatch, match=r"binary_column=3 outside 0\.\.2"):
         quadratic_expand(rng.normal(size=(5, 3)), 3)
 
 

@@ -13,7 +13,7 @@ from larspath.core import (
     _scan_join,
     fit_path,
 )
-from larspath.errors import IndexOutOfRange
+from larspath.errors import DimensionMismatch
 from larspath.model_select import main_effects_first
 from larspath.preprocess import StandardizedDesign, from_unit_columns, standardize
 
@@ -326,7 +326,7 @@ def test_main_effects_first_fits_a_small_but_real_residual():
 
 def test_main_effects_first_bad_step_index(design, diabetes_paths):
     base = diabetes_paths["lars"]
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DimensionMismatch, match=r"k=11 outside 0\.\.10"):
         main_effects_first(design, base, 11, np.ones((design.n, 2)))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DimensionMismatch, match=r"k=-1 outside 0\.\.10"):
         main_effects_first(design, base, -1, np.ones((design.n, 2)))
