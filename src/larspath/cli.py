@@ -197,8 +197,8 @@ def _cmd_main_effects_first(args):
         raise DimensionMismatch("need at least two selected variables "
                                 "to form interactions")
     cols, names = _interactions(matrix - matrix.mean(axis=0), chosen, labels)
-    inner = main_effects_first(design, base, k, np.column_stack(cols),
-                               names, variant=args.variant)
+    inner = main_effects_first(base, k, np.column_stack(cols), names,
+                               variant=args.variant)
     text = write_path_csv(inner, standardized=args.standardized)
     summary = json_summary(inner)
     summary["k"] = k

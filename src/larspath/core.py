@@ -61,17 +61,21 @@ Numerical conventions that the step counts depend on:
   envelope from the edited set.
 * Every tolerance is relative, so no decision depends on the units of y:
   y -> 2**k y keeps every event and scales every vertex by exactly 2**k.
-  The walk does not start when its top score is not above ``ENVELOPE_RTOL``
-  |y|, and it ends when the envelope falls below ``ENVELOPE_RTOL`` C0, C0
-  being the largest |c| at the start; ``forward_selection`` stops at the
-  same floor.  A candidate ties when its gap to the envelope is within
-  ``TIE_RTOL`` C_hat, and the drop scan ignores crossings nearer than
-  1e-12 of the full travel.  ``PARALLEL_TOL`` compares rates, which depend
-  on X alone.  The value of ``ENVELOPE_RTOL`` is not critical: on 18 Gaussian
-  100 x 1000 designs, floors from 1e-12 C0 to 1e-8 C0 all complete the
-  stagewise walk with |y - X beta|^2 / |y|^2 below 1e-15, and keep the
-  diabetes paths equal under y -> 2**k y.  1e-8, the coarsest, spends the
-  fewest moves on the tail of rounding noise.
+  Each decides something, and the tests named here fail when it is
+  changed (``tests/mutants.py`` checks that they do).  The walk starts
+  when its top score is above ``ENVELOPE_RTOL`` |y|, and ends when the
+  envelope falls below ``ENVELOPE_RTOL`` C0, C0 the largest |c| at the
+  start, where ``forward_selection`` stops too.  A floor of 1e-7 C0 cuts
+  the tail of a wide stagewise walk, and floors below 1e-8 only add moves
+  on rounding noise (test_cold_start_uses_the_walks_envelope_floor,
+  test_the_walk_goes_on_below_a_tenfold_coarser_floor).  Candidates tie
+  when their gaps to the envelope differ by at most ``TIE_RTOL`` C_hat, at
+  the start as in the scan (test_a_runner_up_1e_11_behind_does_not_tie,
+  test_a_gap_within_the_tie_tolerance_ties_at_once).  ``PARALLEL_TOL``
+  compares rates, which depend on X alone
+  (test_no_gap_ties_at_once_unless_the_candidate_falls_behind).  The drop
+  scan and the arbitration have none: a crossing counts at any positive
+  distance, and a drop wins a tie with the join or the final move.
 
 One rule ends a walk that cannot finish.  Adds only grow the active set,
 at most ``_max_active`` in a row, so a walk that never ends shrinks the
@@ -125,14 +129,9 @@ __all__ = [
 
 VARIANTS = ("lars", "lasso", "stagewise", "positive-lasso")
 
-# The walk's relative floor: a fraction of C0 for the envelope, and of |y|
-# for the cold start's top score.
+# The walk's tolerances; the module docstring says what each one decides.
 ENVELOPE_RTOL = 1e-8
-
-# Relative tolerance used for tie detection on the correlation scale.
 TIE_RTOL = 1e-12
-
-# Denominators below this are treated as exactly parallel to the envelope.
 PARALLEL_TOL = 1e-14
 
 
@@ -536,7 +535,7 @@ def _scan_join(c, C_hat, A, a, cand_idx, left_vars, left_signs, positive, tie_to
     return best.item(p), cand_idx.item(p), sign, n_tied
 
 
-def _scan_drop(beta_active, direction, floor):
+def _scan_drop(beta_active, direction):
     """First active coefficient to cross zero along the move direction.
 
     Entry i crosses at -b_i / d_i > 0 only when b_i and d_i are nonzero and
@@ -544,14 +543,14 @@ def _scan_drop(beta_active, direction, floor):
     can cross; a test b_i d_i < 0 would miss tiny entries, whose product
     underflows to -0.0.  The selected entries, usually few, are divided in
     Python floats, as NumPy divides; zero rates never cross, and the first
-    smallest distance above ``floor`` wins.
+    smallest positive distance wins: a just-joined 0.0 does not drop at 0.
     """
     gamma, p = math.inf, None
     for i in ((beta_active < 0) != (direction < 0)).nonzero()[0].tolist():
         d = direction.item(i)
         if d:
             r = -beta_active.item(i) / d
-            if floor < r < gamma:
+            if 0.0 < r < gamma:
                 gamma, p = r, i
     return gamma, p
 
@@ -599,7 +598,7 @@ def _next_event(g_join, gamma_bar, g_drop):
     a drop wins when it comes no later than either, ties included.
     """
     gamma, event = (g_join, "join") if g_join < gamma_bar else (gamma_bar, "final")
-    if g_drop <= gamma * (1 + 1e-12):
+    if g_drop <= gamma:
         return g_drop, "drop"
     return gamma, event
 
@@ -699,7 +698,6 @@ def fit_path(design, variant="lars", *, stop_after=None):
         C_hat = _envelope(c, act_idx)
 
         gamma_bar = C_hat / A
-        floor = 1e-12 * gamma_bar
         tie_tol = TIE_RTOL * C_hat
 
         g_join = np.inf
@@ -713,7 +711,7 @@ def fit_path(design, variant="lars", *, stop_after=None):
                     warnings.warn(f"{n_tied} candidates tie at gamma={g_join:.6g}; "
                                   f"taking variable {j_next}", TieWarning, stacklevel=2)
         beta_A = beta[act_idx]
-        g_drop, p_drop = _scan_drop(beta_A, sw, floor) if drops else (np.inf, None)
+        g_drop, p_drop = _scan_drop(beta_A, sw) if drops else (np.inf, None)
         gamma, event = _next_event(g_join, gamma_bar, g_drop)
 
         # sw is _direction's own array: scaled in place into the move.

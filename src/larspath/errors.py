@@ -26,10 +26,12 @@ class VariantMismatch(LarsError, ValueError):
 
 def as_integer(value, name, minimum=None, maximum=None):
     """A count or position ``value`` as an int, by ``operator.index``, or
-    :class:`DimensionMismatch` naming it: a float, even a whole one, a
+    :class:`DimensionMismatch` naming it: a bool, a float (even 2.0), a
     string or an array is refused, as is a value below ``minimum`` when one
-    is given, or outside ``minimum..maximum`` when ``maximum`` is given too."""
+    is given, or outside ``minimum..maximum`` when ``maximum`` is too."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise DimensionMismatch(f"{name} takes integers, got {value!r}") from None

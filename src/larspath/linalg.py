@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 # A pivot whose squared value falls below this fraction of the new column's
-# squared norm marks the column as linearly dependent on the active set.
+# squared norm marks the column as linearly dependent on the active set
+# (pinned by test_forward_selection_stops_at_a_near_copy).
 DEGENERACY_RTOL = 1e-12
 
 

@@ -285,23 +285,22 @@ def hybrid_r2(path, k):
     return r2_path, r2_refit, float(rho)
 
 
-def main_effects_first(design_main, path, k, interaction_columns, names=None,
-                       variant="lars"):
+def main_effects_first(path, k, interaction_columns, names=None, variant="lars"):
     """Fit interactions against the residual of a k-step main-effects fit.
 
     ``interaction_columns`` holds the raw (unstandardized) interaction
-    candidates; they are standardized against the residual
-    ``y - X beta_k`` and a fresh path is fitted on them.  Returns the new
-    path.  A residual whose norm is not above ``ENVELOPE_RTOL`` times the
-    main response's, as a saturating fit leaves, gives an empty path: it is
-    rounding noise, which the walk would fit like any other response.
+    candidates; they are standardized against the residual ``y - X beta_k``
+    of step k of ``path`` on ``path.design``, and a fresh path is fitted on
+    them.  Returns the new path.  A residual whose norm is not above
+    ``ENVELOPE_RTOL`` times the main response's, as a saturating fit
+    leaves, gives an empty path: it is rounding noise, which the walk would
+    fit like any other response.
     """
     k = as_integer(k, "k", 0, path.n_steps)
-    beta_k = path.betas[k]
-    residual = design_main.response - design_main.columns @ beta_k
+    residual = path.design.response - path.design.columns @ path.betas[k]
     inner = standardize(interaction_columns, residual, names)
     negligible = not (np.linalg.norm(residual)
-                      > ENVELOPE_RTOL * np.linalg.norm(design_main.response))
+                      > ENVELOPE_RTOL * np.linalg.norm(path.design.response))
     return fit_path(inner, variant, stop_after=0 if negligible else None)
 
 

@@ -2,13 +2,18 @@
 every variant, in full and with ``stop_after=3``, and with
 ``forward_selection``.
 
-    python tests/corpus.py --against <src dir> [--close] [--time] [--pairs N]
+    python tests/corpus.py --against <src dir> [--close] [--sweep SEEDS]
+                           [--time] [--pairs N]
 
 imports this checkout's ``src/larspath`` and the ``larspath`` package under
 ``<src dir>`` (as ``larspath_against``) side by side, fits the corpus with
 both, and compares every fit.  Both trees fit the same design objects,
 built by this checkout, so the corpus cannot see a change to
 ``preprocess``; measure one on designs each tree builds itself.
+
+``--sweep SEEDS`` adds generated designs, ``SEEDS`` of each of four kinds
+(``sweep_designs``), fitted in full with the variants that drop or project
+(``SWEEP_VARIANTS``), and compares them in the same way.
 
 ``exact`` (the default) compares the ``betas`` bytes, every recorded column
 of the path, and for a fit that raises, the exception's type name and
@@ -113,6 +118,40 @@ def designs():
     for k in (2, 3, 4):
         out[f"eye{k}"] = from_unit_columns(np.eye(k), np.ones(k))
     return out
+
+
+# The variants whose walks shrink the active set.
+SWEEP_VARIANTS = ("lasso", "positive-lasso", "stagewise")
+
+
+def sweep_designs(seeds):
+    """``seeds`` generated designs of each kind, by name: Gaussian 40 x 12
+    and 15 x 40, 30 x 10 with 0/1 cells, and 50 x 15 with a near-duplicate
+    pair, x1 = x0 + 1e-4 noise."""
+    out = {}
+    for seed in range(seeds):
+        r = np.random.default_rng(seed)
+        out[f"sweep40x12/{seed}"] = standardize(*_gaussian(40, 12, seed))
+        out[f"sweep15x40/{seed}"] = standardize(*_gaussian(15, 40, seed))
+        X = r.integers(0, 2, size=(30, 10)).astype(float)
+        out[f"sweep01x30x10/{seed}"] = standardize(X, X @ r.normal(size=10)
+                                                   + r.normal(size=30))
+        X, y = _gaussian(50, 15, seed)
+        X[:, 1] = X[:, 0] + 1e-4 * X[:, 1]
+        out[f"sweep-pair50x15/{seed}"] = standardize(X, y)
+    return out
+
+
+def cases(sweep=0):
+    """``(design name, fit name, fit)`` for every corpus fit, then for the
+    fits of ``sweep`` seeds of generated designs."""
+    for design_name, design in designs().items():
+        for fit_name, fit in fits(design).items():
+            yield design_name, fit_name, fit
+    for design_name, design in sweep_designs(sweep).items():
+        for variant in SWEEP_VARIANTS:
+            yield (design_name, variant,
+                   lambda tree, d=design, v=variant: tree.fit_path(d, v))
 
 
 def fits(design):
@@ -227,29 +266,28 @@ def load_tree(src):
     return tree
 
 
-def compare(against, close=False):
-    """Fit the corpus with both trees; print each fit that differs (under
-    ``close``, each that fails, and the worst deviation) and return how
-    many did."""
+def compare(against, close=False, sweep=0):
+    """Fit the corpus, and ``sweep`` seeds of generated designs, with both
+    trees; print each fit that differs (under ``close``, each that fails,
+    and the worst deviation) and return how many did."""
     n_fits = n_changed = n_failed = 0
     worst = (0.0, None, None)
-    for design_name, design in designs().items():
-        for fit_name, fit in fits(design).items():
-            n_fits += 1
-            ours, theirs = result(fit, larspath), result(fit, against)
-            name = first_difference(_exact(ours), _exact(theirs))
-            if name is None:
-                continue
-            n_changed += 1
-            if not close:
-                print(f"DIFFERS {design_name} {fit_name}: {name}")
-                continue
-            name, deviation = close_deviation(ours, theirs)
-            if deviation >= worst[0]:
-                worst = deviation, f"{design_name} {fit_name}", name
-            if not deviation <= CLOSE_RTOL:
-                n_failed += 1
-                print(f"FAILS {design_name} {fit_name}: {name} {deviation:.3g}")
+    for design_name, fit_name, fit in cases(sweep):
+        n_fits += 1
+        ours, theirs = result(fit, larspath), result(fit, against)
+        name = first_difference(_exact(ours), _exact(theirs))
+        if name is None:
+            continue
+        n_changed += 1
+        if not close:
+            print(f"DIFFERS {design_name} {fit_name}: {name}")
+            continue
+        name, deviation = close_deviation(ours, theirs)
+        if deviation >= worst[0]:
+            worst = deviation, f"{design_name} {fit_name}", name
+        if not deviation <= CLOSE_RTOL:
+            n_failed += 1
+            print(f"FAILS {design_name} {fit_name}: {name} {deviation:.3g}")
     print(f"{n_fits - n_changed} of {n_fits} fits identical")
     if not close:
         return n_changed
@@ -298,13 +336,15 @@ def main(argv=None):
     parser.add_argument("--close", action="store_true",
                         help="compare to rounding (events equal, values within "
                              f"{CLOSE_RTOL:g} of their scale) instead of by bytes")
+    parser.add_argument("--sweep", type=int, default=0, metavar="SEEDS",
+                        help="also compare SEEDS generated designs of each kind")
     parser.add_argument("--time", action="store_true",
                         help="also run the interleaved timing A/B")
     parser.add_argument("--pairs", type=int, default=31,
                         help="pairs of fits per design and variant in the A/B")
     args = parser.parse_args(argv)
     against = load_tree(args.against)
-    n_bad = compare(against, args.close)
+    n_bad = compare(against, args.close, args.sweep)
     if args.time:
         time_ab(against, args.pairs)
     return 1 if n_bad else 0

@@ -172,6 +172,31 @@ def test_next_join_tie_warns_and_takes_lowest_index():
     assert abs(path.steps[1].gamma - 2.0) < 1e-12
 
 
+def test_a_runner_up_1e_11_behind_does_not_tie():
+    """Candidates tie within ``TIE_RTOL`` C_hat, 1e-12 of the envelope, and
+    no wider.  After x0 joins at C = 3, x2 reaches the envelope at distance
+    1 and x1, whose correlation is 2e-11 lower, at 1 + 2e-11: the nearer
+    x2 joins first, with no TieWarning, and x1 after a move of about
+    3e-11."""
+    d = from_unit_columns(np.eye(3), [3.0, 2.0 * (1 - 1e-11), 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TieWarning)
+        path = fit_path(d)
+    assert path.entry_order == [0, 2, 1]
+    assert 0.0 < path.steps[2].gamma < 1e-10
+
+
+def test_a_gap_within_the_tie_tolerance_ties_at_once():
+    """x1's correlation is 3e-13 below x0's, inside ``TIE_RTOL`` C0 =
+    3e-12: the two tie at the start, x0 is taken with a TieWarning, and x1
+    joins after a move of length exactly 0."""
+    d = from_unit_columns(np.eye(3), [3.0, 3.0 * (1 - 1e-13), 1.0])
+    with pytest.warns(TieWarning, match="2 variables tie at the start"):
+        path = fit_path(d)
+    assert path.entry_order == [0, 1, 2]
+    assert path.steps[1].gamma == 0.0
+
+
 def scan_leaving(values, left_signs, positive=False):
     """``_scan_join`` at envelope 1 and rate 1/2 over the candidates
     ``values`` ({variable: (c, a)}) of a 10-variable design."""
@@ -389,7 +414,7 @@ def _cycle_through_a_drop_and_a_rejoin(monkeypatch, gamma):
     def join_lowest(c, C_hat, A, a, cand_idx, *rest):
         return gamma, int(cand_idx[0]), 1, 1
 
-    def drop_first_of_a_pair(beta_active, direction, floor):
+    def drop_first_of_a_pair(beta_active, direction):
         return (gamma, 0) if beta_active.size == 2 else (np.inf, None)
 
     monkeypatch.setattr(core, "_scan_join", join_lowest)
@@ -439,7 +464,7 @@ def test_a_walk_through_more_than_8m_states_completes(monkeypatch):
             return 1e-3, j, s, 1
         return None
 
-    def scripted_drop(beta_active, direction, floor):
+    def scripted_drop(beta_active, direction):
         if not events:
             return np.inf, None
         event = events.pop(0)
@@ -475,6 +500,25 @@ def test_wide_design_saturates():
     rss_end = path.steps[-1].rss
     assert rss_end < 1e-8 * path.steps[0].rss
     assert rss_end > -1e-9 * path.steps[0].rss
+
+
+@pytest.mark.parametrize("variant", ["lars", "lasso", "positive-lasso"])
+def test_a_saturated_walk_scans_no_candidate(variant):
+    """A centered 10 x 25 design holds at most n - 1 = 9 variables.  Once 9
+    are active, every other column lies in their span and ties the
+    envelope where the residual vanishes; the walk scans none of them, so
+    no TieWarning, and its last move is the whole travel C_max / A to the
+    least squares fit."""
+    r = np.random.default_rng(0)
+    X = r.normal(size=(10, 25))
+    d = standardize(X, X @ r.normal(size=25) + r.normal(size=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TieWarning)
+        path = fit_path(d, variant)
+    last = path.steps[-1]
+    assert len(last.active_after) == 9
+    assert last.gamma == last.C_max / last.A
+    assert abs(last.rss) < 1e-12 * path.steps[0].rss
 
 
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)])
@@ -1099,6 +1143,21 @@ def test_a_column_in_the_span_of_two_others_ends_the_walk_cleanly(seed):
         assert len(path.steps[-1].active_after) <= 8, variant
 
 
+def test_the_walk_goes_on_below_a_tenfold_coarser_floor():
+    """``ENVELOPE_RTOL`` = 1e-8 decides where a walk ends.  On this 30 x 80
+    design (the corpus's ``wide30x80/0``) the stagewise walk still moves
+    with its envelope below 1e-7 C0, and it ends with every |c| below
+    1e-8 C0; a floor of 1e-7 C0 would cut its tail."""
+    r = np.random.default_rng(0)
+    X = r.normal(size=(30, 80))
+    d = standardize(X, X @ r.normal(size=80) + r.normal(size=30))
+    path = fit_path(d, "stagewise")
+    C_max = np.array(path.steps.columns["C_max"])
+    assert C_max[1:].min() < 1e-7 * C_max[0]
+    c = d.columns.T @ (d.response - d.columns @ path.betas[-1])
+    assert np.abs(c).max() < core.ENVELOPE_RTOL * C_max[0]
+
+
 def test_cold_start_uses_the_walks_envelope_floor():
     """Every variant starts unless its top score is negligible against |y|,
     that is not above ``ENVELOPE_RTOL`` times |y|: the score is c for
@@ -1268,8 +1327,7 @@ RANGE_CONTRACT = {
         "n_steps"),
     "hybrid_r2": (lambda d, p, raw: hybrid_r2(p, 0), "k"),
     "main_effects_first": (
-        lambda d, p, raw: main_effects_first(d, p, p.n_steps + 1,
-                                             np.ones((d.n, 2))),
+        lambda d, p, raw: main_effects_first(p, p.n_steps + 1, np.ones((d.n, 2))),
         "k"),
     "interpolate": (lambda d, p, raw: interpolate(p, -1), "t"),
     "quadratic_expand": (lambda d, p, raw: quadratic_expand(raw[0], d.m),
@@ -1288,6 +1346,24 @@ def test_an_argument_out_of_range_is_a_named_dimension_mismatch(
     with pytest.raises(DimensionMismatch, match=rf"(^|\W){name}=") as got:
         call(design, diabetes_paths["lars"], diabetes)
     assert type(got.value) is DimensionMismatch
+
+
+# A bool is not a count, though ``operator.index`` reads it as 0 or 1.
+BOOL_CASES = {
+    "fit_path": (lambda d, p: fit_path(d, "lars", stop_after=False), "stop_after"),
+    "hybrid_r2": (lambda d, p: hybrid_r2(p, True), "k"),
+    "main_effects_first": (
+        lambda d, p: main_effects_first(p, True, np.ones((d.n, 2))), "k"),
+    "forward_selection": (lambda d, p: forward_selection(d, True), "k_max"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOOL_CASES))
+def test_a_bool_count_is_a_named_dimension_mismatch(entry, design, diabetes_paths):
+    call, name = BOOL_CASES[entry]
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^{name} takes integers, got (True|False)$"):
+        call(design, diabetes_paths["lars"])
 
 
 # ------------------------------------------------------- vertex coefficients
@@ -1369,7 +1445,7 @@ def test_vertex_objects_are_built_only_when_steps_are_read(design, quad_design,
     sigma2 = sigma2_full_ols(design)
     cp_curve(lars, sigma2)
     hybrid_r2(lars, 3)
-    main_effects_first(design, lars, 2, quad_design.columns[:, 10:14])
+    main_effects_first(lars, 2, quad_design.columns[:, 10:14])
     bootstrap_df(design, lars_fitted_values(design, 3), B=4, groups=2)
     lasso_df_by_support(design, B=4, groups=2)
     raw, response, _ = load_diabetes()

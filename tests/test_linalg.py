@@ -408,6 +408,19 @@ def test_nnls_all_positive_is_identity():
     assert face_factor is f
 
 
+def test_nnls_face_leaves_out_a_weight_of_exactly_zero():
+    """The face is the positions whose projected weight is positive.  On
+    the identity, w = (1, 0) is its own projection, and the face is {0}.
+    On the block below, w = (0, 1, -1) projects to (0, 1, 0) exactly: the
+    warm start's leading block and the trial face {0, 1} both solve to
+    weights (0, 1), and the face is {1}."""
+    _, retained = nnls_inner_loop(from_gram(np.eye(2)), np.array([1.0, 0.0]))
+    assert retained.tolist() == [0]
+    G = np.array([[1.0, 0.5, 0.0], [0.5, 0.3125, 0.0], [0.0, 0.0, 1.0]])
+    _, retained = nnls_inner_loop(from_gram(G), np.array([0.0, 1.0, -1.0]))
+    assert retained.tolist() == [1]
+
+
 def test_nnls_unequal_norms_keeps_nearest_face():
     """With one negative weight on two columns, the surviving singleton is
     the face nearest the unconstrained direction (checked by brute force)."""

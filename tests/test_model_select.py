@@ -329,7 +329,7 @@ def test_hybrid_r2_refuses_a_step_that_is_not_an_integer(diabetes_paths, k):
     ("stop_after", lambda d, p, X, y: fit_path(d, "lars", stop_after=1.5)),
     ("stop_after", lambda d, p, X, y: fit_path(d, "lars", stop_after=-1)),
     ("k_max", lambda d, p, X, y: forward_selection(d, 2.0)),
-    ("k", lambda d, p, X, y: main_effects_first(d, p, 2.0, X[:, :3] * X[:, 3:6])),
+    ("k", lambda d, p, X, y: main_effects_first(p, 2.0, X[:, :3] * X[:, 3:6])),
     ("k_max", lambda d, p, X, y: lars_fitted_values(d, 2.5)),
     ("k_max", lambda d, p, X, y: lars_fitted_values(d, -1)),
     ("n_steps", lambda d, p, X, y: run_simulation_study(X, y, replications=2, n_steps=2.5)),

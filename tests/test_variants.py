@@ -49,14 +49,14 @@ def positive_scan(c, C_hat, A, a, candidates):
 
 
 def test_drop_candidate_none_when_moving_away():
-    gamma, pos = _scan_drop(np.array([1.0, -2.0]), np.array([0.5, -0.25]), 0.0)
+    gamma, pos = _scan_drop(np.array([1.0, -2.0]), np.array([0.5, -0.25]))
     assert gamma == np.inf and pos is None
 
 
 def test_drop_candidate_first_crossing():
-    gamma, pos = _scan_drop(np.array([1.0]), np.array([-0.5]), 0.0)
+    gamma, pos = _scan_drop(np.array([1.0]), np.array([-0.5]))
     assert gamma == 2.0 and pos == 0
-    gamma, pos = _scan_drop(np.array([1.0, 0.3, -4.0]), np.array([-0.5, -0.3, 1.0]), 0.0)
+    gamma, pos = _scan_drop(np.array([1.0, 0.3, -4.0]), np.array([-0.5, -0.3, 1.0]))
     assert gamma == 1.0 and pos == 1
 
 
@@ -67,25 +67,25 @@ def test_drop_scan_skips_zero_rates_without_warning():
     direction = np.array([0.0, 0.0, 1.0, -0.25, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _scan_drop(beta, direction, 0.0) == (1.0, 3)
-        assert _scan_drop(beta, np.zeros(5), 0.0) == (np.inf, None)
-        assert _scan_drop(np.zeros(3), np.zeros(3), 0.0) == (np.inf, None)
+        assert _scan_drop(beta, direction) == (1.0, 3)
+        assert _scan_drop(beta, np.zeros(5)) == (np.inf, None)
+        assert _scan_drop(np.zeros(3), np.zeros(3)) == (np.inf, None)
 
 
-def test_drop_scan_ignores_a_crossing_at_the_floor():
-    """Crossings at 1 and 2: a floor of exactly 1 leaves the second, a floor
-    just below 1 the first.  Equal crossings take the lower position."""
-    beta, direction = np.array([1.0, 1.0]), np.array([-1.0, -0.5])
-    assert _scan_drop(beta, direction, 1.0) == (2.0, 1)
-    assert _scan_drop(beta, direction, np.nextafter(1.0, 0.0)) == (1.0, 0)
-    assert _scan_drop(np.array([1.0, 2.0]), np.array([-1.0, -2.0]), 0.0) == (1.0, 0)
+def test_drop_scan_skips_a_crossing_at_distance_zero():
+    """A coefficient that has just joined is exactly 0.0, and a rate
+    against its sign does not drop it at distance 0: the crossing at 2 is
+    the first.  Equal crossings take the lower position."""
+    beta, direction = np.array([0.0, 1.0]), np.array([-1.0, -0.5])
+    assert _scan_drop(beta, direction) == (2.0, 1)
+    assert _scan_drop(np.array([1.0, 2.0]), np.array([-1.0, -2.0])) == (1.0, 0)
 
 
 def test_drop_scan_finds_a_crossing_of_tiny_entries():
     """1e-200 against a rate of -1e-200 crosses at 1, though the product
     of the two underflows to -0.0."""
     assert 1e-200 * -1e-200 == 0.0
-    assert _scan_drop(np.array([1e-200]), np.array([-1e-200]), 0.5) == (1.0, 0)
+    assert _scan_drop(np.array([1e-200]), np.array([-1e-200])) == (1.0, 0)
 
 
 def test_arbitration():
@@ -271,7 +271,7 @@ def test_variants_coincide_without_events():
 # ------------------------------------------------------ two-stage fitting
 
 
-def test_main_effects_first_on_diabetes(diabetes, design, diabetes_paths):
+def test_main_effects_first_on_diabetes(diabetes, diabetes_paths):
     matrix, response, names = diabetes
     base = diabetes_paths["lars"]
     k = 4
@@ -284,7 +284,7 @@ def test_main_effects_first_on_diabetes(diabetes, design, diabetes_paths):
             i, j = chosen[a], chosen[b]
             cols.append(centered[:, i] * centered[:, j])
             labels.append(f"{names[i]}:{names[j]}")
-    inner = main_effects_first(design, base, k, np.column_stack(cols), labels)
+    inner = main_effects_first(base, k, np.column_stack(cols), labels)
     assert inner.design.m == 6
     assert 1 <= inner.n_steps <= 6
     assert inner.design.column_names == tuple(labels)
@@ -300,7 +300,7 @@ def test_main_effects_first_zero_residual_gives_empty_path():
     base = fit_path(d)
     # the full fit is exact, so nothing is left for the second stage
     assert base.steps[-1].rss < 1e-9 * float(y @ y)
-    inner = main_effects_first(d, base, base.n_steps, X2)
+    inner = main_effects_first(base, base.n_steps, X2)
     assert inner.n_steps == 0
 
 
@@ -319,7 +319,7 @@ def test_main_effects_first_fits_a_small_but_real_residual():
     base = fit_path(d)
     residual = d.response - d.columns @ base.betas[-1]
     assert 1e-7 < np.linalg.norm(residual) / np.linalg.norm(y) < 1e-5
-    inner = main_effects_first(d, base, base.n_steps, X2)
+    inner = main_effects_first(base, base.n_steps, X2)
     assert inner.n_steps >= 1
     assert inner.steps[-1].rss < inner.steps[0].rss
 
@@ -327,6 +327,6 @@ def test_main_effects_first_fits_a_small_but_real_residual():
 def test_main_effects_first_bad_step_index(design, diabetes_paths):
     base = diabetes_paths["lars"]
     with pytest.raises(DimensionMismatch, match=r"k=11 outside 0\.\.10"):
-        main_effects_first(design, base, 11, np.ones((design.n, 2)))
+        main_effects_first(base, 11, np.ones((design.n, 2)))
     with pytest.raises(DimensionMismatch, match=r"k=-1 outside 0\.\.10"):
-        main_effects_first(design, base, -1, np.ones((design.n, 2)))
+        main_effects_first(base, -1, np.ones((design.n, 2)))
