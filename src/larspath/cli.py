@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, missing arguments),
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -141,7 +142,7 @@ def _cmd_simulate(args):
     matrix, response, labels = read_csv(args.input, args.response)
     result = run_simulation_study(matrix, response, seed=args.seed,
                                   replications=args.replications,
-                                  n_steps=args.steps,
+                                  n_steps=args.n_steps,
                                   binary_column=_binary_column(args, matrix, labels))
     lines = ["method,step,pe_mean,pe_sd,avg_nonzero"]
     for name in sorted(result.pe_curves):
@@ -191,7 +192,7 @@ def _cmd_interpolate(args):
 def _cmd_main_effects_first(args):
     design, matrix, response, labels = _load_design(args)
     base = fit_path(design, "lars")
-    k = as_integer(args.k, "--k", 0, base.n_steps)
+    k = as_integer(args.k, "k", 0, base.n_steps)
     chosen = sorted(base.steps[k].active_after)
     if len(chosen) < 2:
         raise DimensionMismatch("need at least two selected variables "
@@ -237,7 +238,7 @@ def _build_parser():
     _add_data_options(sp, quadratic="always")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--replications", type=int, default=100)
-    sp.add_argument("--steps", type=int, default=40)
+    sp.add_argument("--steps", type=int, default=40, dest="n_steps")
     _add_output_options(sp)
     sp.set_defaults(handler=_cmd_simulate)
 
@@ -258,6 +259,8 @@ def _build_parser():
     _add_output_options(sp)
     _add_standardized_option(sp)
     sp.set_defaults(handler=_cmd_main_effects_first)
+    for sp in sub.choices.values():
+        sp.set_defaults(flags={a.dest: a.option_strings[-1] for a in sp._actions})
     return parser
 
 
@@ -273,7 +276,13 @@ def cli_main(argv=None):
     try:
         return args.handler(args) or 0
     except (LarsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, DimensionMismatch):
+            # The library names an argument as it is passed ("n_steps=65");
+            # the refusal names the flag that set it ("--steps=65").
+            message = re.sub(r"(?<!\S)(\w+)=",
+                             lambda m: args.flags.get(m[1], m[1]) + "=", message)
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,7 @@ from larspath.errors import (
     VariantMismatch,
 )
 from larspath.model_select import (
+    _df_estimates,
     bootstrap_df,
     cp_curve,
     hybrid_r2,
@@ -155,6 +156,28 @@ def test_df_estimators_refuse_fewer_than_two_groups(design, groups):
             bootstrap_df(design, lars_fitted_values(design, 2), B=20, groups=groups)
         with pytest.raises(DimensionMismatch, match="groups"):
             lasso_df_by_support(design, B=20, groups=groups)
+
+
+def test_df_estimates_leave_out_a_group_that_saw_k_once():
+    """A group whose draws reached some ``k`` once has no covariance there:
+    that ``k``'s estimate leaves the group out, without a divide by zero,
+    and a ``k`` that only one group saw twice has no estimate."""
+    rng = np.random.default_rng(0)
+    sum_fy, sum_f, sum_y = (rng.normal(size=(3, 3, 5)) for _ in range(3))
+    count = np.array([[2, 3, 2], [4, 2, 1], [3, 1, 0]])
+    sigma2 = 2.0
+
+    def df_of(g, k):
+        c = count[g, k]
+        cov = (sum_fy[g, k] - sum_f[g, k] * sum_y[g, k] / c) / (c - 1)
+        return cov.sum() / sigma2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _df_estimates(sum_fy, sum_f, sum_y, count, sigma2)
+    assert [(e.k, e.groups) for e in out] == [(0, 3), (1, 2)]
+    assert out[0].df_hat == pytest.approx(np.mean([df_of(g, 0) for g in range(3)]))
+    assert out[1].df_hat == pytest.approx((df_of(0, 1) + df_of(1, 1)) / 2)
 
 
 @pytest.mark.parametrize("B, groups", [(20.0, 2), (20, 2.5), ("20", 2)])
